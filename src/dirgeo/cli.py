@@ -20,8 +20,9 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .geometry import UnknownAxiom, axiom, expand_defs
 from .kernel import ScriptError, check_proof, parse_proof_script, print_proof_script
-from .models import Structure, _find_at_size, find_countermodel
+from .models import MAX_SIZE, Structure, countermodel_at_size, find_countermodel
 from .search import (
+    POOL_SUBTERMS_ONLY,
     POOL_SUBTERMS_PLUS_REV,
     SearchConfig,
     prove,
@@ -41,13 +42,20 @@ class RunReport:
     command: str
     items: list[dict] = field(default_factory=list)
     exit_code: int = EXIT_OK
-    elapsed: float = 0.0
+    started: float = field(default_factory=time.monotonic)
 
     def add(self, name: str, status: str, detail: str = "", **extra) -> None:
         self.items.append({"item": name, "status": status, "detail": detail, **extra})
 
+    def error(self, name: str, detail: str) -> "RunReport":
+        """Record a bad input (exit 2) and return the report."""
+        self.add(name, "error", detail)
+        self.exit_code = EXIT_PARSE_ERROR
+        return self
+
     def emit(self, fmt: str, stream=None) -> None:
         stream = stream or sys.stdout
+        elapsed = time.monotonic() - self.started
         if fmt == "records":
             for item in self.items:
                 record = {"command": self.command, **item}
@@ -59,7 +67,7 @@ class RunReport:
                         "item": None,
                         "status": "pass" if self.exit_code == EXIT_OK else "fail",
                         "exit_code": self.exit_code,
-                        "elapsed": round(self.elapsed, 4),
+                        "elapsed": round(elapsed, 4),
                     }
                 ),
                 file=stream,
@@ -71,13 +79,37 @@ class RunReport:
                     line += f"  {item['detail']}"
                 print(line, file=stream)
             overall = "pass" if self.exit_code == EXIT_OK else f"fail (exit {self.exit_code})"
-            print(f"{self.command}: {overall} in {self.elapsed:.2f}s", file=stream)
+            print(f"{self.command}: {overall} in {elapsed:.2f}s", file=stream)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    return json.loads(Path(path).read_text())
+_POOLS = (POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV)
+# Keys of the config's "search" section; the prove flag of the same name wins.
+_BOUND_KEYS = ("max_depth", "max_term_depth", "max_lines")
+_SEARCH_KEYS = _BOUND_KEYS + ("pool",)
+
+
+def _load_config(args) -> dict:
+    """The --config file, with the prove flags merged into its "search"
+    section, validated; raises OSError or ValueError with a one-line reason."""
+    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(cfg, dict):
+        raise ValueError("the top level must be a JSON object")
+    for section in ("search", "signature"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise ValueError(f"{section!r} must be a JSON object")
+    search = dict(cfg.get("search", {}))
+    unknown = sorted(set(search) - set(_SEARCH_KEYS))
+    if unknown:
+        raise ValueError(f"unknown key(s) in 'search': {', '.join(unknown)}")
+    search.update({k: getattr(args, k) for k in _SEARCH_KEYS if getattr(args, k, None) is not None})
+    for key in _BOUND_KEYS:
+        value = search.get(key, 0)
+        if type(value) is not int or value < 0:
+            raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    if search.get("pool", POOL_SUBTERMS_PLUS_REV) not in _POOLS:
+        raise ValueError(f"pool must be one of {', '.join(_POOLS)}, got {search['pool']!r}")
+    cfg["search"] = search
+    return cfg
 
 
 def _signature_from_config(cfg: dict) -> Signature:
@@ -85,16 +117,11 @@ def _signature_from_config(cfg: dict) -> Signature:
     return GEOMETRY.extended(sig_cfg.get("predicates", {}), sig_cfg.get("functions", {}))
 
 
-def _search_config(args, cfg: dict) -> SearchConfig:
-    sc = cfg.get("search", {})
-    return SearchConfig(
-        max_depth=args.max_depth if args.max_depth is not None else sc.get("max_depth", 2),
-        max_term_depth=(
-            args.max_term_depth if args.max_term_depth is not None else sc.get("max_term_depth", 3)
-        ),
-        max_lines=args.max_lines if args.max_lines is not None else sc.get("max_lines", 50000),
-        instantiation_pool=args.pool or sc.get("pool", POOL_SUBTERMS_PLUS_REV),
-    )
+def _search_config(cfg: dict) -> SearchConfig:
+    sc = dict(cfg["search"])
+    if "pool" in sc:
+        sc["instantiation_pool"] = sc.pop("pool")
+    return SearchConfig(**sc)
 
 
 def _resolve_names(spec: str, do_expand: bool):
@@ -115,9 +142,11 @@ def _check_one(path: str, signature_cfg: dict) -> dict:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
         proof = parse_proof_script(text, sig)
+        report = check_proof(proof)
     except (ScriptError, ParseError, OSError) as exc:
         return {"status": "parse-error", "detail": str(exc)}
-    report = check_proof(proof)
+    except RecursionError:
+        return {"status": "parse-error", "detail": "formula nested too deeply"}
     if report.valid:
         return {"status": "valid", "detail": report.sequent(), "lines": len(proof.lines)}
     return {
@@ -129,7 +158,6 @@ def _check_one(path: str, signature_cfg: dict) -> dict:
 
 def cmd_check(args, cfg: dict) -> RunReport:
     report = RunReport("check")
-    started = time.monotonic()
     results: list[dict] = []
     if args.jobs > 1 and len(args.paths) > 1 and "-" not in args.paths:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -145,7 +173,6 @@ def cmd_check(args, cfg: dict) -> RunReport:
             report.exit_code = EXIT_PARSE_ERROR
         elif res["status"] != "valid" and report.exit_code == EXIT_OK:
             report.exit_code = EXIT_CHECK_FAILED
-    report.elapsed = time.monotonic() - started
     return report
 
 
@@ -154,23 +181,16 @@ def cmd_check(args, cfg: dict) -> RunReport:
 
 def cmd_prove(args, cfg: dict) -> RunReport:
     report = RunReport("prove")
-    started = time.monotonic()
     try:
         premises = _resolve_names(args.premises or "", args.expand_defs)
         goal_name, goal = _resolve_names(args.goal, args.expand_defs)[0]
     except UnknownAxiom as exc:
-        report.add(args.goal, "error", f"unknown axiom name {exc}")
-        report.exit_code = EXIT_PARSE_ERROR
-        report.elapsed = time.monotonic() - started
-        return report
+        return report.error(args.goal, f"unknown axiom name {exc}")
     for name, f in premises + [(goal_name, goal)]:
         if free_vars(f):
-            report.add(name, "error", "not a closed formula (use --expand-defs?)")
-            report.exit_code = EXIT_PARSE_ERROR
-            report.elapsed = time.monotonic() - started
-            return report
+            return report.error(name, "not a closed formula (use --expand-defs?)")
 
-    search_cfg = _search_config(args, cfg)
+    search_cfg = _search_config(cfg)
     premise_names = [n for n, _ in premises]
     premise_formulas = [f for _, f in premises]
 
@@ -207,54 +227,43 @@ def cmd_prove(args, cfg: dict) -> RunReport:
     else:
         report.add(goal_name, result.status, detail)
         report.exit_code = EXIT_SEARCH_FAILED
-    report.elapsed = time.monotonic() - started
     return report
 
 
 # -- models ------------------------------------------------------------------
 
 
-def _models_worker(payload: tuple[list[str], str, int, int, int]):
+def _models_worker(payload: tuple[list[str], str, int, int, int]) -> Structure | None:
     premise_texts, goal_text, n, lo, hi = payload
     premises = [parse_formula(t) for t in premise_texts]
-    goal = parse_formula(goal_text)
-    return _find_at_size(premises, goal, n, (lo, hi))
+    return countermodel_at_size(premises, parse_formula(goal_text), n, (lo, hi))
 
 
 def _parallel_countermodel(premises, goal, max_n: int, jobs: int) -> Structure | None:
-    import itertools as _it
-
+    """find_countermodel with each size's rev tables split into `jobs` slices."""
     premise_texts = [print_formula(p) for p in premises]
     goal_text = print_formula(goal)
-    for n in range(1, max_n + 1):
-        rev_count = n ** n
-        chunk = max(1, (rev_count + jobs - 1) // jobs)
-        ranges = [(lo, min(lo + chunk, rev_count)) for lo in range(0, rev_count, chunk)]
-        payloads = [(premise_texts, goal_text, n, lo, hi) for lo, hi in ranges]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for n in range(1, max_n + 1):
+            chunk = (n**n + jobs - 1) // jobs
+            payloads = [(premise_texts, goal_text, n, lo, lo + chunk) for lo in range(0, n**n, chunk)]
             hits = [h for h in pool.map(_models_worker, payloads) if h is not None]
-        if hits:
-            ri, ui = min(hits)
-            rev = list(_it.product(range(n), repeat=n))[ri]
-            from .models import _structure_from_index
-
-            return _structure_from_index(n, rev, ui)
+            if hits:
+                return min(hits, key=lambda s: (s.rev, s.undir))
     return None
 
 
 def cmd_models(args, cfg: dict) -> RunReport:
     report = RunReport("models")
-    started = time.monotonic()
     try:
         premises = _resolve_names(args.premises or "", args.expand_defs)
         goal_name, goal = _resolve_names(args.goal, args.expand_defs)[0]
     except UnknownAxiom as exc:
-        report.add(args.goal, "error", f"unknown axiom name {exc}")
-        report.exit_code = EXIT_PARSE_ERROR
-        report.elapsed = time.monotonic() - started
-        return report
+        return report.error(args.goal, f"unknown axiom name {exc}")
     premise_formulas = [f for _, f in premises]
     label = f"{','.join(n for n, _ in premises) or '(none)'} |= {goal_name}"
+    if not 1 <= args.max_size <= MAX_SIZE:
+        return report.error(label, f"--max-size must be in 1..{MAX_SIZE}, got {args.max_size}")
 
     try:
         if args.jobs > 1:
@@ -262,10 +271,7 @@ def cmd_models(args, cfg: dict) -> RunReport:
         else:
             cm = find_countermodel(premise_formulas, goal, args.max_size)
     except ValueError as exc:
-        report.add(label, "error", f"{exc} (did you mean --expand-defs?)")
-        report.exit_code = EXIT_PARSE_ERROR
-        report.elapsed = time.monotonic() - started
-        return report
+        return report.error(label, f"{exc} (did you mean --expand-defs?)")
 
     if cm is None:
         report.add(label, "no-countermodel", f"up to size {args.max_size}")
@@ -278,7 +284,6 @@ def cmd_models(args, cfg: dict) -> RunReport:
         report.add(label, "countermodel", detail)
         if args.expect == "none":
             report.exit_code = EXIT_EXPECTATION
-    report.elapsed = time.monotonic() - started
     return report
 
 
@@ -287,7 +292,6 @@ def cmd_models(args, cfg: dict) -> RunReport:
 
 def cmd_corpus(args, cfg: dict) -> RunReport:
     report = RunReport("corpus")
-    started = time.monotonic()
     for cid in corpus_mod.corpus_ids():
         try:
             proof, entry = corpus_mod.load(cid)
@@ -315,7 +319,6 @@ def cmd_corpus(args, cfg: dict) -> RunReport:
             report.exit_code = EXIT_CHECK_FAILED
         else:
             report.add(cid, "valid", res.sequent())
-    report.elapsed = time.monotonic() - started
     return report
 
 
@@ -348,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument("--max-term-depth", type=int, default=None, help="rev-nesting bound")
     p_prove.add_argument("--max-lines", type=int, default=None, help="derived-formula budget")
     p_prove.add_argument(
-        "--pool", choices=("subterms-only", "subterms-plus-rev"), default=None,
+        "--pool", choices=_POOLS, default=None,
         help="instantiation pool strategy",
     )
     p_prove.add_argument("--out", help="write the proof script here instead of stdout")
@@ -390,9 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
+        cfg = _load_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     report = args.func(args, cfg)
     report.emit(args.format, stream=sys.stderr if args.command == "prove" else sys.stdout)

@@ -39,14 +39,19 @@ from .syntax import (
     Term,
     Var,
     alpha_eq,
+    conjunct_members,
+    flatten_or,
     formula_terms,
     free_vars,
+    imp_result,
+    neg,
     negated_quantifier_view,
     parse_annotation_term,
     parse_formula,
     print_annotation_term,
     print_formula,
     rule_eq,
+    strip_double_neg,
     substitute,
 )
 
@@ -81,6 +86,16 @@ _RULE_ALIASES = {
     "DEMORGAN": Rule.DE_MORGAN,
     "DISTRIBUTIVE_LAW": Rule.DISTRIBUTIVE_LAW,
     "DISTRIBUTIVE.LAW": Rule.DISTRIBUTIVE_LAW,
+}
+
+
+# How many lines each rule cites.
+_CITE_COUNTS = {
+    Rule.PREMISE: 0, Rule.ASSUMED_PREMISE: 0, Rule.MP: 2, Rule.MT: 2,
+    Rule.IMP: 1, Rule.LDS: 2, Rule.RDS: 2, Rule.CP: 1, Rule.SIMP: 1,
+    Rule.CASE1: 1, Rule.CASE2: 1, Rule.CASES: 3, Rule.DE_MORGAN: 1,
+    Rule.DISTRIBUTIVE_LAW: 1, Rule.SAME: 1, Rule.US: 1, Rule.UG: 1,
+    Rule.EG: 1, Rule.EE: 1, Rule.SUB: 1,
 }
 
 
@@ -147,60 +162,15 @@ class CheckReport:
         return f"{left} |- {right}" if left else f"|- {right}"
 
 
-def _neg(f: Formula) -> Formula:
-    """~X, with one double negation removed: neg(~X) = X."""
-    return f.body if isinstance(f, Not) else Not(f)
-
-
-def _strip_double_neg(f: Formula) -> Formula:
-    if isinstance(f, Not) and isinstance(f.body, Not):
-        return f.body.body
-    return f
-
-
 def _contradicts(f: Formula, g: Formula) -> bool:
     """Complementary modulo one double negation, alpha, and the
     negated-quantifier view (the latter two live in rule_eq)."""
-    for a, b in ((f, g), (_strip_double_neg(f), _strip_double_neg(g))):
+    for a, b in ((f, g), (strip_double_neg(f), strip_double_neg(g))):
         if isinstance(a, Not) and rule_eq(a.body, b):
             return True
         if isinstance(b, Not) and rule_eq(b.body, a):
             return True
     return False
-
-
-def _conjunct_members(f: Formula) -> list[Formula]:
-    """Every conjunct at any conjunctive position (subtrees of the & tree)."""
-    out: list[Formula] = []
-
-    def walk(g: Formula):
-        if isinstance(g, And):
-            for child in (g.left, g.right):
-                out.append(child)
-                walk(child)
-
-    walk(f)
-    return out
-
-
-def _flat_ands(f: Formula) -> list[Formula]:
-    if isinstance(f, And):
-        return _flat_ands(f.left) + _flat_ands(f.right)
-    return [f]
-
-
-def _flat_ors(f: Formula) -> list[Formula]:
-    if isinstance(f, Or):
-        return _flat_ors(f.left) + _flat_ors(f.right)
-    return [f]
-
-
-def _imp_result(f: Implies) -> Formula:
-    parts = [_neg(a) for a in _flat_ands(f.left)]
-    out = f.right
-    for p in reversed(parts):
-        out = Or(p, out)
-    return out
 
 
 def _candidate_terms(f: Formula) -> list[Term]:
@@ -359,13 +329,7 @@ class Checker:
                 return got
             cited.append(got)
 
-        expect_cites = {
-            Rule.PREMISE: 0, Rule.ASSUMED_PREMISE: 0, Rule.MP: 2, Rule.MT: 2,
-            Rule.IMP: 1, Rule.LDS: 2, Rule.RDS: 2, Rule.CP: 1, Rule.SIMP: 1,
-            Rule.CASE1: 1, Rule.CASE2: 1, Rule.CASES: 3, Rule.DE_MORGAN: 1,
-            Rule.DISTRIBUTIVE_LAW: 1, Rule.SAME: 1, Rule.US: 1, Rule.UG: 1,
-            Rule.EG: 1, Rule.EE: 1, Rule.SUB: 1,
-        }[rule]
+        expect_cites = _CITE_COUNTS[rule]
         if len(cited) != expect_cites:
             return Verdict.violation(
                 "structure", f"{rule.value} takes {expect_cites} cited line(s), got {len(cited)}"
@@ -422,7 +386,7 @@ class Checker:
         (c,) = cited
         if not isinstance(c.formula, Implies):
             return Verdict.violation("rule", "IMP: cited line is not an implication"), set()
-        expected = _imp_result(c.formula)
+        expected = imp_result(c.formula)
         if not rule_eq(f, expected):
             return self._mismatch(Rule.IMP, expected, f), set()
         return Verdict(True), self._union_deps(cited)
@@ -469,7 +433,7 @@ class Checker:
 
     def _rule_simp(self, n, f, just, cited):
         (c,) = cited
-        members = _conjunct_members(c.formula)
+        members = conjunct_members(c.formula)
         if not members:
             return Verdict.violation("rule", "SIMP: cited line is not a conjunction"), set()
         if not any(rule_eq(f, m) for m in members):
@@ -482,9 +446,9 @@ class Checker:
         (c,) = cited
         g = c.formula
         if isinstance(g, Not) and isinstance(g.body, And):
-            expected: Formula = Or(_neg(g.body.left), _neg(g.body.right))
+            expected: Formula = Or(neg(g.body.left), neg(g.body.right))
         elif isinstance(g, Not) and isinstance(g.body, Or):
-            expected = And(_neg(g.body.left), _neg(g.body.right))
+            expected = And(neg(g.body.left), neg(g.body.right))
         else:
             return Verdict.violation("rule", "DE.MORGAN: cited line is not a negated & or |"), set()
         if not rule_eq(f, expected):
@@ -700,17 +664,13 @@ class Checker:
 
     @staticmethod
     def _eg_abstracts(e: Formula, source: Formula) -> bool:
-        if not isinstance(e, Exists):
-            return False
-        if e.var not in free_vars(e.body):
-            return alpha_eq(e.body, source)
-        return _infer_single_subst(e.body, e.var, source) is not None
+        return isinstance(e, Exists) and _infer_single_subst(e.body, e.var, source) is not None
 
     def _eg_matches(self, f: Formula, g: Formula) -> bool:
         if self._eg_abstracts(f, g):
             return True
-        fc = _flat_ors(f)
-        gc = _flat_ors(g)
+        fc = flatten_or(f)
+        gc = flatten_or(g)
         if len(fc) != len(gc):
             return False
         remaining_f = list(fc)

@@ -5,10 +5,12 @@ table over the domain [0, n).  Enumeration order is fixed and documented:
 size-ascending, then lexicographic over the rev table, then lexicographic
 over the undir table read row-major with False < True.  find_countermodel
 reports the first structure in that order satisfying every premise and
-falsifying the goal.
+falsifying the goal; countermodel_at_size does the same for one size and
+a slice of its rev tables, which is how `dirgeo models --jobs` splits the
+work.  Sizes 1..MAX_SIZE are covered; a larger size raises ValueError.
 
 Two evaluators exist on purpose: eval_formula is the plain recursive
-Tarskian definition; the enumerator uses a bit-parallel numpy path that
+Tarskian definition; the scan uses a bit-parallel numpy path that
 evaluates all 2^(n*n) undir tables for one rev table at once.  Their
 agreement is property-tested.
 """
@@ -35,9 +37,10 @@ from .syntax import (
     free_vars,
 )
 
-# Bit-parallel arrays for n=4 take 2^16 bytes per atom; beyond that fall
-# back to the per-structure generator.
-_BATCH_MAX_SIZE = 4
+# The largest domain size the scan covers: each atom's table takes
+# 2^(n*n) bytes, 64 KB at n=4 and 32 MB at n=5, and size 5 has 3125 rev
+# tables where size 4 has 256.
+MAX_SIZE = 4
 
 
 class UnassignedVariable(KeyError):
@@ -138,9 +141,8 @@ def enumerate_structures(n: int) -> Iterator[Structure]:
     if n < 1:
         raise ValueError("domain size must be >= 1")
     for rev in itertools.product(range(n), repeat=n):
-        for bits in itertools.product((False, True), repeat=n * n):
-            table = tuple(tuple(bits[i * n + j] for j in range(n)) for i in range(n))
-            yield Structure(n, table, rev)
+        for index in range(2 ** (n * n)):
+            yield _structure_from_index(n, rev, index)
 
 
 # ---------------------------------------------------------------------------
@@ -210,81 +212,59 @@ def _structure_from_index(n: int, rev: Sequence[int], index: int) -> Structure:
     return Structure(n, table, tuple(rev))
 
 
-def _find_at_size(
+def _scan(sizes: range, rev_range: tuple[int, int] | None = None):
+    """Every rev table of every size in `sizes`, in the documented order
+    (`rev_range` slices each size's list of rev tables), as (size, rev,
+    evaluator); the evaluator maps a closed formula to its truth values over
+    all 2^(n*n) undir tables for that rev table."""
+    if not sizes or sizes.start < 1 or sizes[-1] > MAX_SIZE:
+        raise ValueError(f"domain size must be in 1..{MAX_SIZE}, got {sizes.stop - 1}")
+    for n in sizes:
+        atoms = _atom_tables(n)
+        lo, hi = rev_range or (0, n**n)
+        for rev in itertools.islice(itertools.product(range(n), repeat=n), lo, hi):
+            yield n, rev, (lambda f, rev=rev, atoms=atoms, n=n: _batch_eval(f, rev, atoms, {}, n))
+
+
+def _first_countermodel(premises: Sequence[Formula], goal: Formula, scan) -> Structure | None:
+    for f in list(premises) + [goal]:
+        if free_vars(f):
+            raise ValueError("premises and goal must be closed")
+    for n, rev, value in scan:
+        mask = ~value(goal)
+        for p in premises:
+            if not mask.any():
+                break
+            mask &= value(p)
+        hits = np.flatnonzero(mask)
+        if hits.size:
+            return _structure_from_index(n, rev, int(hits[0]))
+    return None
+
+
+def countermodel_at_size(
     premises: Sequence[Formula],
     goal: Formula,
     n: int,
     rev_range: tuple[int, int] | None = None,
-) -> tuple[int, int] | None:
-    """First (rev index, undir index) with all premises true and goal false."""
-    revs = list(itertools.product(range(n), repeat=n))
-    lo, hi = rev_range if rev_range else (0, len(revs))
-    atoms = _atom_tables(n)
-    for ri in range(lo, hi):
-        rev = revs[ri]
-        mask = ~_batch_eval(goal, rev, atoms, {}, n)
-        for p in premises:
-            if not mask.any():
-                break
-            mask &= _batch_eval(p, rev, atoms, {}, n)
-        hits = np.flatnonzero(mask)
-        if hits.size:
-            return ri, int(hits[0])
-    return None
+) -> Structure | None:
+    """First structure of size n (documented order, rev tables restricted to
+    the index range rev_range) satisfying the premises and falsifying the goal."""
+    return _first_countermodel(premises, goal, _scan(range(n, n + 1), rev_range))
 
 
 def find_countermodel(
     premises: Sequence[Formula], goal: Formula, max_n: int
 ) -> Structure | None:
     """Smallest structure (documented order) satisfying the premises and
-    falsifying the goal, or None up to max_n."""
-    for f in list(premises) + [goal]:
-        if free_vars(f):
-            raise ValueError("premises and goal must be closed")
-    for n in range(1, max_n + 1):
-        if n <= _BATCH_MAX_SIZE:
-            hit = _find_at_size(premises, goal, n)
-            if hit is not None:
-                ri, ui = hit
-                rev = list(itertools.product(range(n), repeat=n))[ri]
-                return _structure_from_index(n, rev, ui)
-        else:
-            for s in enumerate_structures(n):
-                if not eval_formula(s, goal) and all(eval_formula(s, p) for p in premises):
-                    return s
-    return None
-
-
-def holds_in_all(formulas: Sequence[Formula], n: int) -> bool:
-    """True iff every formula is true in every structure of size exactly n."""
-    atoms = _atom_tables(n) if n <= _BATCH_MAX_SIZE else None
-    if atoms is not None:
-        for rev in itertools.product(range(n), repeat=n):
-            for f in formulas:
-                if not _batch_eval(f, rev, atoms, {}, n).all():
-                    return False
-        return True
-    return all(
-        eval_formula(s, f) for s in enumerate_structures(n) for f in formulas
-    )
+    falsifying the goal, or None up to max_n (at most MAX_SIZE)."""
+    return _first_countermodel(premises, goal, _scan(range(1, max_n + 1)))
 
 
 def equivalent_on_all(f: Formula, g: Formula, max_n: int) -> bool:
     """True iff f and g take the same truth value in every structure of
-    size <= max_n (both closed)."""
-    for n in range(1, max_n + 1):
-        if n <= _BATCH_MAX_SIZE:
-            atoms = _atom_tables(n)
-            for rev in itertools.product(range(n), repeat=n):
-                if (
-                    _batch_eval(f, rev, atoms, {}, n) != _batch_eval(g, rev, atoms, {}, n)
-                ).any():
-                    return False
-        else:
-            for s in enumerate_structures(n):
-                if eval_formula(s, f) != eval_formula(s, g):
-                    return False
-    return True
+    size <= max_n (both closed; max_n at most MAX_SIZE)."""
+    return not any((value(f) != value(g)).any() for _, _, value in _scan(range(1, max_n + 1)))
 
 
 def direction_circle(n: int = 4) -> Structure:

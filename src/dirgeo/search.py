@@ -32,7 +32,6 @@ from .syntax import (
     And,
     App,
     Atom,
-    Exists,
     Forall,
     Formula,
     Implies,
@@ -40,12 +39,17 @@ from .syntax import (
     Or,
     Term,
     Var,
+    atoms,
     bound_vars,
     canonical_key,
+    conjunct_members,
     flatten_or,
     free_vars,
+    imp_result,
+    neg,
     print_formula,
     rule_eq,
+    strip_double_neg,
     substitute,
     term_vars,
 )
@@ -94,22 +98,12 @@ class _Node:
     extra: tuple["_Node", ...] = ()  # emission-only dependencies (case openings)
 
 
-def _neg(f: Formula) -> Formula:
-    return f.body if isinstance(f, Not) else Not(f)
-
-
-def _strip1(f: Formula) -> Formula:
-    if isinstance(f, Not) and isinstance(f.body, Not):
-        return f.body.body
-    return f
-
-
 def _contra_keys(f: Formula) -> set:
     """Canonical keys of formulas that contradict f."""
     out = {canonical_key(Not(f))}
     if isinstance(f, Not):
         out.add(canonical_key(f.body))
-    s = _strip1(f)
+    s = strip_double_neg(f)
     if s is not f:
         out.add(canonical_key(Not(s)))
         if isinstance(s, Not):
@@ -121,18 +115,6 @@ def _term_depth(t: Term) -> int:
     if isinstance(t, Var):
         return 0
     return 1 + max(_term_depth(a) for a in t.args)
-
-
-def _imp_result(f: Implies) -> Formula:
-    def conjuncts(g: Formula) -> list[Formula]:
-        if isinstance(g, And):
-            return conjuncts(g.left) + conjuncts(g.right)
-        return [g]
-
-    out = f.right
-    for a in reversed(conjuncts(f.left)):
-        out = Or(_neg(a), out)
-    return out
 
 
 class _Engine:
@@ -224,7 +206,7 @@ class _Context:
             for ck in _contra_keys(f.right):
                 self.mt_index.setdefault(ck, []).append(node)
             # IMP normalization
-            self.add(eng.node(_imp_result(f), Rule.IMP, (node,)), worklist)
+            self.add(eng.node(imp_result(f), Rule.IMP, (node,)), worklist)
             # MP / MT against already-derived lines
             minor = self.nodes.get(canonical_key(f.left))
             if minor is not None:
@@ -251,13 +233,13 @@ class _Context:
                 dist = And(Or(f.left, f.right.left), Or(f.left, f.right.right))
                 self.add(eng.node(dist, Rule.DISTRIBUTIVE_LAW, (node,)), worklist)
         if isinstance(f, And):
-            for part in self._and_members(f):
+            for part in conjunct_members(f):
                 self.add(eng.node(part, Rule.SIMP, (node,)), worklist)
         if isinstance(f, Not) and isinstance(f.body, And):
-            dm = Or(_neg(f.body.left), _neg(f.body.right))
+            dm = Or(neg(f.body.left), neg(f.body.right))
             self.add(eng.node(dm, Rule.DE_MORGAN, (node,)), worklist)
         if isinstance(f, Not) and isinstance(f.body, Or):
-            dm = And(_neg(f.body.left), _neg(f.body.right))
+            dm = And(neg(f.body.left), neg(f.body.right))
             self.add(eng.node(dm, Rule.DE_MORGAN, (node,)), worklist)
 
         # this node as MP minor / MT refuter / LDS-RDS unit for existing lines
@@ -270,17 +252,6 @@ class _Context:
         for disj in self.rds_index.get(key, ()):
             self.add(eng.node(disj.formula.left, Rule.RDS, (disj, node)), worklist)
         return None
-
-    @staticmethod
-    def _and_members(f: Formula) -> list[Formula]:
-        out = []
-        stack = [f]
-        while stack:
-            g = stack.pop(0)
-            if isinstance(g, And):
-                out.extend((g.left, g.right))
-                stack.extend((g.left, g.right))
-        return out
 
     def _pool(self, term_depth: int) -> list[Term]:
         eng = self.engine
@@ -305,8 +276,9 @@ class _Context:
                     visit(a)
 
         for node in self.order:
-            for t in _formula_term_occurrences(node.formula):
-                visit(t)
+            for atom in atoms(node.formula):
+                for t in atom.args:
+                    visit(t)
         if eng.cfg.instantiation_pool == POOL_SUBTERMS_PLUS_REV:
             for t in list(seen):
                 wrapped = App("rev", (t,))
@@ -336,18 +308,6 @@ class _Context:
                 self.add(eng.node(inst, Rule.US, (uni,), ((t, var),)), worklist)
                 added = True
         return added
-
-
-def _formula_term_occurrences(f: Formula):
-    if isinstance(f, Atom):
-        yield from f.args
-    elif isinstance(f, Not):
-        yield from _formula_term_occurrences(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from _formula_term_occurrences(f.left)
-        yield from _formula_term_occurrences(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from _formula_term_occurrences(f.body)
 
 
 def _term_sort_key(t: Term):
@@ -397,7 +357,7 @@ def _decompose(goal: Formula, taken: set[str]) -> tuple[list[_Step], list[Formul
         if isinstance(g, Or):
             parts = flatten_or(g)
             for d in parts[:-1]:
-                a = _neg(d)
+                a = neg(d)
                 steps.append(_Step("cp_imp", assumption=a))
                 assumptions.append(a)
             g = parts[-1]
@@ -556,7 +516,7 @@ def _emit(
             current = len(lines)
             current_formula = impl
             if step.kind == "cp_imp":
-                disj = _imp_result(impl)
+                disj = imp_result(impl)
                 lines.append(
                     ProofLine(len(lines) + 1, disj, Justification(Rule.IMP, (current,)))
                 )
@@ -632,32 +592,16 @@ def _merge_stats(acc: SearchStats, extra: SearchStats) -> None:
 def _inline(
     premises: list[Formula], lemma_proofs: list[Proof], main: Proof, goal: Formula
 ) -> Proof:
-    lines: list[ProofLine] = []
-    premise_line: dict = {}
-
-    def find_premise(f: Formula) -> int | None:
-        for key, num in premise_line.items():
-            if rule_eq(key_formulas[key], f):
-                return num
-        return None
-
-    key_formulas: dict = {}
-    for p in premises:
-        lines.append(
-            ProofLine(len(lines) + 1, p, Justification(Rule.PREMISE))
-        )
-        k = canonical_key(p)
-        premise_line[k] = len(lines)
-        key_formulas[k] = p
-
-    lemma_conclusion_line: list[int] = []
-    for lp in lemma_proofs:
+    lines = [ProofLine(i, p, Justification(Rule.PREMISE)) for i, p in enumerate(premises, 1)]
+    # canonical key -> merged line number: the premises, then lemma conclusions
+    known = {canonical_key(l.formula): l.number for l in lines}
+    for proof in lemma_proofs + [main]:
         mapping: dict[int, int] = {}
-        for l in lp.lines:
+        for l in proof.lines:
             if l.just.rule is Rule.PREMISE:
-                num = find_premise(l.formula)
+                num = known.get(canonical_key(l.formula))
                 if num is None:
-                    raise RuntimeError("lemma premise missing from merged premises")
+                    raise RuntimeError("premise missing from merged premises")
                 mapping[l.number] = num
                 continue
             cited = tuple(mapping[c] for c in l.just.cited)
@@ -665,26 +609,5 @@ def _inline(
                 ProofLine(len(lines) + 1, l.formula, Justification(l.just.rule, cited, l.just.annot))
             )
             mapping[l.number] = len(lines)
-        lemma_conclusion_line.append(mapping[lp.lines[-1].number])
-
-    lemma_keys = [canonical_key(lp.lines[-1].formula) for lp in lemma_proofs]
-    mapping = {}
-    for l in main.lines:
-        if l.just.rule is Rule.PREMISE:
-            num = find_premise(l.formula)
-            if num is None:
-                k = canonical_key(l.formula)
-                for lk, lnum in zip(lemma_keys, lemma_conclusion_line):
-                    if lk == k:
-                        num = lnum
-                        break
-            if num is None:
-                raise RuntimeError("main premise missing from merged premises")
-            mapping[l.number] = num
-            continue
-        cited = tuple(mapping[c] for c in l.just.cited)
-        lines.append(
-            ProofLine(len(lines) + 1, l.formula, Justification(l.just.rule, cited, l.just.annot))
-        )
-        mapping[l.number] = len(lines)
+        known.setdefault(canonical_key(proof.lines[-1].formula), mapping[proof.lines[-1].number])
     return Proof(list(premises), lines, show=goal)

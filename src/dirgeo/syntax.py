@@ -453,18 +453,24 @@ def subterms(t: Term) -> Iterator[Term]:
             yield from subterms(a)
 
 
+def atoms(f: Formula) -> Iterator[Atom]:
+    """Atom occurrences of f, left to right."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Atom):
+            yield g
+        elif isinstance(g, (Not, Forall, Exists)):
+            stack.append(g.body)
+        else:
+            stack.extend((g.right, g.left))
+
+
 def formula_terms(f: Formula) -> Iterator[Term]:
     """All term occurrences in atoms, outermost first."""
-    if isinstance(f, Atom):
-        for a in f.args:
+    for atom in atoms(f):
+        for a in atom.args:
             yield from subterms(a)
-    elif isinstance(f, Not):
-        yield from formula_terms(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from formula_terms(f.left)
-        yield from formula_terms(f.right)
-    elif isinstance(f, (Forall, Exists)):
-        yield from formula_terms(f.body)
 
 
 def substitute_term(t: Term, bindings: Mapping[str, Term]) -> Term:
@@ -638,4 +644,31 @@ def build_and(parts: list[Formula]) -> Formula:
     out = parts[-1]
     for p in reversed(parts[:-1]):
         out = And(p, out)
+    return out
+
+
+def neg(f: Formula) -> Formula:
+    """~X, with one double negation removed: neg(~X) = X."""
+    return f.body if isinstance(f, Not) else Not(f)
+
+
+def strip_double_neg(f: Formula) -> Formula:
+    if isinstance(f, Not) and isinstance(f.body, Not):
+        return f.body.body
+    return f
+
+
+def imp_result(f: Implies) -> Formula:
+    """The IMP rewrite: A1 & ... & Ak -> B becomes ~A1 | ... | ~Ak | B."""
+    return build_or([neg(a) for a in flatten_and(f.left)] + [f.right])
+
+
+def conjunct_members(f: Formula) -> list[Formula]:
+    """Every subtree at a conjunctive position of f, breadth first."""
+    out: list[Formula] = []
+    queue = [f]
+    for g in queue:
+        if isinstance(g, And):
+            out.extend((g.left, g.right))
+            queue.extend((g.left, g.right))
     return out

@@ -41,6 +41,16 @@ class TestCheck:
         p.write_text("1. UNDIR v1\n")
         assert main(["check", str(p)]) == EXIT_PARSE_ERROR
 
+    @pytest.mark.parametrize("depth", [400, 3000])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, depth):
+        # 3000 levels overflow the parser; 400 parse but overflow the check
+        formula = "~" * depth + "UNDIR x x"
+        p = tmp_path / "deep.prf"
+        p.write_text(f"PREMISE: {formula}\n1. {formula}  PREMISE\n")
+        assert main(["check", str(p)]) == EXIT_PARSE_ERROR
+        out = capsys.readouterr().out
+        assert "parse-error" in out and "formula nested too deeply" in out
+
     def test_keep_going(self, tmp_path, capsys):
         good = tmp_path / "good.prf"
         good.write_text(script_text("D"))
@@ -138,6 +148,15 @@ class TestModels:
         serial = capsys.readouterr().out
         assert parallel.splitlines()[0] == serial.splitlines()[0]
 
+    @pytest.mark.parametrize("size", ["0", "5"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_max_size_outside_bound_exits_2(self, capsys, size, jobs):
+        code = main(["models", "--from", "I6", "--goal", "W1", "--max-size", size,
+                     "--jobs", jobs])
+        assert code == EXIT_PARSE_ERROR
+        error = capsys.readouterr().out.splitlines()[0]
+        assert "1..4" in error and "expand-defs" not in error
+
     def test_expand_defs_resolution(self):
         assert main(["models", "--from", "I7conv", "--goal", "I7", "--max-size", "2",
                      "--expand-defs", "--expect-none"]) == EXIT_OK
@@ -171,7 +190,32 @@ class TestConfig:
                      "--config", str(cfg), "--max-lines", "30000", "--max-term-depth", "2"])
         assert code == EXIT_OK
 
-    def test_bad_config_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{nope",
+            "[1, 2]",
+            '{"search": [1]}',
+            '{"signature": "GEOMETRY"}',
+            '{"search": {"max_depth": "two"}}',
+            '{"search": {"max_term_depth": -1}}',
+            '{"search": {"max_lines": true}}',
+            '{"search": {"max_lines": 10.5}}',
+            '{"search": {"pool": "everything"}}',
+            '{"search": {"depth": 2}}',
+        ],
+        ids=["not-json", "top-level-list", "search-not-object", "signature-not-object",
+             "max-depth-string", "negative-term-depth", "bool-max-lines", "float-max-lines",
+             "unknown-pool", "unknown-key"],
+    )
+    def test_bad_config_exits_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "broken.json"
-        cfg.write_text("{nope")
-        assert main(["corpus", "--config", str(cfg)]) == EXIT_PARSE_ERROR
+        cfg.write_text(text)
+        for argv in (["corpus"], ["prove", "--from", "I6", "--goal", "W1"]):
+            assert main(argv + ["--config", str(cfg)]) == EXIT_PARSE_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+    def test_negative_flag_exits_2(self, capsys):
+        assert main(["prove", "--from", "I6", "--goal", "W1", "--max-depth", "-1"]) == EXIT_PARSE_ERROR
+        assert "max_depth" in capsys.readouterr().err

@@ -5,16 +5,17 @@ import pytest
 
 from dirgeo.geometry import axiom
 from dirgeo.models import (
+    MAX_SIZE,
     Structure,
     UnassignedVariable,
     _atom_tables,
     _batch_eval,
+    countermodel_at_size,
     direction_circle,
     enumerate_structures,
     equivalent_on_all,
     eval_formula,
     find_countermodel,
-    holds_in_all,
     structure_count,
 )
 from dirgeo.syntax import parse_formula
@@ -150,6 +151,23 @@ class TestCountermodels:
         assert find_countermodel([axiom("I8")], claim, 3) is None
         assert find_countermodel([], claim, 2) is not None
 
+    @pytest.mark.parametrize("size", [0, MAX_SIZE + 1])
+    def test_sizes_outside_the_bound_rejected(self, size):
+        with pytest.raises(ValueError, match=f"1..{MAX_SIZE}"):
+            find_countermodel([axiom("I6")], axiom("W1"), size)
+        with pytest.raises(ValueError, match=f"1..{MAX_SIZE}"):
+            countermodel_at_size([axiom("I6")], axiom("W1"), size)
+        with pytest.raises(ValueError, match=f"1..{MAX_SIZE}"):
+            equivalent_on_all(axiom("I6"), axiom("W1"), size)
+
+    def test_rev_slices_cover_one_size(self):
+        premises, goal = [axiom("I5"), axiom("I6")], axiom("W3")
+        whole = countermodel_at_size(premises, goal, 3)
+        assert whole == find_countermodel(premises, goal, 3)
+        slices = [countermodel_at_size(premises, goal, 3, (lo, lo + 5)) for lo in range(0, 27, 5)]
+        assert min((s for s in slices if s), key=lambda s: (s.rev, s.undir)) == whole
+        assert countermodel_at_size(premises, goal, 2) is None
+
 
 class TestRecords:
     def test_roundtrip(self):
@@ -162,10 +180,10 @@ class TestRecords:
 
 
 class TestHelpers:
-    def test_holds_in_all(self):
+    def test_validity_is_no_countermodel(self):
         taut = parse_formula("UNDIR x x -> UNDIR x x")
-        assert holds_in_all([closed_up(taut)], 2)
-        assert not holds_in_all([axiom("I5")], 2)
+        assert find_countermodel([], closed_up(taut), 2) is None
+        assert find_countermodel([], axiom("I5"), 2) is not None
 
     def test_equivalent_on_all(self):
         f = parse_formula("(Ax)~UNDIR x x")

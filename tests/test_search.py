@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -118,6 +119,37 @@ class TestDeterminism:
         assert r.stats.lines_generated > 0
         assert r.stats.instantiations_tried > 0
         assert r.stats.wall_time >= 0
+
+    # Status, counters and the first 16 hex digits of the sha256 of the
+    # emitted script (no header).  Any change here changes what users see.
+    @pytest.mark.parametrize(
+        "premises, goal, staged, cfg, status, lines, insts, digest",
+        [
+            (["I6"], "W1", False, (2, 1), "proved", 95, 54, "662b0b9ce3439924"),
+            (["I6"], "W4", False, (2, 1), "proved", 95, 54, "954870714b79da6b"),
+            (["I5", "ODO"], "OO", False, (1, 1), "proved", 169, 88, "984722f91812d852"),
+            (["I5", "I6", "ODO"], "W2", True, (2, 2), "proved", 949, 454, "2c4ea5d9d3c0c4bb"),
+            (["I5", "I6", "ODO"], "W3", True, (2, 2), "proved", 971, 454, "83848f387f8f9f52"),
+            (["I7", "I8", "ODO"], "I6", False, (2, 3), "proved", 929, 360, "14cf35696d8a21b1"),
+            (["I5", "I6", "ODO"], "W2", False, (2, 2), "proved", 734, 342, "408fc274ac731c89"),
+            (["I6"], "W2", False, (2, 2, 8000), "budget-exceeded", 8001, 4380, None),
+        ],
+    )
+    def test_pinned_results(self, premises, goal, staged, cfg, status, lines, insts, digest):
+        cfg = SearchConfig(*cfg)
+        if staged:
+            lemmas = [([axiom("I5"), axiom("ODO")], axiom("OO"))]
+            r = prove_with_lemmas([axiom(p) for p in premises], lemmas, axiom(goal), cfg)
+        else:
+            r = _prove_names(premises, goal, cfg)
+        assert (r.status, r.stats.lines_generated, r.stats.instantiations_tried) == (
+            status, lines, insts
+        )
+        if digest is None:
+            assert r.proof is None
+        else:
+            script = print_proof_script(r.proof).encode()
+            assert hashlib.sha256(script).hexdigest()[:16] == digest
 
 
 class TestSoundnessFuzz:
