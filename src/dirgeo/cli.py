@@ -28,7 +28,7 @@ from .search import (
     prove,
     prove_with_lemmas,
 )
-from .syntax import GEOMETRY, ParseError, Signature, free_vars, parse_formula, print_formula, rule_eq
+from .syntax import GEOMETRY, ParseError, Signature, free_vars, rule_eq
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -105,7 +105,8 @@ def _load_config(args) -> dict:
     for key in _BOUND_KEYS:
         value = search.get(key, 0)
         if type(value) is not int or value < 0:
-            raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"{key} ({flag}) must be a non-negative integer, got {value!r}")
     if search.get("pool", POOL_SUBTERMS_PLUS_REV) not in _POOLS:
         raise ValueError(f"pool must be one of {', '.join(_POOLS)}, got {search['pool']!r}")
     cfg["search"] = search
@@ -233,21 +234,15 @@ def cmd_prove(args, cfg: dict) -> RunReport:
 # -- models ------------------------------------------------------------------
 
 
-def _models_worker(payload: tuple[list[str], str, int, int, int]) -> Structure | None:
-    premise_texts, goal_text, n, lo, hi = payload
-    premises = [parse_formula(t) for t in premise_texts]
-    return countermodel_at_size(premises, parse_formula(goal_text), n, (lo, hi))
-
-
 def _parallel_countermodel(premises, goal, max_n: int, jobs: int) -> Structure | None:
     """find_countermodel with each size's rev tables split into `jobs` slices."""
-    premise_texts = [print_formula(p) for p in premises]
-    goal_text = print_formula(goal)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for n in range(1, max_n + 1):
             chunk = (n**n + jobs - 1) // jobs
-            payloads = [(premise_texts, goal_text, n, lo, lo + chunk) for lo in range(0, n**n, chunk)]
-            hits = [h for h in pool.map(_models_worker, payloads) if h is not None]
+            ranges = [(lo, lo + chunk) for lo in range(0, n**n, chunk)]
+            k = len(ranges)
+            hits = pool.map(countermodel_at_size, [premises] * k, [goal] * k, [n] * k, ranges)
+            hits = [h for h in hits if h is not None]
             if hits:
                 return min(hits, key=lambda s: (s.rev, s.undir))
     return None
