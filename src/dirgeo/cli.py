@@ -28,7 +28,7 @@ from .search import (
     prove,
     prove_with_lemmas,
 )
-from .syntax import GEOMETRY, ParseError, Signature, free_vars, rule_eq
+from .syntax import GEOMETRY, IDENT_RE, ParseError, Signature, free_vars, rule_eq
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -86,6 +86,8 @@ _POOLS = (POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV)
 # Keys of the config's "search" section; the prove flag of the same name wins.
 _BOUND_KEYS = ("max_depth", "max_term_depth", "max_lines")
 _SEARCH_KEYS = _BOUND_KEYS + ("pool",)
+_SIGNATURE_KEYS = ("predicates", "functions")
+_SECTIONS = {"search": _SEARCH_KEYS, "signature": _SIGNATURE_KEYS}
 
 
 def _load_config(args) -> dict:
@@ -94,13 +96,22 @@ def _load_config(args) -> dict:
     cfg = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(cfg, dict):
         raise ValueError("the top level must be a JSON object")
-    for section in ("search", "signature"):
+    unknown = sorted(set(cfg) - set(_SECTIONS))
+    if unknown:
+        raise ValueError(f"unknown section(s): {', '.join(unknown)}")
+    for section, keys in _SECTIONS.items():
         if not isinstance(cfg.get(section, {}), dict):
             raise ValueError(f"{section!r} must be a JSON object")
+        unknown = sorted(set(cfg.get(section, {})) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
+    for key in _SIGNATURE_KEYS:
+        arities = cfg.get("signature", {}).get(key, {})
+        if not isinstance(arities, dict) or not all(
+            IDENT_RE.fullmatch(name) and type(n) is int and n >= 0 for name, n in arities.items()
+        ):
+            raise ValueError(f"signature {key!r} must map identifiers to non-negative integers")
     search = dict(cfg.get("search", {}))
-    unknown = sorted(set(search) - set(_SEARCH_KEYS))
-    if unknown:
-        raise ValueError(f"unknown key(s) in 'search': {', '.join(unknown)}")
     search.update({k: getattr(args, k) for k in _SEARCH_KEYS if getattr(args, k, None) is not None})
     for key in _BOUND_KEYS:
         value = search.get(key, 0)
@@ -137,6 +148,16 @@ def _resolve_names(spec: str, do_expand: bool):
 
 # -- check -------------------------------------------------------------------
 
+# What reading, parsing or checking a script raises on bad input.
+_INPUT_ERRORS = (ScriptError, ParseError, OSError, RecursionError)
+
+
+def _input_error(exc: Exception) -> str:
+    """The one-line reason for one of _INPUT_ERRORS."""
+    if isinstance(exc, RecursionError):
+        return "formula nested too deeply"
+    return str(exc)
+
 
 def _check_one(path: str, signature_cfg: dict) -> dict:
     sig = _signature_from_config(signature_cfg)
@@ -144,10 +165,8 @@ def _check_one(path: str, signature_cfg: dict) -> dict:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
         proof = parse_proof_script(text, sig)
         report = check_proof(proof)
-    except (ScriptError, ParseError, OSError) as exc:
-        return {"status": "parse-error", "detail": str(exc)}
-    except RecursionError:
-        return {"status": "parse-error", "detail": "formula nested too deeply"}
+    except _INPUT_ERRORS as exc:
+        return {"status": "parse-error", "detail": _input_error(exc)}
     if report.valid:
         return {"status": "valid", "detail": report.sequent(), "lines": len(proof.lines)}
     return {
@@ -290,11 +309,11 @@ def cmd_corpus(args, cfg: dict) -> RunReport:
     for cid in corpus_mod.corpus_ids():
         try:
             proof, entry = corpus_mod.load(cid)
-        except (ScriptError, ParseError, OSError) as exc:
-            report.add(cid, "parse-error", str(exc))
+            res = check_proof(proof)
+        except _INPUT_ERRORS as exc:
+            report.add(cid, "parse-error", _input_error(exc))
             report.exit_code = EXIT_PARSE_ERROR
             continue
-        res = check_proof(proof)
         if not res.valid:
             report.add(cid, "invalid", f"line {res.line} [{res.kind}]: {res.message}")
             report.exit_code = EXIT_CHECK_FAILED

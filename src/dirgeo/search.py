@@ -4,8 +4,10 @@ The strategy mirrors the shape of the bundled derivations: strip the goal's
 quantifier prefix to fresh v-variables, assume antecedents and the negations
 of leading disjuncts (conditional-proof shape), then saturate forward under
 US / MP / MT / IMP / LDS / RDS / SIMP / DE.MORGAN / DISTRIBUTIVE-LAW with
-instantiation terms drawn from the subterms of active formulas (optionally
-wrapped in one extra rev), iterating the rev-nesting bound upward.  When
+instantiation terms drawn from the goal's eigenvariables and the subterms of
+active formulas (optionally wrapped in one extra rev), iterating the
+rev-nesting bound upward.  Each branch scans a derived line for terms once,
+when it first builds its pool after the line was added.  When
 saturation stalls, stuck disjunctions are case-split up to the nesting
 bound.  Everything is deterministic: fixed iteration orders, no randomness,
 no wall-clock decisions.
@@ -148,6 +150,11 @@ class _Context:
         self.universals: list[_Node] = []
         self.tried_instantiations: set = set()  # (universal key, term)
         self.split_disjunctions: set = set()  # keys already case-split
+        # Base instantiation terms of self.order[:scanned], plus the
+        # eigenvariables, so that a goal whose eigenvariable occurs in no
+        # line still gets instantiated at it.
+        self.pool_terms: dict[Term, None] = {Var(v): None for v in sorted(engine.branch_vars)}
+        self.scanned = 0
 
     def clone(self) -> "_Context":
         c = _Context.__new__(_Context)
@@ -161,6 +168,8 @@ class _Context:
         c.universals = list(self.universals)
         c.tried_instantiations = set(self.tried_instantiations)
         c.split_disjunctions = set(self.split_disjunctions)
+        c.pool_terms = dict(self.pool_terms)
+        c.scanned = self.scanned
         return c
 
     def has(self, key) -> bool:
@@ -254,8 +263,14 @@ class _Context:
         return None
 
     def _pool(self, term_depth: int) -> list[Term]:
+        """Instantiation terms of the branch, in _term_sort_key order.
+
+        Only lines added since the last call are scanned.  A context is
+        always pooled at one term_depth (each deepening step builds fresh
+        contexts), and engine.pruned is reset only per step, so the result
+        and the pruned flag match a rescan of the whole branch."""
         eng = self.engine
-        seen: dict[Term, None] = {}
+        seen = self.pool_terms
 
         def visit(t: Term):
             if t in seen:
@@ -275,20 +290,22 @@ class _Context:
                 for a in t.args:
                     visit(a)
 
-        for node in self.order:
+        for node in self.order[self.scanned:]:
             for atom in atoms(node.formula):
                 for t in atom.args:
                     visit(t)
+        self.scanned = len(self.order)
+        pool = dict(seen)
         if eng.cfg.instantiation_pool == POOL_SUBTERMS_PLUS_REV:
-            for t in list(seen):
+            for t in seen:
                 wrapped = App("rev", (t,))
-                if wrapped in seen:
+                if wrapped in pool:
                     continue
                 if _term_depth(wrapped) > term_depth:
                     eng.pruned = True
                     continue
-                seen[wrapped] = None
-        return sorted(seen, key=_term_sort_key)
+                pool[wrapped] = None
+        return sorted(pool, key=_term_sort_key)
 
     def _instantiate_round(self, term_depth: int, worklist) -> bool:
         eng = self.engine

@@ -178,6 +178,18 @@ class TestCorpusCommand:
         assert main(["corpus"]) == EXIT_CHECK_FAILED
         assert "E" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("depth", [400, 3000])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, monkeypatch, capsys, depth):
+        for cid in corpus_ids():
+            (tmp_path / f"{cid}.prf").write_text(script_text(cid))
+        formula = "~" * depth + "UNDIR x x"
+        (tmp_path / "A.prf").write_text(f"PREMISE: {formula}\n1. {formula}  PREMISE\n")
+        monkeypatch.setenv("DIRGEO_CORPUS_DIR", str(tmp_path))
+        assert main(["corpus"]) == EXIT_PARSE_ERROR
+        out = capsys.readouterr().out
+        assert "parse-error A  formula nested too deeply" in out
+        assert out.count("valid") == 5
+
 
 class TestConfig:
     def test_config_bounds_used_and_flags_override(self, tmp_path, capsys):
@@ -203,10 +215,18 @@ class TestConfig:
             '{"search": {"max_lines": 10.5}}',
             '{"search": {"pool": "everything"}}',
             '{"search": {"depth": 2}}',
+            '{"signature": {"predicates": [1]}}',
+            '{"signature": {"functions": {"f": -1}}}',
+            '{"signature": {"predicates": {"P": "2"}}}',
+            '{"signature": {"functions": {"2f": 1}}}',
+            '{"signature": {"predicate": {"P": 2}}}',
+            '{"serach": {"max_lines": 5}}',
         ],
         ids=["not-json", "top-level-list", "search-not-object", "signature-not-object",
              "max-depth-string", "negative-term-depth", "bool-max-lines", "float-max-lines",
-             "unknown-pool", "unknown-key"],
+             "unknown-pool", "unknown-key", "predicates-not-object", "negative-arity",
+             "string-arity", "bad-function-name", "unknown-signature-key",
+             "unknown-section"],
     )
     def test_bad_config_exits_2(self, tmp_path, capsys, text):
         cfg = tmp_path / "broken.json"

@@ -4,15 +4,31 @@ import random
 import pytest
 
 from dirgeo.geometry import axiom, axiom_names
-from dirgeo.kernel import check_proof, parse_proof_script, print_proof_script
+from dirgeo.kernel import Rule, check_proof, parse_proof_script, print_proof_script
 from dirgeo.models import find_countermodel
 from dirgeo.search import (
     POOL_SUBTERMS_ONLY,
+    POOL_SUBTERMS_PLUS_REV,
     SearchConfig,
+    _Context,
+    _decompose,
+    _Engine,
+    _Node,
+    _term_depth,
+    _term_sort_key,
     prove,
     prove_with_lemmas,
 )
-from dirgeo.syntax import rule_eq
+from dirgeo.syntax import (
+    App,
+    Var,
+    atoms,
+    bound_vars,
+    parse_formula,
+    rule_eq,
+    subterms,
+    term_vars,
+)
 
 FAST = SearchConfig(max_depth=2, max_term_depth=2, max_lines=30000)
 
@@ -99,8 +115,6 @@ class TestNegative:
         assert r.status == "exhausted"
 
     def test_open_goal_rejected(self):
-        from dirgeo.syntax import parse_formula
-
         with pytest.raises(ValueError):
             prove([], parse_formula("UNDIR x y"), FAST)
 
@@ -133,6 +147,10 @@ class TestDeterminism:
             (["I7", "I8", "ODO"], "I6", False, (2, 3), "proved", 929, 360, "14cf35696d8a21b1"),
             (["I5", "I6", "ODO"], "W2", False, (2, 2), "proved", 734, 342, "408fc274ac731c89"),
             (["I6"], "W2", False, (2, 2, 8000), "budget-exceeded", 8001, 4380, None),
+            (["W1"], "W1", False, (2, 1, 2000), "budget-exceeded", 2001, 258, None),
+            (["I5", "I6", "ODO"], "W2", False, (2, 2, 50000, POOL_SUBTERMS_ONLY), "proved", 521,
+             264, "5754df56cd7f6271"),
+            (["I5"], "I5", False, (1, 1, 250), "proved", 2, 2, "4b97529a55c93e0b"),
         ],
     )
     def test_pinned_results(self, premises, goal, staged, cfg, status, lines, insts, digest):
@@ -150,6 +168,60 @@ class TestDeterminism:
         else:
             script = print_proof_script(r.proof).encode()
             assert hashlib.sha256(script).hexdigest()[:16] == digest
+
+
+class TestPool:
+    """The incremental pool against a rescan of the whole branch."""
+
+    @staticmethod
+    def _closed_form(ctx, d):
+        branch = ctx.engine.branch_vars
+        occurring = {
+            s
+            for n in ctx.order
+            for atom in atoms(n.formula)
+            for t in atom.args
+            for s in subterms(t)
+            if term_vars(s) <= branch
+        }
+        base = {t for t in occurring if _term_depth(t) <= d} | {Var(v) for v in branch}
+        pruned = any(_term_depth(t) > d for t in occurring)
+        pool = set(base)
+        if ctx.engine.cfg.instantiation_pool == POOL_SUBTERMS_PLUS_REV:
+            pool |= {App("rev", (t,)) for t in base if _term_depth(t) < d}
+            pruned = pruned or any(_term_depth(t) == d for t in base)
+        return sorted(pool, key=_term_sort_key), pruned
+
+    @pytest.mark.parametrize("pool", [POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV])
+    def test_pool_after_clone_matches_a_rescan(self, pool):
+        d = 1
+        premises, goal = [axiom("I6")], axiom("W1")
+        taken = set(bound_vars(premises[0]) | bound_vars(goal))
+        seeded = frozenset(taken)
+        _, assumptions, _ = _decompose(goal, taken)
+        engine = _Engine(SearchConfig(max_term_depth=d, instantiation_pool=pool), taken - seeded)
+        ctx = _Context(engine)
+        wl = []
+        for i, f in enumerate(premises + assumptions):
+            ctx.add(_Node(f, Rule.PREMISE, seq=i), wl)
+        ctx.saturate(set(), d, wl)
+        before = list(ctx.order)
+        assert ctx._pool(d) == self._closed_form(ctx, d)[0]
+
+        # A case assumption with terms the branch has not seen yet: [rev v3]
+        # and [rev v1] are new to subterms-only, [rev [rev v1]] is too deep.
+        branch = ctx.clone()
+        wl = []
+        case = parse_formula("~UNDIR [rev v3] [rev [rev v1]]")
+        branch.add(engine.node(case, Rule.CASE1, (ctx.order[0],)), wl)
+        branch.saturate(set(), d, wl)
+        assert len(branch.order) > len(before) and ctx.order == before
+
+        expected, pruned = self._closed_form(branch, d)
+        assert App("rev", (Var("v3"),)) in expected
+        assert branch._pool(d) == expected
+        assert engine.pruned == pruned
+        assert ctx._pool(d) == self._closed_form(ctx, d)[0]
 
 
 class TestSoundnessFuzz:
