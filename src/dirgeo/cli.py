@@ -20,7 +20,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .geometry import UnknownAxiom, axiom, expand_defs
 from .kernel import ScriptError, check_proof, parse_proof_script, print_proof_script
-from .models import MAX_SIZE, Structure, countermodel_at_size, find_countermodel
+from .models import MAX_SIZE, Structure, countermodel_at_size, find_countermodel, rev_representatives
 from .search import (
     POOL_SUBTERMS_ONLY,
     POOL_SUBTERMS_PLUS_REV,
@@ -180,7 +180,7 @@ def cmd_check(args, cfg: dict) -> RunReport:
     report = RunReport("check")
     results: list[dict] = []
     if args.jobs > 1 and len(args.paths) > 1 and "-" not in args.paths:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.paths))) as pool:
             results = list(pool.map(_check_one, args.paths, [cfg] * len(args.paths)))
     else:
         for p in args.paths:
@@ -254,11 +254,13 @@ def cmd_prove(args, cfg: dict) -> RunReport:
 
 
 def _parallel_countermodel(premises, goal, max_n: int, jobs: int) -> Structure | None:
-    """find_countermodel with each size's rev tables split into `jobs` slices."""
+    """find_countermodel with each size's rev_representatives split into
+    `jobs` slices."""
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for n in range(1, max_n + 1):
-            chunk = (n**n + jobs - 1) // jobs
-            ranges = [(lo, lo + chunk) for lo in range(0, n**n, chunk)]
+            count = len(rev_representatives(n))
+            chunk = (count + jobs - 1) // jobs
+            ranges = [(lo, lo + chunk) for lo in range(0, count, chunk)]
             k = len(ranges)
             hits = pool.map(countermodel_at_size, [premises] * k, [goal] * k, [n] * k, ranges)
             hits = [h for h in hits if h is not None]
@@ -279,9 +281,11 @@ def cmd_models(args, cfg: dict) -> RunReport:
     if not 1 <= args.max_size <= MAX_SIZE:
         return report.error(label, f"--max-size must be in 1..{MAX_SIZE}, got {args.max_size}")
 
+    # No more workers than the largest size has slices.
+    jobs = min(args.jobs, len(rev_representatives(args.max_size)))
     try:
-        if args.jobs > 1:
-            cm = _parallel_countermodel(premise_formulas, goal, args.max_size, args.jobs)
+        if jobs > 1:
+            cm = _parallel_countermodel(premise_formulas, goal, args.max_size, jobs)
         else:
             cm = find_countermodel(premise_formulas, goal, args.max_size)
     except ValueError as exc:
@@ -406,6 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     try:
         cfg = _load_config(args)
     except (OSError, ValueError) as exc:

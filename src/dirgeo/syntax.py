@@ -408,6 +408,10 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Variables and substitution
 
+# Entries kept by the free_vars and canonical_key caches: far more than a
+# search or a corpus check touches, but bounded for a long-lived process.
+_CACHE_SIZE = 2**16
+
 
 def term_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
@@ -418,7 +422,7 @@ def term_vars(t: Term) -> frozenset[str]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def free_vars(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
         out: frozenset[str] = frozenset()
@@ -571,7 +575,7 @@ def negated_quantifier_view(f: Formula) -> Formula:
     return f
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def canonical_key(f: Formula):
     """Hashable key identifying formulas up to alpha-renaming, associativity
     and commutativity of & and |, and the negated-quantifier view.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dirgeo import cli
 from dirgeo.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EXPECTATION,
@@ -11,6 +12,31 @@ from dirgeo.cli import (
     main,
 )
 from dirgeo.corpus import corpus_ids, script_text
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    SerialPool.sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return SerialPool.sizes
 
 
 @pytest.fixture
@@ -50,6 +76,10 @@ class TestCheck:
         assert main(["check", str(p)]) == EXIT_PARSE_ERROR
         out = capsys.readouterr().out
         assert "parse-error" in out and "formula nested too deeply" in out
+
+    def test_jobs_capped_at_file_count(self, corpus_files, capsys, serial_pool):
+        assert main(["check", *corpus_files, "--jobs", "1000"]) == EXIT_OK
+        assert serial_pool == [len(corpus_files)]
 
     def test_keep_going(self, tmp_path, capsys):
         good = tmp_path / "good.prf"
@@ -157,6 +187,15 @@ class TestModels:
         error = capsys.readouterr().out.splitlines()[0]
         assert "1..4" in error and "expand-defs" not in error
 
+    @pytest.mark.parametrize("size,workers", [("1", []), ("3", [7]), ("4", [19])])
+    def test_jobs_capped_at_slice_count(self, capsys, serial_pool, size, workers):
+        argv = ["models", "--from", "I5,I6", "--goal", "W3", "--max-size", size]
+        assert main(argv) == EXIT_OK
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "1000"]) == EXIT_OK
+        assert serial_pool == workers
+        assert capsys.readouterr().out.splitlines()[0] == serial.splitlines()[0]
+
     def test_expand_defs_resolution(self):
         assert main(["models", "--from", "I7conv", "--goal", "I7", "--max-size", "2",
                      "--expand-defs", "--expect-none"]) == EXIT_OK
@@ -239,3 +278,11 @@ class TestConfig:
     def test_negative_flag_exits_2(self, capsys):
         assert main(["prove", "--from", "I6", "--goal", "W1", "--max-depth", "-1"]) == EXIT_PARSE_ERROR
         assert "max_depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("command", [["check", "x.prf"], ["models", "--goal", "W1"]])
+    def test_jobs_below_one_exits_2(self, capsys, serial_pool, command, jobs):
+        assert main(command + ["--jobs", jobs]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"--jobs must be at least 1, got {jobs}\n"
+        assert captured.out == "" and serial_pool == []

@@ -1,24 +1,27 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from dirgeo.geometry import axiom
+from dirgeo.geometry import axiom, defined_form, expand_defs, w_decomposition
 from dirgeo.models import (
     MAX_SIZE,
     Structure,
     UnassignedVariable,
     _atom_tables,
     _batch_eval,
+    _structure_from_index,
     countermodel_at_size,
     direction_circle,
     enumerate_structures,
     equivalent_on_all,
     eval_formula,
     find_countermodel,
+    rev_representatives,
     structure_count,
 )
-from dirgeo.syntax import parse_formula
+from dirgeo.syntax import build_and, parse_formula
 from helpers import closed_up, random_formula
 
 
@@ -159,6 +162,8 @@ class TestCountermodels:
             countermodel_at_size([axiom("I6")], axiom("W1"), size)
         with pytest.raises(ValueError, match=f"1..{MAX_SIZE}"):
             equivalent_on_all(axiom("I6"), axiom("W1"), size)
+        with pytest.raises(ValueError, match=f"1..{MAX_SIZE}"):
+            rev_representatives(size)
 
     def test_rev_slices_cover_one_size(self):
         premises, goal = [axiom("I5"), axiom("I6")], axiom("W3")
@@ -167,6 +172,91 @@ class TestCountermodels:
         slices = [countermodel_at_size(premises, goal, 3, (lo, lo + 5)) for lo in range(0, 27, 5)]
         assert min((s for s in slices if s), key=lambda s: (s.rev, s.undir)) == whole
         assert countermodel_at_size(premises, goal, 2) is None
+
+
+CATALOG = ("I5", "I6", "I7", "I8", "ODO", "W1", "W2", "W3", "W4", "OO")
+
+
+def _conjugate(rev, s):
+    """s o rev o s^-1: the rev table after relabelling each element d as s[d]."""
+    out = [0] * len(rev)
+    for d, r in enumerate(rev):
+        out[s[d]] = s[r]
+    return tuple(out)
+
+
+def _every_rev_table(n):
+    """(size, rev, evaluator) for all n^n rev tables of each size up to n,
+    in the documented order: the scan before the symmetry reduction."""
+    for size in range(1, n + 1):
+        atoms = _atom_tables(size)
+        for rev in itertools.product(range(size), repeat=size):
+            yield size, rev, (lambda f, rev=rev, atoms=atoms, size=size: _batch_eval(f, rev, atoms, {}, size))
+
+
+def _full_scan_countermodel(premises, goal, max_n):
+    for n, rev, value in _every_rev_table(max_n):
+        mask = ~value(goal)
+        for p in premises:
+            mask &= value(p)
+        hits = np.flatnonzero(mask)
+        if hits.size:
+            return _structure_from_index(n, rev, int(hits[0]))
+    return None
+
+
+class TestRevRepresentatives:
+    def test_class_counts(self):
+        # OEIS A001372: maps [n] -> [n] up to relabelling
+        assert [len(rev_representatives(n)) for n in range(1, 5)] == [1, 3, 7, 19]
+
+    @pytest.mark.parametrize("n", range(1, MAX_SIZE + 1))
+    def test_one_least_representative_per_class(self, n):
+        perms = list(itertools.permutations(range(n)))
+        reps = rev_representatives(n)
+        assert list(reps) == sorted(reps)
+        for rev in reps:
+            assert rev == min(_conjugate(rev, s) for s in perms)
+        for rev in itertools.product(range(n), repeat=n):
+            conjugates = {_conjugate(rev, s) for s in perms}
+            assert len(conjugates & set(reps)) == 1, rev
+
+    @pytest.mark.parametrize("goal", CATALOG)
+    def test_countermodels_match_the_full_scan(self, goal):
+        for premises in [()] + [(p,) for p in CATALOG]:
+            fs = [axiom(p) for p in premises]
+            want = _full_scan_countermodel(fs, axiom(goal), 3)
+            assert find_countermodel(fs, axiom(goal), 3) == want, (premises, goal)
+
+    def test_equivalences_match_the_full_scan(self):
+        pairs = [(axiom(f), axiom(g)) for f, g in itertools.combinations(CATALOG, 2)]
+        pairs.append((axiom("I7"), build_and(w_decomposition())))
+        pairs.append((axiom("I7"), expand_defs(axiom("I7conv"))))
+        pairs += [(axiom(w), expand_defs(defined_form(w))) for w in ("W1", "W2", "W3", "W4")]
+        verdicts = set()
+        for f, g in pairs:
+            want = not any((value(f) != value(g)).any() for _, _, value in _every_rev_table(2))
+            assert equivalent_on_all(f, g, 2) == want, (f, g)
+            verdicts.add(want)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("width", [1, 2, 5])
+    def test_representative_slices_cover_one_size(self, n, width):
+        count = len(rev_representatives(n))
+        for premises, goal in [(("I5", "I6"), "W3"), ((), "I5"), (("I6",), "W1")]:
+            fs, g = [axiom(p) for p in premises], axiom(goal)
+            whole = countermodel_at_size(fs, g, n)
+            slices = [countermodel_at_size(fs, g, n, (lo, lo + width)) for lo in range(0, count, width)]
+            hits = [s for s in slices if s]
+            assert (min(hits, key=lambda s: (s.rev, s.undir)) if hits else None) == whole
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rev_range_indexes_the_representatives(self, n):
+        # I5 = (Ax)~UNDIR x x fails in the full undir table whatever rev is
+        singles = [countermodel_at_size([], axiom("I5"), n, (k, k + 1))
+                   for k in range(len(rev_representatives(n)))]
+        assert [s.rev for s in singles] == list(rev_representatives(n))
 
 
 class TestRecords:

@@ -258,3 +258,7 @@ class TestRuleEq:
         f = parse_formula("(Az)[UNDIR x z | UNDIR y z]")
         assert free_vars(f) == {"x", "y"}
         assert canonical_key(f) == canonical_key(parse_formula("(Aw)[UNDIR x w | UNDIR y w]"))
+
+    @pytest.mark.parametrize("cached", [free_vars, canonical_key], ids=["free_vars", "canonical_key"])
+    def test_caches_are_bounded(self, cached):
+        assert cached.cache_info().maxsize is not None
