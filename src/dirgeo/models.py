@@ -298,6 +298,8 @@ def find_countermodel(
 def equivalent_on_all(f: Formula, g: Formula, max_n: int) -> bool:
     """True iff f and g take the same truth value in every structure of
     size <= max_n (both closed; max_n at most MAX_SIZE)."""
+    if free_vars(f) or free_vars(g):
+        raise ValueError("formulas must be closed")
     return not any((value(f) != value(g)).any() for _, _, value in _scan(range(1, max_n + 1)))
 
 

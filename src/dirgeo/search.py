@@ -6,11 +6,18 @@ of leading disjuncts (conditional-proof shape), then saturate forward under
 US / MP / MT / IMP / LDS / RDS / SIMP / DE.MORGAN / DISTRIBUTIVE-LAW with
 instantiation terms drawn from the goal's eigenvariables and the subterms of
 active formulas (optionally wrapped in one extra rev), iterating the
-rev-nesting bound upward.  Each branch scans a derived line for terms once,
-when it first builds its pool after the line was added.  When
-saturation stalls, stuck disjunctions are case-split up to the nesting
-bound.  Everything is deterministic: fixed iteration orders, no randomness,
-no wall-clock decisions.
+rev-nesting bound upward.  When saturation stalls, stuck disjunctions are
+case-split up to the nesting bound.  Everything is deterministic: fixed
+iteration orders, no randomness, no wall-clock decisions.  A goal that is
+one of the premises (up to alpha and AC) is cited, not searched for.
+
+The bookkeeping costs what is new, not what was there before.  Each branch
+scans a derived line for terms once, and rebuilds its sorted pool only when
+that adds a base term.  A watermark records how many universals have met
+every term of the pool the last instantiation round used, so a round tries
+those universals only at the terms new since then.  A case split does not
+copy the branch: it marks the one context, and an undo trail takes back what
+the case added when it returns, as in DPLL/CDCL solvers.
 
 A proved result is reconstructed into a Proof object and re-checked by the
 kernel before being returned; the prover never self-certifies.
@@ -137,40 +144,58 @@ class _Engine:
 
 
 class _Context:
-    """One branch: canonical key -> node, with combination indexes."""
+    """The branch being searched: canonical key -> node, with combination
+    indexes.  A case split does not copy it: it takes a mark(), adds its
+    case and searches on, and undo() puts the context back to the mark."""
 
     def __init__(self, engine: _Engine):
         self.engine = engine
-        self.nodes: dict = {}  # canonical key -> _Node
+        self.nodes: dict = {}  # canonical key -> _Node, in the order of self.order
         self.order: list[_Node] = []
         self.by_antecedent: dict = {}  # key(A) -> [Implies nodes]
         self.mt_index: dict = {}  # contradiction key of consequent -> [Implies nodes]
         self.lds_index: dict = {}  # contradiction key of left disjunct -> [Or nodes]
         self.rds_index: dict = {}  # contradiction key of right disjunct -> [Or nodes]
         self.universals: list[_Node] = []
-        self.tried_instantiations: set = set()  # (universal key, term)
-        self.split_disjunctions: set = set()  # keys already case-split
+        self.split_disjunctions: dict = {}  # keys already case-split -> None
         # Base instantiation terms of self.order[:scanned], plus the
         # eigenvariables, so that a goal whose eigenvariable occurs in no
         # line still gets instantiated at it.
         self.pool_terms: dict[Term, None] = {Var(v): None for v in sorted(engine.branch_vars)}
         self.scanned = 0
+        self.pool: tuple[int, list[Term]] = (-1, [])  # (len(pool_terms) it was built from, pool)
+        # universals[:crossed[0]] have been instantiated at every term of crossed[1]
+        self.crossed: tuple[int, list[Term]] = (0, [])
+        self.trail: list = []  # (index, key) of every index append, oldest first
 
-    def clone(self) -> "_Context":
-        c = _Context.__new__(_Context)
-        c.engine = self.engine
-        c.nodes = dict(self.nodes)
-        c.order = list(self.order)
-        c.by_antecedent = {k: list(v) for k, v in self.by_antecedent.items()}
-        c.mt_index = {k: list(v) for k, v in self.mt_index.items()}
-        c.lds_index = {k: list(v) for k, v in self.lds_index.items()}
-        c.rds_index = {k: list(v) for k, v in self.rds_index.items()}
-        c.universals = list(self.universals)
-        c.tried_instantiations = set(self.tried_instantiations)
-        c.split_disjunctions = set(self.split_disjunctions)
-        c.pool_terms = dict(self.pool_terms)
-        c.scanned = self.scanned
-        return c
+    def mark(self) -> tuple:
+        """A restore point for undo(): the length of each store that only
+        grows, and the value of each scalar."""
+        return (len(self.order), len(self.universals), len(self.split_disjunctions),
+                len(self.pool_terms), len(self.trail), self.scanned, self.pool, self.crossed)
+
+    def undo(self, mark: tuple) -> None:
+        """Remove everything added since mark() and restore its scalars."""
+        n_order, n_universals, n_split, n_terms, n_trail, self.scanned, self.pool, self.crossed = mark
+        for _ in range(len(self.order) - n_order):
+            self.nodes.popitem()  # dicts pop in LIFO order, in step with self.order
+        del self.order[n_order:]
+        del self.universals[n_universals:]
+        for _ in range(len(self.split_disjunctions) - n_split):
+            self.split_disjunctions.popitem()
+        for _ in range(len(self.pool_terms) - n_terms):
+            self.pool_terms.popitem()
+        trail = self.trail
+        for _ in range(len(trail) - n_trail):
+            index, key = trail.pop()
+            entries = index[key]
+            entries.pop()
+            if not entries:
+                del index[key]
+
+    def _index(self, index: dict, key, node: _Node) -> None:
+        index.setdefault(key, []).append(node)
+        self.trail.append((index, key))
 
     def has(self, key) -> bool:
         return key in self.nodes
@@ -211,9 +236,9 @@ class _Context:
         if isinstance(f, Forall):
             self.universals.append(node)
         if isinstance(f, Implies):
-            self.by_antecedent.setdefault(canonical_key(f.left), []).append(node)
+            self._index(self.by_antecedent, canonical_key(f.left), node)
             for ck in _contra_keys(f.right):
-                self.mt_index.setdefault(ck, []).append(node)
+                self._index(self.mt_index, ck, node)
             # IMP normalization
             self.add(eng.node(imp_result(f), Rule.IMP, (node,)), worklist)
             # MP / MT against already-derived lines
@@ -226,12 +251,12 @@ class _Context:
                     self.add(eng.node(Not(f.left), Rule.MT, (node, other)), worklist)
         if isinstance(f, Or):
             for ck in _contra_keys(f.left):
-                self.lds_index.setdefault(ck, []).append(node)
+                self._index(self.lds_index, ck, node)
                 unit = self.nodes.get(ck)
                 if unit is not None:
                     self.add(eng.node(f.right, Rule.LDS, (node, unit)), worklist)
             for ck in _contra_keys(f.right):
-                self.rds_index.setdefault(ck, []).append(node)
+                self._index(self.rds_index, ck, node)
                 unit = self.nodes.get(ck)
                 if unit is not None:
                     self.add(eng.node(f.left, Rule.RDS, (node, unit)), worklist)
@@ -265,7 +290,8 @@ class _Context:
     def _pool(self, term_depth: int) -> list[Term]:
         """Instantiation terms of the branch, in _term_sort_key order.
 
-        Only lines added since the last call are scanned.  A context is
+        Only lines added since the last call are scanned, and the last
+        list is returned again when they add no base term.  A context is
         always pooled at one term_depth (each deepening step builds fresh
         contexts), and engine.pruned is reset only per step, so the result
         and the pruned flag match a rescan of the whole branch."""
@@ -295,6 +321,8 @@ class _Context:
                 for t in atom.args:
                     visit(t)
         self.scanned = len(self.order)
+        if self.pool[0] == len(seen):
+            return self.pool[1]
         pool = dict(seen)
         if eng.cfg.instantiation_pool == POOL_SUBTERMS_PLUS_REV:
             for t in seen:
@@ -305,25 +333,33 @@ class _Context:
                     eng.pruned = True
                     continue
                 pool[wrapped] = None
-        return sorted(pool, key=_term_sort_key)
+        self.pool = (len(seen), sorted(pool, key=_term_sort_key))
+        return self.pool[1]
 
     def _instantiate_round(self, term_depth: int, worklist) -> bool:
+        """Instantiate each universal at each pool term it has not met yet:
+        the universals below the watermark at the terms new since the last
+        round, the rest at the whole pool, in list order and pool order.
+        A round adds no universal (only _combine does), so the watermark
+        then covers them all."""
         eng = self.engine
+        crossed, done = self.crossed
         pool = self._pool(term_depth)
+        if pool is done:
+            fresh = []
+        else:
+            old = set(done)
+            fresh = [t for t in pool if t not in old]
         added = False
-        for uni in list(self.universals):
-            ukey = canonical_key(uni.formula)
+        for i, uni in enumerate(self.universals):
             body = uni.formula.body
             var = uni.formula.var
-            for t in pool:
-                tk = (ukey, t)
-                if tk in self.tried_instantiations:
-                    continue
-                self.tried_instantiations.add(tk)
+            for t in fresh if i < crossed else pool:
                 eng.stats.instantiations_tried += 1
                 inst = substitute(body, {var: t})
                 self.add(eng.node(inst, Rule.US, (uni,), ((t, var),)), worklist)
                 added = True
+        self.crossed = (len(self.universals), pool)
         return added
 
 
@@ -407,31 +443,29 @@ def _search_target(
             continue
         if ctx.has(canonical_key(f.left)) or ctx.has(canonical_key(f.right)):
             continue  # not stuck: one side already holds
-        ctx.split_disjunctions.add(dkey)
+        ctx.split_disjunctions[dkey] = None
         eng = ctx.engine
-        left_ctx = ctx.clone()
+        mark = ctx.mark()
         left_asm = eng.node(f.left, Rule.CASE1, (disj,))
         wl: list[_Node] = []
-        left_ctx.add(left_asm, wl)
-        left_hit = _search_target(left_ctx, target_key, term_depth, cases_left - 1, wl)
+        ctx.add(left_asm, wl)
+        left_hit = _search_target(ctx, target_key, term_depth, cases_left - 1, wl)
+        ctx.undo(mark)
         if left_hit is None:
             continue
-        right_ctx = ctx.clone()
         right_asm = eng.node(f.right, Rule.CASE2, (disj,))
         wl = []
-        right_ctx.add(right_asm, wl)
-        right_hit = _search_target(right_ctx, target_key, term_depth, cases_left - 1, wl)
+        ctx.add(right_asm, wl)
+        right_hit = _search_target(ctx, target_key, term_depth, cases_left - 1, wl)
+        ctx.undo(mark)
         if right_hit is None:
             continue
-        combined = eng.node(
+        return eng.node(
             left_hit.formula,
             Rule.CASES,
             (disj, left_hit, right_hit),
             extra=(left_asm, right_asm),
         )
-        ctx.nodes[target_key] = combined
-        ctx.order.append(combined)
-        return combined
     return None
 
 
@@ -443,6 +477,26 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
         if free_vars(f):
             raise ValueError("premises and goal must be closed")
 
+    given = next((p for p in premises if rule_eq(p, goal)), None)
+    if given is not None:  # the goal is a premise up to alpha and AC: cite it
+        status, stats = "proved", SearchStats()
+        proof = Proof(list(premises), [ProofLine(1, given, Justification(Rule.PREMISE))], show=goal)
+    else:
+        status, proof, stats = _search(premises, goal, cfg)
+    if proof is not None:
+        report = check_proof(proof)
+        if not report.valid:
+            raise RuntimeError(
+                f"internal error: search produced an invalid proof "
+                f"(line {report.line}: {report.message})"
+            )
+    stats.wall_time = time.monotonic() - started
+    return SearchResult(status, proof, stats)
+
+
+def _search(
+    premises: list[Formula], goal: Formula, cfg: SearchConfig
+) -> tuple[str, Proof | None, SearchStats]:
     taken: set[str] = set()
     for f in list(premises) + [goal]:
         taken |= bound_vars(f)
@@ -473,20 +527,8 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
         status = "budget-exceeded"
 
     if hit is None:
-        stats = engine.stats
-        stats.wall_time = time.monotonic() - started
-        return SearchResult(status, None, stats)
-
-    proof = _emit(premises, goal, steps, assumption_nodes, hit, engine)
-    report = check_proof(proof)
-    if not report.valid:
-        raise RuntimeError(
-            f"internal error: search produced an invalid proof "
-            f"(line {report.line}: {report.message})"
-        )
-    stats = engine.stats
-    stats.wall_time = time.monotonic() - started
-    return SearchResult("proved", proof, stats)
+        return status, None, engine.stats
+    return "proved", _emit(premises, goal, steps, assumption_nodes, hit, engine), engine.stats
 
 
 def _emit(
@@ -627,4 +669,9 @@ def _inline(
             )
             mapping[l.number] = len(lines)
         known.setdefault(canonical_key(proof.lines[-1].formula), mapping[proof.lines[-1].number])
+    conclusion = mapping[main.lines[-1].number]
+    if conclusion != len(lines):  # the goal is a premise or a lemma: restate it last
+        lines.append(
+            ProofLine(len(lines) + 1, main.lines[-1].formula, Justification(Rule.SAME, (conclusion,)))
+        )
     return Proof(list(premises), lines, show=goal)

@@ -280,3 +280,9 @@ class TestHelpers:
         g = parse_formula("~(Ex)UNDIR x x")
         assert equivalent_on_all(f, g, 3)
         assert not equivalent_on_all(axiom("I5"), axiom("I8"), 2)
+
+    def test_equivalent_on_all_rejects_open_formulas(self):
+        open_formula = parse_formula("UNDIR x y")
+        for f, g in ((open_formula, axiom("I5")), (axiom("I5"), open_formula)):
+            with pytest.raises(ValueError, match="formulas must be closed"):
+                equivalent_on_all(f, g, 2)

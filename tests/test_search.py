@@ -24,6 +24,7 @@ from dirgeo.syntax import (
     Var,
     atoms,
     bound_vars,
+    canonical_key,
     parse_formula,
     rule_eq,
     subterms,
@@ -76,6 +77,25 @@ class TestPositive:
         assert len(rep.premises) == 1 and rule_eq(rep.premises[0], axiom("I6"))
         assert rule_eq(rep.conclusion, axiom("W1"))
 
+    def test_goal_among_the_premises_is_cited(self):
+        cfg = SearchConfig(max_depth=1, max_term_depth=1, max_lines=250)
+        for name in axiom_names():
+            r = _prove_names([name], name, cfg)
+            assert r.proved, name
+            assert (r.stats.lines_generated, r.stats.instantiations_tried) == (0, 0)
+            assert [l.just.rule for l in r.proof.lines] == [Rule.PREMISE]
+            assert check_proof(r.proof).valid
+
+    def test_goal_alpha_equal_to_a_premise(self):
+        premise = parse_formula("(Ax)(Ay)[UNDIR x y -> UNDIR y x]")
+        goal = parse_formula("(Au)(Av)[UNDIR u v -> UNDIR v u]")
+        assert premise != goal
+        r = prove([axiom("I5"), premise], goal, FAST)
+        assert r.proved and r.stats.lines_generated == 0
+        assert [l.formula for l in r.proof.lines] == [premise]
+        rep = check_proof(r.proof)
+        assert rep.valid and rule_eq(rep.conclusion, goal)
+
     def test_emitted_script_reparses_and_rechecks(self):
         r = _prove_names(["I5", "ODO"], "OO", SearchConfig(max_depth=1, max_term_depth=1))
         text = print_proof_script(r.proof)
@@ -98,6 +118,13 @@ class TestStaged:
         premises = [axiom("I5"), axiom("I6"), axiom("ODO")]
         r = prove_with_lemmas(premises, [([axiom("I5"), axiom("ODO")], axiom("OO"))], axiom("W3"), FAST)
         assert r.proved and check_proof(r.proof).valid
+
+    def test_goal_among_the_premises(self):
+        premises = [axiom("I5"), axiom("ODO"), axiom("W2")]
+        r = prove_with_lemmas(premises, [([axiom("I5"), axiom("ODO")], axiom("OO"))], axiom("W2"), FAST)
+        assert r.proved
+        rep = check_proof(r.proof)
+        assert rep.valid and rule_eq(rep.conclusion, axiom("W2"))
 
     def test_lemma_premises_must_be_subset(self):
         with pytest.raises(ValueError):
@@ -147,10 +174,10 @@ class TestDeterminism:
             (["I7", "I8", "ODO"], "I6", False, (2, 3), "proved", 929, 360, "14cf35696d8a21b1"),
             (["I5", "I6", "ODO"], "W2", False, (2, 2), "proved", 734, 342, "408fc274ac731c89"),
             (["I6"], "W2", False, (2, 2, 8000), "budget-exceeded", 8001, 4380, None),
-            (["W1"], "W1", False, (2, 1, 2000), "budget-exceeded", 2001, 258, None),
+            (["W1"], "W1", False, (2, 1, 2000), "proved", 0, 0, "764fc73590e5dbd2"),
             (["I5", "I6", "ODO"], "W2", False, (2, 2, 50000, POOL_SUBTERMS_ONLY), "proved", 521,
              264, "5754df56cd7f6271"),
-            (["I5"], "I5", False, (1, 1, 250), "proved", 2, 2, "4b97529a55c93e0b"),
+            (["I5"], "I5", False, (1, 1, 250), "proved", 0, 0, "a9c0a6b0f325036e"),
         ],
     )
     def test_pinned_results(self, premises, goal, staged, cfg, status, lines, insts, digest):
@@ -168,6 +195,27 @@ class TestDeterminism:
         else:
             script = print_proof_script(r.proof).encode()
             assert hashlib.sha256(script).hexdigest()[:16] == digest
+
+
+    def test_fuzz_fingerprint(self):
+        """Every 0/1-premise catalog sequent whose goal is not a premise, at
+        the fuzz config under both pools: status, counters and script."""
+        names = list(axiom_names())
+        digest = hashlib.sha256()
+        for pool in (POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV):
+            cfg = SearchConfig(1, 1, 250, pool)
+            for premises in [[]] + [[p] for p in names]:
+                for goal in names:
+                    if goal in premises:
+                        continue
+                    r = _prove_names(premises, goal, cfg)
+                    script = print_proof_script(r.proof) if r.proved else ""
+                    digest.update(
+                        f"{','.join(premises)} {goal} {pool} {r.status} {r.stats.lines_generated} "
+                        f"{r.stats.instantiations_tried} {hashlib.sha256(script.encode()).hexdigest()}\n"
+                        .encode()
+                    )
+        assert digest.hexdigest()[:16] == "9421f277c94790ef"
 
 
 class TestPool:
@@ -192,9 +240,9 @@ class TestPool:
             pruned = pruned or any(_term_depth(t) == d for t in base)
         return sorted(pool, key=_term_sort_key), pruned
 
-    @pytest.mark.parametrize("pool", [POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV])
-    def test_pool_after_clone_matches_a_rescan(self, pool):
-        d = 1
+    @staticmethod
+    def _context(pool, d=1, saturate=True):
+        """The root context of I6 |- W1 at term depth d."""
         premises, goal = [axiom("I6")], axiom("W1")
         taken = set(bound_vars(premises[0]) | bound_vars(goal))
         seeded = frozenset(taken)
@@ -204,24 +252,74 @@ class TestPool:
         wl = []
         for i, f in enumerate(premises + assumptions):
             ctx.add(_Node(f, Rule.PREMISE, seq=i), wl)
+        if saturate:
+            ctx.saturate(set(), d, wl)
+        return ctx
+
+    @staticmethod
+    def _open_case(ctx, case, d=1):
+        """Add the case assumption and saturate the branch."""
+        wl = []
+        ctx.add(ctx.engine.node(parse_formula(case), Rule.CASE1, (ctx.order[0],)), wl)
         ctx.saturate(set(), d, wl)
+
+    @staticmethod
+    def _state(ctx):
+        indexes = (ctx.by_antecedent, ctx.mt_index, ctx.lds_index, ctx.rds_index)
+        return (
+            list(ctx.nodes.items()),
+            list(ctx.order),
+            [{k: list(v) for k, v in index.items()} for index in indexes],
+            list(ctx.universals),
+            list(ctx.split_disjunctions),
+            list(ctx.pool_terms),
+            ctx.scanned,
+            ctx.pool,
+            ctx.crossed,
+            list(ctx.trail),
+        )
+
+    @pytest.mark.parametrize("pool", [POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV])
+    def test_pool_after_clone_matches_a_rescan(self, pool):
+        """The pool of a case branch, opened with mark() and closed with
+        undo(), and of the context it returns to."""
+        d = 1
+        ctx = self._context(pool, d)
+        engine = ctx.engine
         before = list(ctx.order)
         assert ctx._pool(d) == self._closed_form(ctx, d)[0]
+        state = self._state(ctx)
 
-        # A case assumption with terms the branch has not seen yet: [rev v3]
-        # and [rev v1] are new to subterms-only, [rev [rev v1]] is too deep.
-        branch = ctx.clone()
-        wl = []
-        case = parse_formula("~UNDIR [rev v3] [rev [rev v1]]")
-        branch.add(engine.node(case, Rule.CASE1, (ctx.order[0],)), wl)
-        branch.saturate(set(), d, wl)
-        assert len(branch.order) > len(before) and ctx.order == before
-
-        expected, pruned = self._closed_form(branch, d)
+        # [rev v3] and [rev v1] are new to subterms-only, [rev [rev v1]] is too deep
+        mark = ctx.mark()
+        self._open_case(ctx, "~UNDIR [rev v3] [rev [rev v1]]", d)
+        assert len(ctx.order) > len(before)
+        expected, pruned = self._closed_form(ctx, d)
         assert App("rev", (Var("v3"),)) in expected
-        assert branch._pool(d) == expected
+        assert ctx._pool(d) == expected
         assert engine.pruned == pruned
+
+        ctx.undo(mark)
+        assert ctx.order == before and self._state(ctx) == state
         assert ctx._pool(d) == self._closed_form(ctx, d)[0]
+
+    @pytest.mark.parametrize("pool", [POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV])
+    def test_undo_restores_the_context_exactly(self, pool):
+        # unsaturated, so that the case still has pool terms to add
+        ctx = self._context(pool, saturate=False)
+        ctx._pool(1)
+        before = self._state(ctx)
+        mark = ctx.mark()
+        ctx.split_disjunctions[canonical_key(ctx.order[-1].formula)] = None
+        # a new universal, implications and disjunctions, and a new base term
+        self._open_case(ctx, "(Ax)[UNDIR x [rev v3] -> UNDIR v1 x] & [UNDIR v2 v3 | UNDIR v3 v2]")
+        ctx._pool(1)
+        after = self._state(ctx)
+        # the case changed every part, so a part that undo skips would show
+        for was, now in zip(before, after):
+            assert was != now
+        ctx.undo(mark)
+        assert self._state(ctx) == before
 
 
 class TestSoundnessFuzz:
