@@ -214,15 +214,9 @@ def cmd_prove(args, cfg: dict) -> RunReport:
     premise_names = [n for n, _ in premises]
     premise_formulas = [f for _, f in premises]
 
-    staged = args.staged
-    if staged is None:
-        staged = (
-            goal_name in ("W2", "W3")
-            and "ODO" in premise_names
-            and "I5" in premise_names
-            and "OO" not in premise_names
-        )
-    if staged:
+    if args.staged:
+        if not {"I5", "ODO"} <= set(premise_names):
+            return report.error(goal_name, "--staged needs I5 and ODO among the premises")
         lemmas = [([axiom("I5"), axiom("ODO")], axiom("OO"))]
         result = prove_with_lemmas(premise_formulas, lemmas, goal, search_cfg)
         mode = "staged (OO lemma inlined)"
@@ -375,11 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument("--out", help="write the proof script here instead of stdout")
     staged = p_prove.add_mutually_exclusive_group()
     staged.add_argument(
-        "--staged", dest="staged", action="store_true", default=None,
-        help="derive the OO lemma first and inline it (default for W2/W3)",
+        "--staged", dest="staged", action="store_true",
+        help="derive the OO lemma from I5,ODO first and inline it",
     )
     staged.add_argument(
-        "--direct", dest="staged", action="store_false", help="single search, no lemma staging"
+        "--direct", dest="staged", action="store_false",
+        help="single search, no lemma staging (the default)",
     )
     p_prove.add_argument(
         "--expand-defs", action="store_true", help="expand CON/DIR/OPP/INOPP in resolved names"

@@ -31,6 +31,7 @@ from .syntax import (
     Forall,
     Formula,
     GEOMETRY,
+    IDENT_RE,
     Implies,
     Not,
     Or,
@@ -99,14 +100,14 @@ _CITE_COUNTS = {
 }
 
 
+_RULES_BY_NAME = {r.value: r for r in Rule} | _RULE_ALIASES
+
+
 def rule_from_name(name: str) -> Rule:
-    key = name.upper()
-    if key in _RULE_ALIASES:
-        return _RULE_ALIASES[key]
-    for r in Rule:
-        if r.value == key:
-            return r
-    raise ValueError(f"unknown rule {name!r}")
+    rule = _RULES_BY_NAME.get(name.upper())
+    if rule is None:
+        raise ValueError(f"unknown rule {name!r}")
+    return rule
 
 
 @dataclass(frozen=True)
@@ -335,8 +336,7 @@ class Checker:
                 "structure", f"{rule.value} takes {expect_cites} cited line(s), got {len(cited)}"
             )
 
-        handler = getattr(self, "_rule_" + rule.name.lower())
-        verdict, deps = handler(n, f, just, cited)
+        verdict, deps = _HANDLERS[rule](self, n, f, just, cited)
         if not verdict.ok:
             return verdict
         self.deps[n] = frozenset(deps)
@@ -734,6 +734,10 @@ class Checker:
         return Verdict(True), self._union_deps(cited)
 
 
+# Each rule's Checker method, looked up once.
+_HANDLERS = {rule: getattr(Checker, "_rule_" + rule.name.lower()) for rule in Rule}
+
+
 def check_line(proof_so_far: Proof, line: ProofLine) -> Verdict:
     """Certify one candidate line against an already-checked prefix."""
     checker = Checker(proof_so_far.premises)
@@ -790,6 +794,7 @@ def check_proof(proof: Proof) -> CheckReport:
 
 _RECORD_START = re.compile(r"^(PREMISE:|SHOW:|\d+\.)")
 _RULE_TAIL = re.compile(r"([A-Za-z][A-Za-z0-9._\-]*)$")
+_CITE_TAIL = re.compile(r"\s(\d+)$")
 
 
 class ScriptError(ValueError):
@@ -808,7 +813,7 @@ def _split_justification(text: str) -> tuple[str, str, list[str], list[int]]:
     s = text.rstrip()
     cites: list[int] = []
     while True:
-        m = re.search(r"\s(\d+)$", s)
+        m = _CITE_TAIL.search(s)
         if not m:
             break
         cites.append(int(m.group(1)))
@@ -858,7 +863,7 @@ def _parse_annot(body: str, signature: Signature) -> tuple[Term, str]:
         raise ValueError(f"annotation {body!r} is not '(term var)'")
     term = parse_annotation_term(parts[0].strip(), signature)
     var = parts[1].strip()
-    if not re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", var):
+    if not IDENT_RE.fullmatch(var):
         raise ValueError(f"annotation variable {var!r} is not an identifier")
     return term, var
 

@@ -24,7 +24,8 @@ from typing import Iterator, Mapping, Union
 
 
 class ParseError(ValueError):
-    """Lexical or grammatical error, with the byte offset of the culprit."""
+    """Lexical or grammatical error, with the offset of the culprit: the
+    index of its first character in the string the caller passed."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
@@ -130,85 +131,70 @@ GEOMETRY_WITH_DEFS = GEOMETRY.extended(
 
 
 # ---------------------------------------------------------------------------
-# Lexer
+# Lexer.  One match of _TOKEN_RE skips leading whitespace and reads one
+# token; the named group that matched is its kind.  _lex returns three flat
+# lists, kinds, texts and character offsets into the input, that end in one
+# "eof" entry.  Punctuation and the arrow have themselves as kind and text;
+# a Unicode alias is read as the ASCII token it stands for, at its own offset.
 
-_UNICODE_ALIASES = {
-    "∼": "~",   # tilde operator
-    "¬": "~",
-    "∧": "&",
-    "∨": "|",
-    "→": "->",
-    "⟶": "->",
-}
+_ALIASES = {"∼": "~", "¬": "~", "∧": "&", "∨": "|", "→": "->", "⟶": "->"}
 
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<name>[A-Za-z][A-Za-z0-9]*)
-  | (?P<forall>∀)
-  | (?P<exists>∃)
-  | (?P<punct>[()\[\]~&|,])
-    """,
+    r"""\s*(?:
+      (?P<name>[A-Za-z][A-Za-z0-9]*)
+    | (?P<punct>->|[()\[\]~&|,])
+    | (?P<alias>[∼¬∧∨→⟶])
+    | (?P<forall>∀)
+    | (?P<exists>∃)
+    | (?P<bad>\S)
+    | (?P<eof>\Z)
+    )""",
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
-
-
-def _lex(src: str) -> list[_Token]:
-    for raw, repl in _UNICODE_ALIASES.items():
-        src = src.replace(raw, repl)
-    out: list[_Token] = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if not m:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        kind = m.lastgroup or "punct"
+def _lex(src: str) -> tuple[list[str], list[str], list[int]]:
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    for m in _TOKEN_RE.finditer(src):
+        kind = m.lastgroup
+        text = m[kind]
+        offset = m.start(kind)
         if kind == "punct":
-            kind = m.group()
-        elif kind == "arrow":
-            kind = "->"
-        out.append(_Token(kind, m.group(), m.start()))
-    out.append(_Token("eof", "", len(src)))
-    return out
+            kind = text
+        elif kind == "alias":
+            kind = text = _ALIASES[text]
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", offset)
+        kinds.append(kind)
+        texts.append(text)
+        offsets.append(offset)
+        if kind == "eof":
+            break
+    return kinds, texts, offsets
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent, precedence ~ > & > | > ->, -> right-assoc)
+# Parser (recursive descent, precedence ~ > & > | > ->, -> right-assoc).
+# self.pos indexes the token lists; no rule reads past the "eof" entry.
 
 _QUANT_NAME_RE = re.compile(r"^([AE])([A-Za-z][A-Za-z0-9]*)$")
 
 
 class _Parser:
     def __init__(self, src: str, signature: Signature):
-        self.tokens = _lex(src)
+        self.kinds, self.texts, self.offsets = _lex(src)
         self.pos = 0
-        self.sig = signature
+        self.predicate_arity = signature.predicate_arity
+        self.function_arity = signature.function_arity
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.offset)
-        return tok
+    def expect(self, kind: str) -> int:
+        i = self.pos
+        if self.kinds[i] != kind:
+            raise ParseError(f"expected {kind!r}, found {self.texts[i]!r}", self.offsets[i])
+        self.pos = i + 1
+        return i
 
     # formula := implication
     def formula(self) -> Formula:
@@ -216,125 +202,128 @@ class _Parser:
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        if self.peek().kind == "->":
-            self.next()
-            right = self.implication()
-            return Implies(left, right)
+        if self.kinds[self.pos] == "->":
+            self.pos += 1
+            return Implies(left, self.implication())
         return left
 
     def disjunction(self) -> Formula:
         f = self.conjunction()
-        while self.peek().kind == "|":
-            self.next()
+        while self.kinds[self.pos] == "|":
+            self.pos += 1
             f = Or(f, self.conjunction())
         return f
 
     def conjunction(self) -> Formula:
         f = self.unary()
-        while self.peek().kind == "&":
-            self.next()
+        while self.kinds[self.pos] == "&":
+            self.pos += 1
             f = And(f, self.unary())
         return f
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.next()
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "~":
+            self.pos = i + 1
             return Not(self.unary())
-        if tok.kind == "(":
+        if kind == "(":
             return self.quantified()
-        if tok.kind == "[":
-            head = self.peek(1)
-            if head.kind == "name" and self.sig.function_arity(head.text) is not None:
+        if kind == "[":
+            head = self.texts[i + 1]
+            if self.kinds[i + 1] == "name" and self.function_arity(head) is not None:
                 raise ParseError(
-                    f"function term [{head.text} ...] found where a formula is required",
-                    tok.offset,
+                    f"function term [{head} ...] found where a formula is required",
+                    self.offsets[i],
                 )
-            self.next()
+            self.pos = i + 1
             inner = self.formula()
             self.expect("]")
             return inner
-        if tok.kind == "name":
+        if kind == "name":
             return self.atom()
-        raise ParseError(f"expected a formula, found {tok.text!r}", tok.offset)
+        raise ParseError(f"expected a formula, found {self.texts[i]!r}", self.offsets[i])
 
     def quantified(self) -> Formula:
-        lpar = self.expect("(")
-        tok = self.next()
-        if tok.kind in ("forall", "exists"):
-            kind = "A" if tok.kind == "forall" else "E"
-            var_tok = self.expect("name")
-            var = var_tok.text
-        elif tok.kind == "name":
-            m = _QUANT_NAME_RE.match(tok.text)
-            if not m or self.peek().kind != ")":
+        self.expect("(")
+        i = self.pos
+        self.pos = i + 1
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "forall" or kind == "exists":
+            q = "A" if kind == "forall" else "E"
+            var = self.texts[self.expect("name")]
+        elif kind == "name":
+            m = _QUANT_NAME_RE.match(text)
+            if not m or self.kinds[self.pos] != ")":
                 raise ParseError(
-                    f"expected a quantifier like (Ax) or (Ex), found ({tok.text}", tok.offset
+                    f"expected a quantifier like (Ax) or (Ex), found ({text}", self.offsets[i]
                 )
-            kind, var = m.group(1), m.group(2)
+            q, var = m.groups()
         else:
-            raise ParseError(f"expected a quantifier, found {tok.text!r}", tok.offset)
+            raise ParseError(f"expected a quantifier, found {text!r}", self.offsets[i])
         self.expect(")")
         body = self.unary()
-        return Forall(var, body) if kind == "A" else Exists(var, body)
+        return Forall(var, body) if q == "A" else Exists(var, body)
 
     def atom(self) -> Formula:
-        tok = self.expect("name")
-        arity = self.sig.predicate_arity(tok.text)
+        i = self.expect("name")
+        text = self.texts[i]
+        arity = self.predicate_arity(text)
         if arity is None:
-            raise ParseError(f"unknown predicate {tok.text!r}", tok.offset)
-        args = tuple(self.term() for _ in range(arity))
-        return Atom(tok.text.upper(), args)
+            raise ParseError(f"unknown predicate {text!r}", self.offsets[i])
+        args = tuple([self.term() for _ in range(arity)])
+        return Atom(text.upper(), args)
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "name":
-            self.next()
-            if self.sig.function_arity(tok.text) is not None:
-                raise ParseError(
-                    f"function symbol {tok.text!r} used without brackets", tok.offset
-                )
-            return Var(tok.text)
-        if tok.kind == "[":
-            self.next()
-            fn = self.expect("name")
-            arity = self.sig.function_arity(fn.text)
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "name":
+            self.pos = i + 1
+            text = self.texts[i]
+            if self.function_arity(text) is not None:
+                raise ParseError(f"function symbol {text!r} used without brackets", self.offsets[i])
+            return Var(text)
+        if kind == "[":
+            self.pos = i + 1
+            j = self.expect("name")
+            fn = self.texts[j]
+            arity = self.function_arity(fn)
             if arity is None:
-                raise ParseError(f"unknown function symbol {fn.text!r}", fn.offset)
-            args = tuple(self.term() for _ in range(arity))
+                raise ParseError(f"unknown function symbol {fn!r}", self.offsets[j])
+            args = tuple([self.term() for _ in range(arity)])
             self.expect("]")
-            return App(fn.text.lower(), args)
-        raise ParseError(f"expected a term, found {tok.text!r}", tok.offset)
+            return App(fn.lower(), args)
+        raise ParseError(f"expected a term, found {self.texts[i]!r}", self.offsets[i])
 
     # Annotation terms additionally allow call syntax: rev(rev(v3)).
     def annot_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "[":
+        if self.kinds[self.pos] == "[":
             return self.term()
-        name = self.expect("name")
-        if self.peek().kind == "(":
-            arity = self.sig.function_arity(name.text)
+        i = self.expect("name")
+        name = self.texts[i]
+        if self.kinds[self.pos] == "(":
+            arity = self.function_arity(name)
             if arity is None:
-                raise ParseError(f"unknown function symbol {name.text!r}", name.offset)
-            self.next()
+                raise ParseError(f"unknown function symbol {name!r}", self.offsets[i])
+            self.pos += 1
             args = [self.annot_term()]
-            while self.peek().kind == ",":
-                self.next()
+            while self.kinds[self.pos] == ",":
+                self.pos += 1
                 args.append(self.annot_term())
             self.expect(")")
             if len(args) != arity:
                 raise ParseError(
-                    f"{name.text!r} expects {arity} argument(s), got {len(args)}", name.offset
+                    f"{name!r} expects {arity} argument(s), got {len(args)}", self.offsets[i]
                 )
-            return App(name.text.lower(), tuple(args))
-        if self.sig.function_arity(name.text) is not None:
-            raise ParseError(f"function symbol {name.text!r} needs arguments", name.offset)
-        return Var(name.text)
+            return App(name.lower(), tuple(args))
+        if self.function_arity(name) is not None:
+            raise ParseError(f"function symbol {name!r} needs arguments", self.offsets[i])
+        return Var(name)
 
     def finish(self, value):
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"trailing input {tok.text!r}", tok.offset)
+        i = self.pos
+        if self.kinds[i] != "eof":
+            raise ParseError(f"trailing input {self.texts[i]!r}", self.offsets[i])
         return value
 
 

@@ -12,6 +12,9 @@ from dirgeo.cli import (
     main,
 )
 from dirgeo.corpus import corpus_ids, script_text
+from dirgeo.geometry import axiom
+from dirgeo.kernel import check_proof, parse_proof_script
+from dirgeo.syntax import rule_eq
 
 
 class SerialPool:
@@ -127,10 +130,20 @@ class TestProve:
     def test_unknown_name_exits_2(self):
         assert main(["prove", "--from", "I6", "--goal", "NOPE"]) == EXIT_PARSE_ERROR
 
-    def test_staged_default_for_w2(self, capsys):
+    def test_direct_by_default_staged_on_request(self, capsys):
         assert main(["prove", "--from", "I5,I6,ODO", "--goal", "W2"]) == EXIT_OK
-        err = capsys.readouterr().err
-        assert "staged" in err
+        assert "mode=direct" in capsys.readouterr().err
+        assert main(["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--staged"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "mode=staged (OO lemma inlined)" in err
+        # The inlined lemma derives OO, which is no premise here.
+        proof = parse_proof_script(out)
+        assert any(rule_eq(line.formula, axiom("OO")) for line in proof.lines)
+        assert check_proof(proof).valid
+
+    def test_staged_without_the_lemma_premises_exits_2(self, capsys):
+        assert main(["prove", "--from", "I6", "--goal", "W1", "--staged"]) == EXIT_PARSE_ERROR
+        assert "--staged needs I5 and ODO among the premises" in capsys.readouterr().err
 
     def test_direct_flag(self, capsys):
         assert main(["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--direct"]) == EXIT_OK

@@ -1,6 +1,8 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirgeo.corpus import corpus_ids, load
 from dirgeo.geometry import axiom, axiom_names
@@ -15,6 +17,7 @@ from dirgeo.syntax import (
     Not,
     Or,
     ParseError,
+    Term,
     Var,
     alpha_eq,
     canonical_key,
@@ -23,6 +26,7 @@ from dirgeo.syntax import (
     parse_annotation_term,
     parse_formula,
     parse_term,
+    print_annotation_term,
     print_formula,
     print_term,
     rule_eq,
@@ -114,6 +118,115 @@ class TestParseFormula:
     def test_unknown_predicate(self):
         with pytest.raises(ParseError):
             parse_formula("BETWEEN x y")
+
+    @pytest.mark.parametrize(
+        "src, offset",
+        [
+            ("UNDIR x y → foo", 12),
+            ("UNDIR x y ⟶ foo", 12),
+            ("(∀x)foo x", 4),
+            ("(∀x)¬UNDIR x x ∧ foo", 17),
+            ("UNDIR x y →", 11),
+        ],
+    )
+    def test_offsets_count_characters_of_the_input(self, src, offset):
+        with pytest.raises(ParseError) as err:
+            parse_formula(src)
+        assert err.value.offset == offset
+
+
+# Malformed inputs that single-character edits of the corpus do not reach.
+_EXTRA_MALFORMED = [
+    (parse_formula, "UNDIR x x &[rev y]"),
+    (parse_annotation_term, "rev(x, y)"),
+    (parse_annotation_term, "rev()"),
+    (parse_term, "[rev x"),
+    (parse_term, "rev"),
+]
+
+
+def _malformed_inputs():
+    """Seeded single-character deletions and insertions (ASCII only) over
+    the corpus formulas and annotation terms."""
+    proofs = [load(cid)[0] for cid in corpus_ids()]
+    formulas = sorted(
+        {print_formula(f) for p in proofs for f in [*p.premises, *(l.formula for l in p.lines)]}
+    )
+    annots = sorted({print_annotation_term(t) for p in proofs for l in p.lines for t, _ in l.just.annot})
+    rng = random.Random(7)
+    alphabet = "~&|-()[],> xAEv1rU$"
+    out = []
+    for parse, texts in ((parse_formula, formulas), (parse_annotation_term, annots)):
+        for s in texts:
+            for _ in range(6):
+                i = rng.randrange(len(s))
+                out.append((parse, s[:i] + s[i + 1:]))
+                i = rng.randrange(len(s) + 1)
+                out.append((parse, s[:i] + rng.choice(alphabet) + s[i:]))
+    return out + _EXTRA_MALFORMED
+
+
+class TestParseErrorFingerprint:
+    def test_messages_and_offsets_pinned(self):
+        # 1,661 inputs; 1,348 of them are rejected.  The digest covers each
+        # input with its AST or its (message, offset).
+        inputs = _malformed_inputs()
+        digest = hashlib.sha256()
+        rejected = 0
+        for parse, src in inputs:
+            try:
+                got = repr(parse(src))
+            except ParseError as exc:
+                got = f"{exc}|{exc.offset}"
+                rejected += 1
+            digest.update(f"{parse.__name__}\t{src}\t{got}\n".encode())
+        assert (len(inputs), rejected) == (1661, 1348)
+        assert digest.hexdigest()[:16] == "17efd97ee7025379"
+
+
+_NAMES = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,3}", fullmatch=True).filter(lambda s: s.lower() != "rev")
+
+
+def _revs(name: str, depth: int) -> Term:
+    t: Term = Var(name)
+    for _ in range(depth):
+        t = App("rev", (t,))
+    return t
+
+
+_TERMS = st.builds(_revs, _NAMES, st.integers(0, 3) | st.integers(0, 60))
+_FORMULAS = st.recursive(
+    st.builds(lambda a, b: Atom("UNDIR", (a, b)), _TERMS, _TERMS),
+    lambda sub: st.builds(Not, sub)
+    | st.builds(And, sub, sub)
+    | st.builds(Or, sub, sub)
+    | st.builds(Implies, sub, sub)
+    | st.builds(Forall, _NAMES, sub)
+    | st.builds(Exists, _NAMES, sub),
+    max_leaves=12,
+)
+_SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+# Each operator once with its ASCII spelling replaced by a Unicode alias.
+_ALIAS_SPELLINGS = [
+    (("(A", "(∀"), ("(E", "(∃"), ("~", "¬"), ("&", "∧"), ("|", "∨"), ("->", "→")),
+    (("(A", "(∀ "), ("(E", "(∃ "), ("~", "∼"), ("&", " ∧ "), ("|", "∨"), ("->", "⟶")),
+]
+
+
+class TestParseProperties:
+    @_SETTINGS
+    @given(_FORMULAS)
+    def test_print_parse_roundtrip(self, f):
+        assert parse_formula(print_formula(f)) == f
+
+    @_SETTINGS
+    @given(_FORMULAS, st.sampled_from(_ALIAS_SPELLINGS))
+    def test_unicode_aliases_parse_to_the_same_ast(self, f, spelling):
+        src = print_formula(f)
+        for ascii_op, alias in spelling:
+            src = src.replace(ascii_op, alias)
+        assert parse_formula(src) == f
 
 
 class TestPrintFormula:
