@@ -149,14 +149,7 @@ def _resolve_names(spec: str, do_expand: bool):
 # -- check -------------------------------------------------------------------
 
 # What reading, parsing or checking a script raises on bad input.
-_INPUT_ERRORS = (ScriptError, ParseError, OSError, RecursionError)
-
-
-def _input_error(exc: Exception) -> str:
-    """The one-line reason for one of _INPUT_ERRORS."""
-    if isinstance(exc, RecursionError):
-        return "formula nested too deeply"
-    return str(exc)
+_INPUT_ERRORS = (ScriptError, ParseError, OSError)
 
 
 def _check_one(path: str, signature_cfg: dict) -> dict:
@@ -166,7 +159,7 @@ def _check_one(path: str, signature_cfg: dict) -> dict:
         proof = parse_proof_script(text, sig)
         report = check_proof(proof)
     except _INPUT_ERRORS as exc:
-        return {"status": "parse-error", "detail": _input_error(exc)}
+        return {"status": "parse-error", "detail": str(exc)}
     if report.valid:
         return {"status": "valid", "detail": report.sequent(), "lines": len(proof.lines)}
     return {
@@ -309,7 +302,7 @@ def cmd_corpus(args, cfg: dict) -> RunReport:
             proof, entry = corpus_mod.load(cid)
             res = check_proof(proof)
         except _INPUT_ERRORS as exc:
-            report.add(cid, "parse-error", _input_error(exc))
+            report.add(cid, "parse-error", str(exc))
             report.exit_code = EXIT_PARSE_ERROR
             continue
         if not res.valid:

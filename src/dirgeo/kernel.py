@@ -176,11 +176,7 @@ def _contradicts(f: Formula, g: Formula) -> bool:
 
 def _candidate_terms(f: Formula) -> list[Term]:
     """Distinct term occurrences of f, for substitution inference."""
-    seen: list[Term] = []
-    for t in formula_terms(f):
-        if t not in seen:
-            seen.append(t)
-    return seen
+    return list(dict.fromkeys(formula_terms(f)))
 
 
 def _infer_single_subst(body: Formula, var: str, target: Formula) -> Term | None:

@@ -12,13 +12,21 @@ the ASCII conventions of the bundled derivation transcripts:
     grouping      [ ... ]          also used for function terms [rev x]
     atoms         UNDIR t1 t2      prefix form, arity from the signature
 
-Unicode aliases are accepted on input and never emitted.
+Unicode aliases are accepted on input and never emitted.  The parser
+rejects a formula nested more than _MAX_DEPTH levels deep, so that no
+recursive walker over it can reach Python's recursion limit.
+
+Terms and formulas are hash-consed: two equal structures are the same
+object, so == is `is` and hashing costs O(1), whatever the size of the
+tree.  Build nodes only through their constructors, with the fields in
+order; unpickling and copying do so too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Union
 
@@ -33,16 +41,53 @@ class ParseError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# AST.  Building a node looks up its class and fields in _NODES and returns
+# the live node that has them, if there is one.  == and hash are the
+# identity defaults of object.  The table holds nodes weakly, so it is
+# bounded by the nodes still referenced.
+
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Var:
+class _Node:
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _NODES.get(key)
+        if node is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {fields!r}")
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # Unpickling and deepcopy call the constructor, which re-interns
+        # the node in the receiving process.
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class Var(_Node):
+    __slots__ = _fields = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class App:
+class App(_Node):
+    __slots__ = _fields = ("fn", "args")
     fn: str
     args: tuple["Term", ...]
 
@@ -50,43 +95,43 @@ class App:
 Term = Union[Var, App]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
+    __slots__ = _fields = ("pred", "args")
     pred: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(_Node):
+    __slots__ = _fields = ("body",)
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(_Node):
+    __slots__ = _fields = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(_Node):
+    __slots__ = _fields = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
+    __slots__ = _fields = ("left", "right")
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(_Node):
+    __slots__ = _fields = ("var", "body")
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(_Node):
+    __slots__ = _fields = ("var", "body")
     var: str
     body: "Formula"
 
@@ -131,120 +176,136 @@ GEOMETRY_WITH_DEFS = GEOMETRY.extended(
 
 
 # ---------------------------------------------------------------------------
-# Lexer.  One match of _TOKEN_RE skips leading whitespace and reads one
-# token; the named group that matched is its kind.  _lex returns three flat
-# lists, kinds, texts and character offsets into the input, that end in one
-# "eof" entry.  Punctuation and the arrow have themselves as kind and text;
-# a Unicode alias is read as the ASCII token it stands for, at its own offset.
+# Lexer.  _lex returns two flat lists, kinds and texts, that end in one "eof"
+# entry.  Punctuation and the arrow have themselves as kind and text; a
+# Unicode alias is read as the ASCII token it stands for.  Offsets are found
+# again only when an error needs one (_Parser.offset).
 
 _ALIASES = {"∼": "~", "¬": "~", "∧": "&", "∨": "|", "→": "->", "⟶": "->"}
+_KINDS = {c: c for c in ("->", "(", ")", "[", "]", "~", "&", "|", ",")}
+_KINDS |= _ALIASES | {"∀": "forall", "∃": "exists"}
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-      (?P<name>[A-Za-z][A-Za-z0-9]*)
-    | (?P<punct>->|[()\[\]~&|,])
-    | (?P<alias>[∼¬∧∨→⟶])
-    | (?P<forall>∀)
-    | (?P<exists>∃)
-    | (?P<bad>\S)
-    | (?P<eof>\Z)
-    )""",
-    re.VERBOSE,
-)
+_NAME = r"[A-Za-z][A-Za-z0-9]*"
+_SYMBOL = r"->|[()\[\]~&|,∼¬∧∨→⟶∀∃]"
+_TOKEN_RE = re.compile(f"{_NAME}|{_SYMBOL}")
+# Tokens and whitespace from the start; it ends at the first character that
+# starts no token.  A name may not be followed by a name character, so the
+# match never backtracks into a name.
+_LEXED_RE = re.compile(rf"(?:\s*(?:{_NAME}(?![A-Za-z0-9])|{_SYMBOL}))*\s*")
 
 
-def _lex(src: str) -> tuple[list[str], list[str], list[int]]:
-    kinds: list[str] = []
-    texts: list[str] = []
-    offsets: list[int] = []
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        text = m[kind]
-        offset = m.start(kind)
-        if kind == "punct":
-            kind = text
-        elif kind == "alias":
-            kind = text = _ALIASES[text]
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", offset)
-        kinds.append(kind)
-        texts.append(text)
-        offsets.append(offset)
-        if kind == "eof":
-            break
-    return kinds, texts, offsets
+def _lex(src: str) -> tuple[list[str], list[str]]:
+    end = _LEXED_RE.match(src).end()
+    if end < len(src):
+        raise ParseError(f"unexpected character {src[end]!r}", end)
+    texts = _TOKEN_RE.findall(src)
+    kinds = [_KINDS.get(text, "name") for text in texts]
+    if not src.isascii():
+        texts = [_ALIASES.get(text, text) for text in texts]
+    kinds.append("eof")
+    texts.append("")
+    return kinds, texts
 
 
 # ---------------------------------------------------------------------------
 # Parser (recursive descent, precedence ~ > & > | > ->, -> right-assoc).
 # self.pos indexes the token lists; no rule reads past the "eof" entry.
+#
+# Every rule takes the depth at which its node sits in the tree.  nest() caps
+# it at _MAX_DEPTH, which bounds the parser's own recursion (at most 4
+# frames per level) and that of every recursive walker over a parsed formula
+# (_subst, _canon, _print, the kernel's matchers, the models' evaluators: at
+# most 3 frames per level), far inside Python's default limit of 1000.  A
+# chain of & or | is parsed by a loop but nests to the left, so each operator
+# sinks the chain read so far one level deeper; self.deepest, the deepest
+# level reached in the current chain, is what sinks.
+
+_MAX_DEPTH = 100
 
 _QUANT_NAME_RE = re.compile(r"^([AE])([A-Za-z][A-Za-z0-9]*)$")
 
 
 class _Parser:
     def __init__(self, src: str, signature: Signature):
-        self.kinds, self.texts, self.offsets = _lex(src)
+        self.src = src
+        self.kinds, self.texts = _lex(src)
         self.pos = 0
+        self.deepest = 0
         self.predicate_arity = signature.predicate_arity
         self.function_arity = signature.function_arity
+
+    def offset(self, i: int) -> int:
+        """The character offset of token i in the input."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.src)]
+        return starts[i] if i < len(starts) else len(self.src)
+
+    def nest(self, depth: int) -> None:
+        """Admit a node at `depth`, starting at the current token."""
+        if depth > _MAX_DEPTH:
+            raise ParseError("formula nested too deeply", self.offset(self.pos))
+        if depth > self.deepest:
+            self.deepest = depth
 
     def expect(self, kind: str) -> int:
         i = self.pos
         if self.kinds[i] != kind:
-            raise ParseError(f"expected {kind!r}, found {self.texts[i]!r}", self.offsets[i])
+            raise ParseError(f"expected {kind!r}, found {self.texts[i]!r}", self.offset(i))
         self.pos = i + 1
         return i
 
     # formula := implication
-    def formula(self) -> Formula:
-        return self.implication()
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
+    def implication(self, depth: int) -> Formula:
+        left = self.disjunction(depth)
         if self.kinds[self.pos] == "->":
             self.pos += 1
-            return Implies(left, self.implication())
+            return Implies(left, self.implication(depth + 1))
         return left
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
+    def disjunction(self, depth: int) -> Formula:
+        outer, self.deepest = self.deepest, depth
+        f = self.conjunction(depth)
         while self.kinds[self.pos] == "|":
+            self.nest(self.deepest + 1)
             self.pos += 1
-            f = Or(f, self.conjunction())
+            f = Or(f, self.conjunction(depth + 1))
+        self.deepest = max(outer, self.deepest)
         return f
 
-    def conjunction(self) -> Formula:
-        f = self.unary()
+    def conjunction(self, depth: int) -> Formula:
+        outer, self.deepest = self.deepest, depth
+        f = self.unary(depth)
         while self.kinds[self.pos] == "&":
+            self.nest(self.deepest + 1)
             self.pos += 1
-            f = And(f, self.unary())
+            f = And(f, self.unary(depth + 1))
+        self.deepest = max(outer, self.deepest)
         return f
 
-    def unary(self) -> Formula:
+    def unary(self, depth: int) -> Formula:
+        self.nest(depth)
         i = self.pos
         kind = self.kinds[i]
         if kind == "~":
             self.pos = i + 1
-            return Not(self.unary())
+            return Not(self.unary(depth + 1))
         if kind == "(":
-            return self.quantified()
+            return self.quantified(depth)
         if kind == "[":
             head = self.texts[i + 1]
             if self.kinds[i + 1] == "name" and self.function_arity(head) is not None:
                 raise ParseError(
                     f"function term [{head} ...] found where a formula is required",
-                    self.offsets[i],
+                    self.offset(i),
                 )
             self.pos = i + 1
-            inner = self.formula()
+            inner = self.implication(depth + 1)
             self.expect("]")
             return inner
         if kind == "name":
-            return self.atom()
-        raise ParseError(f"expected a formula, found {self.texts[i]!r}", self.offsets[i])
+            return self.atom(depth)
+        raise ParseError(f"expected a formula, found {self.texts[i]!r}", self.offset(i))
 
-    def quantified(self) -> Formula:
+    def quantified(self, depth: int) -> Formula:
         self.expect("(")
         i = self.pos
         self.pos = i + 1
@@ -256,32 +317,33 @@ class _Parser:
             m = _QUANT_NAME_RE.match(text)
             if not m or self.kinds[self.pos] != ")":
                 raise ParseError(
-                    f"expected a quantifier like (Ax) or (Ex), found ({text}", self.offsets[i]
+                    f"expected a quantifier like (Ax) or (Ex), found ({text}", self.offset(i)
                 )
             q, var = m.groups()
         else:
-            raise ParseError(f"expected a quantifier, found {text!r}", self.offsets[i])
+            raise ParseError(f"expected a quantifier, found {text!r}", self.offset(i))
         self.expect(")")
-        body = self.unary()
+        body = self.unary(depth + 1)
         return Forall(var, body) if q == "A" else Exists(var, body)
 
-    def atom(self) -> Formula:
+    def atom(self, depth: int) -> Formula:
         i = self.expect("name")
         text = self.texts[i]
         arity = self.predicate_arity(text)
         if arity is None:
-            raise ParseError(f"unknown predicate {text!r}", self.offsets[i])
-        args = tuple([self.term() for _ in range(arity)])
+            raise ParseError(f"unknown predicate {text!r}", self.offset(i))
+        args = tuple([self.term(depth + 1) for _ in range(arity)])
         return Atom(text.upper(), args)
 
-    def term(self) -> Term:
+    def term(self, depth: int) -> Term:
+        self.nest(depth)
         i = self.pos
         kind = self.kinds[i]
         if kind == "name":
             self.pos = i + 1
             text = self.texts[i]
             if self.function_arity(text) is not None:
-                raise ParseError(f"function symbol {text!r} used without brackets", self.offsets[i])
+                raise ParseError(f"function symbol {text!r} used without brackets", self.offset(i))
             return Var(text)
         if kind == "[":
             self.pos = i + 1
@@ -289,58 +351,60 @@ class _Parser:
             fn = self.texts[j]
             arity = self.function_arity(fn)
             if arity is None:
-                raise ParseError(f"unknown function symbol {fn!r}", self.offsets[j])
-            args = tuple([self.term() for _ in range(arity)])
+                raise ParseError(f"unknown function symbol {fn!r}", self.offset(j))
+            args = tuple([self.term(depth + 1) for _ in range(arity)])
             self.expect("]")
             return App(fn.lower(), args)
-        raise ParseError(f"expected a term, found {self.texts[i]!r}", self.offsets[i])
+        raise ParseError(f"expected a term, found {self.texts[i]!r}", self.offset(i))
 
     # Annotation terms additionally allow call syntax: rev(rev(v3)).
-    def annot_term(self) -> Term:
+    def annot_term(self, depth: int) -> Term:
         if self.kinds[self.pos] == "[":
-            return self.term()
+            return self.term(depth)
+        self.nest(depth)
         i = self.expect("name")
         name = self.texts[i]
         if self.kinds[self.pos] == "(":
             arity = self.function_arity(name)
             if arity is None:
-                raise ParseError(f"unknown function symbol {name!r}", self.offsets[i])
+                raise ParseError(f"unknown function symbol {name!r}", self.offset(i))
             self.pos += 1
-            args = [self.annot_term()]
+            args = [self.annot_term(depth + 1)]
             while self.kinds[self.pos] == ",":
                 self.pos += 1
-                args.append(self.annot_term())
+                args.append(self.annot_term(depth + 1))
             self.expect(")")
             if len(args) != arity:
                 raise ParseError(
-                    f"{name!r} expects {arity} argument(s), got {len(args)}", self.offsets[i]
+                    f"{name!r} expects {arity} argument(s), got {len(args)}", self.offset(i)
                 )
             return App(name.lower(), tuple(args))
         if self.function_arity(name) is not None:
-            raise ParseError(f"function symbol {name!r} needs arguments", self.offsets[i])
+            raise ParseError(f"function symbol {name!r} needs arguments", self.offset(i))
         return Var(name)
 
     def finish(self, value):
         i = self.pos
         if self.kinds[i] != "eof":
-            raise ParseError(f"trailing input {self.texts[i]!r}", self.offsets[i])
+            raise ParseError(f"trailing input {self.texts[i]!r}", self.offset(i))
         return value
 
 
 def parse_formula(src: str, signature: Signature = GEOMETRY) -> Formula:
     p = _Parser(src, signature)
-    return p.finish(p.formula())
+    return p.finish(p.implication(1))
 
 
 def parse_term(src: str, signature: Signature = GEOMETRY) -> Term:
     p = _Parser(src, signature)
-    return p.finish(p.term())
+    return p.finish(p.term(1))
 
 
 def parse_annotation_term(src: str, signature: Signature = GEOMETRY) -> Term:
     """Terms as they appear in rule annotations: bare names, [rev x], rev(x)."""
     p = _Parser(src, signature)
-    return p.finish(p.annot_term())
+    return p.finish(p.annot_term(1))
+
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +461,9 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # Variables and substitution
 
-# Entries kept by the free_vars and canonical_key caches: far more than a
-# search or a corpus check touches, but bounded for a long-lived process.
+# Entries kept by the free_vars, canonical_key and substitution caches: far
+# more than a search or a corpus check touches, but bounded for a
+# long-lived process.
 _CACHE_SIZE = 2**16
 
 
@@ -482,10 +547,20 @@ def fresh_name(base: str, taken: frozenset[str] | set[str]) -> str:
 
 def substitute(f: Formula, bindings: Mapping[str, Term]) -> Formula:
     """Simultaneous capture-avoiding substitution on free occurrences."""
-    bindings = {k: v for k, v in bindings.items() if v != Var(k)}
+    bindings = {k: v for k, v in bindings.items() if v is not Var(k)}
     if not bindings:
         return f
+    if len(bindings) == 1:
+        ((var, t),) = bindings.items()
+        return _subst_one(f, var, t)
     return _subst(f, bindings)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _subst_one(f: Formula, var: str, t: Term) -> Formula:
+    """f[var := t]: the kernel's US/EE/UG checks and the search's
+    instantiation rounds repeat the same single substitutions."""
+    return _subst(f, {var: t})
 
 
 def _subst(f: Formula, bindings: Mapping[str, Term]) -> Formula:
@@ -615,7 +690,7 @@ def _flat(f: Formula, cls) -> Iterator[Formula]:
 
 def rule_eq(f: Formula, g: Formula) -> bool:
     """The proof kernel's formula comparison; see canonical_key."""
-    return f == g or canonical_key(f) == canonical_key(g)
+    return f is g or canonical_key(f) == canonical_key(g)
 
 
 def flatten_or(f: Formula) -> list[Formula]:

@@ -1,5 +1,9 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,53 @@ class TestDeterminism:
                         .encode()
                     )
         assert digest.hexdigest()[:16] == "9421f277c94790ef"
+
+
+# Run in a fresh interpreter by TestHashSeeds: every pinned row of
+# TestDeterminism, its fuzz fingerprint, and one countermodel query.
+_SEEDED_RUN = """
+from dirgeo.geometry import axiom
+from dirgeo.models import find_countermodel
+from test_search import TestDeterminism
+
+mark = next(m for m in TestDeterminism.test_pinned_results.pytestmark if m.name == "parametrize")
+for row in mark.args[1]:
+    TestDeterminism().test_pinned_results(*row)
+    print("pinned", row)
+TestDeterminism().test_fuzz_fingerprint()
+print("fuzz fingerprint")
+hit = find_countermodel([axiom("I5"), axiom("I6")], axiom("W2"), 4)
+print("countermodel", hit.describe())
+"""
+
+
+class TestHashSeeds:
+    """Nodes hash by identity, so by memory address, and strings by the
+    hash seed: no output may depend on the iteration order of a set."""
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self):
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", _SEEDED_RUN],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for seed in ("0", "1")
+        ]
+        try:
+            results = [run.communicate(timeout=300) for run in runs]
+        finally:
+            for run in runs:
+                run.kill()
+        for run, (_, err) in zip(runs, results):
+            assert run.returncode == 0, err
+        outputs = [out for out, _ in results]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("pinned") == 11 and "countermodel size=" in outputs[0]
 
 
 class TestPool:

@@ -1,8 +1,12 @@
+import copy
+import gc
 import hashlib
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dirgeo.corpus import corpus_ids, load
 from dirgeo.geometry import axiom, axiom_names
@@ -19,8 +23,14 @@ from dirgeo.syntax import (
     ParseError,
     Term,
     Var,
+    _CACHE_SIZE,
+    _NODES,
+    _subst,
+    _subst_one,
     alpha_eq,
     canonical_key,
+    flatten_and,
+    flatten_or,
     free_vars,
     negated_quantifier_view,
     parse_annotation_term,
@@ -32,6 +42,7 @@ from dirgeo.syntax import (
     rule_eq,
     substitute,
     substitute_term,
+    term_vars,
 )
 from helpers import VARS, alpha_variant, closed_up, random_formula, random_term
 
@@ -375,3 +386,87 @@ class TestRuleEq:
     @pytest.mark.parametrize("cached", [free_vars, canonical_key], ids=["free_vars", "canonical_key"])
     def test_caches_are_bounded(self, cached):
         assert cached.cache_info().maxsize is not None
+
+
+class TestHashConsing:
+    def test_equal_parses_are_one_object(self):
+        src = "(Ax)[UNDIR x [rev y] | ~UNDIR y x]"
+        assert parse_formula(src) is parse_formula(src)
+        assert parse_term("[rev [rev v1]]") is App("rev", (App("rev", (v1,)),))
+
+    @pytest.mark.parametrize("roundtrip", [lambda f: pickle.loads(pickle.dumps(f)), copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_are_the_same_object(self, roundtrip):
+        f = parse_formula("(Ax)(Ey)[UNDIR x [rev y] -> ~UNDIR y x]")
+        assert roundtrip(f) is f
+
+    def test_fields_cannot_be_assigned(self):
+        f = parse_formula("(Ax)UNDIR x x")
+        with pytest.raises(FrozenInstanceError):
+            f.var = "y"
+        with pytest.raises(FrozenInstanceError):
+            del f.body
+        assert print_formula(f) == "(Ax)UNDIR x x"
+
+    def test_unreferenced_nodes_leave_the_table(self):
+        gc.collect()
+        before = len(_NODES)
+        f = Not(U(Var("unreferencedA"), App("rev", (Var("unreferencedB"),))))
+        assert len(_NODES) == before + 5
+        del f
+        gc.collect()
+        assert len(_NODES) == before
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_memoised_substitute_matches_the_uncached_walk(self, seed):
+        rng = random.Random(4000 + seed)
+        f = random_formula(rng)
+        var = rng.choice(VARS)
+        t = random_term(rng, VARS)
+        assert substitute(f, {var: t}) is _subst(f, {var: t})
+        assert substitute(f, {var: t}) is _subst(f, {var: t})  # now from the memo
+
+    def test_substitution_memo_is_bounded(self):
+        assert _subst_one.cache_info().maxsize == _CACHE_SIZE
+
+
+def _reorder(rng: random.Random, f):
+    """f with the operands of every & and | chain shuffled and re-bracketed."""
+    if isinstance(f, (And, Or)):
+        parts = flatten_and(f) if isinstance(f, And) else flatten_or(f)
+        parts = [_reorder(rng, p) for p in parts]
+        rng.shuffle(parts)
+        return _bracket(rng, type(f), parts)
+    if isinstance(f, Not):
+        return Not(_reorder(rng, f.body))
+    if isinstance(f, Implies):
+        return Implies(_reorder(rng, f.left), _reorder(rng, f.right))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.var, _reorder(rng, f.body))
+    return f
+
+
+def _bracket(rng: random.Random, cls, parts):
+    if len(parts) == 1:
+        return parts[0]
+    k = rng.randrange(1, len(parts))
+    return cls(_bracket(rng, cls, parts[:k]), _bracket(rng, cls, parts[k:]))
+
+
+class TestSubstituteAndKeyProperties:
+    @_SETTINGS
+    @given(_FORMULAS, _TERMS, st.data())
+    def test_substitute_avoids_capture(self, f, t, data):
+        assume(free_vars(f))
+        var = data.draw(st.sampled_from(sorted(free_vars(f))))
+        assert free_vars(substitute(f, {var: t})) == (free_vars(f) - {var}) | term_vars(t)
+
+    @_SETTINGS
+    @given(_FORMULAS, st.randoms(use_true_random=False))
+    def test_canonical_key_ignores_alpha_renaming(self, f, rng):
+        assert canonical_key(alpha_variant(rng, f)) == canonical_key(f)
+
+    @_SETTINGS
+    @given(_FORMULAS, st.randoms(use_true_random=False))
+    def test_canonical_key_ignores_and_or_order(self, f, rng):
+        assert canonical_key(_reorder(rng, f)) == canonical_key(f)
