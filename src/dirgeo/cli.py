@@ -21,13 +21,7 @@ from . import corpus as corpus_mod
 from .geometry import UnknownAxiom, axiom, expand_defs
 from .kernel import ScriptError, check_proof, parse_proof_script, print_proof_script
 from .models import MAX_SIZE, Structure, countermodel_at_size, find_countermodel, rev_representatives
-from .search import (
-    POOL_SUBTERMS_ONLY,
-    POOL_SUBTERMS_PLUS_REV,
-    SearchConfig,
-    prove,
-    prove_with_lemmas,
-)
+from .search import SearchConfig, prove, prove_with_lemmas
 from .syntax import GEOMETRY, IDENT_RE, ParseError, Signature, free_vars, rule_eq
 
 EXIT_OK = 0
@@ -82,10 +76,8 @@ class RunReport:
             print(f"{self.command}: {overall} in {elapsed:.2f}s", file=stream)
 
 
-_POOLS = (POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV)
 # Keys of the config's "search" section; the prove flag of the same name wins.
-_BOUND_KEYS = ("max_depth", "max_term_depth", "max_lines")
-_SEARCH_KEYS = _BOUND_KEYS + ("pool",)
+_SEARCH_KEYS = ("max_depth", "max_term_depth", "max_lines")
 _SIGNATURE_KEYS = ("predicates", "functions")
 _SECTIONS = {"search": _SEARCH_KEYS, "signature": _SIGNATURE_KEYS}
 
@@ -113,13 +105,11 @@ def _load_config(args) -> dict:
             raise ValueError(f"signature {key!r} must map identifiers to non-negative integers")
     search = dict(cfg.get("search", {}))
     search.update({k: getattr(args, k) for k in _SEARCH_KEYS if getattr(args, k, None) is not None})
-    for key in _BOUND_KEYS:
+    for key in _SEARCH_KEYS:
         value = search.get(key, 0)
         if type(value) is not int or value < 0:
             flag = "--" + key.replace("_", "-")
             raise ValueError(f"{key} ({flag}) must be a non-negative integer, got {value!r}")
-    if search.get("pool", POOL_SUBTERMS_PLUS_REV) not in _POOLS:
-        raise ValueError(f"pool must be one of {', '.join(_POOLS)}, got {search['pool']!r}")
     cfg["search"] = search
     return cfg
 
@@ -129,27 +119,23 @@ def _signature_from_config(cfg: dict) -> Signature:
     return GEOMETRY.extended(sig_cfg.get("predicates", {}), sig_cfg.get("functions", {}))
 
 
-def _search_config(cfg: dict) -> SearchConfig:
-    sc = dict(cfg["search"])
-    if "pool" in sc:
-        sc["instantiation_pool"] = sc.pop("pool")
-    return SearchConfig(**sc)
+def _resolve_sequent(args):
+    """(premises, goal) as (name, formula) pairs from --from and --goal: the
+    premises a comma-separated list, the goal exactly one name.  Raises
+    UnknownAxiom for a name not in the catalog."""
 
+    def resolve(name: str):
+        f = axiom(name)
+        return name, expand_defs(f) if args.expand_defs else f
 
-def _resolve_names(spec: str, do_expand: bool):
-    out = []
-    for name in [s for s in spec.split(",") if s.strip()]:
-        f = axiom(name.strip())
-        if do_expand:
-            f = expand_defs(f)
-        out.append((name.strip(), f))
-    return out
+    names = [s.strip() for s in (args.premises or "").split(",") if s.strip()]
+    return [resolve(name) for name in names], resolve(args.goal.strip())
 
 
 # -- check -------------------------------------------------------------------
 
 # What reading, parsing or checking a script raises on bad input.
-_INPUT_ERRORS = (ScriptError, ParseError, OSError)
+_INPUT_ERRORS = (ScriptError, ParseError, OSError, UnicodeDecodeError)
 
 
 def _check_one(path: str, signature_cfg: dict) -> dict:
@@ -195,15 +181,14 @@ def cmd_check(args, cfg: dict) -> RunReport:
 def cmd_prove(args, cfg: dict) -> RunReport:
     report = RunReport("prove")
     try:
-        premises = _resolve_names(args.premises or "", args.expand_defs)
-        goal_name, goal = _resolve_names(args.goal, args.expand_defs)[0]
+        premises, (goal_name, goal) = _resolve_sequent(args)
     except UnknownAxiom as exc:
         return report.error(args.goal, f"unknown axiom name {exc}")
     for name, f in premises + [(goal_name, goal)]:
         if free_vars(f):
             return report.error(name, "not a closed formula (use --expand-defs?)")
 
-    search_cfg = _search_config(cfg)
+    search_cfg = SearchConfig(**cfg["search"])
     premise_names = [n for n, _ in premises]
     premise_formulas = [f for _, f in premises]
 
@@ -259,8 +244,7 @@ def _parallel_countermodel(premises, goal, max_n: int, jobs: int) -> Structure |
 def cmd_models(args, cfg: dict) -> RunReport:
     report = RunReport("models")
     try:
-        premises = _resolve_names(args.premises or "", args.expand_defs)
-        goal_name, goal = _resolve_names(args.goal, args.expand_defs)[0]
+        premises, (goal_name, goal) = _resolve_sequent(args)
     except UnknownAxiom as exc:
         return report.error(args.goal, f"unknown axiom name {exc}")
     premise_formulas = [f for _, f in premises]
@@ -355,10 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument("--max-depth", type=int, default=None, help="case-split nesting bound")
     p_prove.add_argument("--max-term-depth", type=int, default=None, help="rev-nesting bound")
     p_prove.add_argument("--max-lines", type=int, default=None, help="derived-formula budget")
-    p_prove.add_argument(
-        "--pool", choices=_POOLS, default=None,
-        help="instantiation pool strategy",
-    )
     p_prove.add_argument("--out", help="write the proof script here instead of stdout")
     staged = p_prove.add_mutually_exclusive_group()
     staged.add_argument(

@@ -6,6 +6,11 @@ when every line checks and the last line depends on nothing but premises.
 Lexical closed-region tracking is layered on top so a cite into a
 discharged subproof is reported as a scope violation at the citing line.
 
+Checker has one rejection path.  Each rule has a _rule_* handler that
+returns the new line's dependency set or raises _Reject(message, kind);
+Checker.add_line is the only place that turns a _Reject into a Verdict, and
+it records the dependencies and the assumption depth of an accepted line.
+
 Conventions the checker bakes in (all forced by the transcript corpus):
   - formula comparison is modulo associativity/commutativity of & and |,
     bound-variable renaming, and the view ~(Ex)P == (Ax)~P;
@@ -41,11 +46,12 @@ from .syntax import (
     Var,
     alpha_eq,
     conjunct_members,
+    de_morgan,
+    distributions,
     flatten_or,
     formula_terms,
     free_vars,
     imp_result,
-    neg,
     negated_quantifier_view,
     parse_annotation_term,
     parse_formula,
@@ -244,6 +250,21 @@ class _CasePair:
     closed: bool = False
 
 
+class _Reject(Exception):
+    """Why a line is rejected; add_line turns it into a Verdict."""
+
+    def __init__(self, message: str, kind: str = "rule"):
+        super().__init__(message)
+        self.kind = kind
+
+
+def _mismatch(rule: Rule, expected: Formula, found: Formula) -> _Reject:
+    return _Reject(f"{rule.value}: expected {print_formula(expected)}, found {print_formula(found)}")
+
+
+_ACCEPTED = Verdict(True)
+
+
 class Checker:
     """Incremental line-by-line proof checker."""
 
@@ -261,83 +282,31 @@ class Checker:
 
     # -- helpers ----------------------------------------------------------
 
-    def _open_assumption_formulas(self) -> list[Formula]:
-        out = [fr.formula for fr in self.assumption_stack]
-        out.extend(self.open_case_lines.values())
-        return out
-
-    def _eligible_for_generalization(self, names: Iterable[str]) -> str | None:
-        """Returns an offending context description if some name is not
-        arbitrary (free in a premise or open assumption, or an EE witness)."""
+    def _require_arbitrary(self, rule: Rule, names: Iterable[str]) -> None:
+        """Rejects unless every name is arbitrary: free in no premise or
+        open assumption, and not an EE witness."""
         blocked: dict[str, str] = {}
         for p in self.premises:
             for v in free_vars(p):
                 blocked.setdefault(v, "a premise")
-        for a in self._open_assumption_formulas():
+        for a in [fr.formula for fr in self.assumption_stack] + list(self.open_case_lines.values()):
             for v in free_vars(a):
                 blocked.setdefault(v, "an open assumption")
         for name in names:
             if name in self.ee_witnesses:
-                return f"{name} is an existential witness"
+                raise _Reject(f"{rule.value}: {name} is an existential witness")
             if name in blocked:
-                return f"{name} is free in {blocked[name]}"
-        return None
+                raise _Reject(f"{rule.value}: {name} is free in {blocked[name]}")
 
-    def _cite(self, n: int, j: int) -> ProofLine | Verdict:
+    def _cite(self, n: int, j: int) -> ProofLine:
         if j not in self.lines:
-            return Verdict.violation("structure", f"line {n} cites nonexistent line {j}")
+            raise _Reject(f"line {n} cites nonexistent line {j}", "structure")
         if j >= n:
-            return Verdict.violation("structure", f"line {n} cites a later line {j}")
+            raise _Reject(f"line {n} cites a later line {j}", "structure")
         for lo, hi in self.closed_regions:
             if lo <= j <= hi:
-                return Verdict.violation(
-                    "scope", f"line {n} cites line {j} inside a closed subproof ({lo}..{hi})"
-                )
+                raise _Reject(f"line {n} cites line {j} inside a closed subproof ({lo}..{hi})", "scope")
         return self.lines[j]
-
-    def _mismatch(self, rule: Rule, expected: Formula, found: Formula) -> Verdict:
-        return Verdict.violation(
-            "rule",
-            f"{rule.value}: expected {print_formula(expected)}, found {print_formula(found)}",
-        )
-
-    # -- the rule engine ---------------------------------------------------
-
-    def add_line(self, line: ProofLine) -> Verdict:
-        n = line.number
-        if n != self.next_number:
-            return Verdict.violation(
-                "structure", f"line numbers must be consecutive: expected {self.next_number}, got {n}"
-            )
-        verdict = self._check(line)
-        if verdict.ok:
-            self.lines[n] = line
-            self.next_number += 1
-        return verdict
-
-    def _check(self, line: ProofLine) -> Verdict:
-        n, f, just = line.number, line.formula, line.just
-        rule = just.rule
-
-        cited: list[ProofLine] = []
-        for j in just.cited:
-            got = self._cite(n, j)
-            if isinstance(got, Verdict):
-                return got
-            cited.append(got)
-
-        expect_cites = _CITE_COUNTS[rule]
-        if len(cited) != expect_cites:
-            return Verdict.violation(
-                "structure", f"{rule.value} takes {expect_cites} cited line(s), got {len(cited)}"
-            )
-
-        verdict, deps = _HANDLERS[rule](self, n, f, just, cited)
-        if not verdict.ok:
-            return verdict
-        self.deps[n] = frozenset(deps)
-        self.depths[n] = len(self.assumption_stack) + len(self.open_case_lines)
-        return verdict
 
     def _union_deps(self, cited: list[ProofLine]) -> set[int]:
         out: set[int] = set()
@@ -345,127 +314,138 @@ class Checker:
             out |= self.deps[c.number]
         return out
 
+    # -- the rule engine ---------------------------------------------------
+
+    def add_line(self, line: ProofLine) -> Verdict:
+        n, just = line.number, line.just
+        try:
+            if n != self.next_number:
+                raise _Reject(
+                    f"line numbers must be consecutive: expected {self.next_number}, got {n}", "structure"
+                )
+            cited = [self._cite(n, j) for j in just.cited]
+            expect_cites = _CITE_COUNTS[just.rule]
+            if len(cited) != expect_cites:
+                raise _Reject(
+                    f"{just.rule.value} takes {expect_cites} cited line(s), got {len(cited)}", "structure"
+                )
+            deps = _HANDLERS[just.rule](self, n, line.formula, just, cited)
+        except _Reject as exc:
+            return Verdict.violation(exc.kind, str(exc))
+        self.deps[n] = frozenset(deps)
+        self.depths[n] = len(self.assumption_stack) + len(self.open_case_lines)
+        self.lines[n] = line
+        self.next_number += 1
+        return _ACCEPTED
+
+    # Each _rule_* handler returns the line's dependencies or raises _Reject.
+
     def _rule_premise(self, n, f, just, cited):
         if not any(rule_eq(f, p) for p in self.premises):
-            return Verdict.violation("rule", "PREMISE: formula is not among the declared premises"), set()
-        return Verdict(True), set()
+            raise _Reject("PREMISE: formula is not among the declared premises")
+        return ()
 
     def _rule_assumed_premise(self, n, f, just, cited):
         self.assumption_stack.append(_Frame(n, f))
-        return Verdict(True), {n}
+        return (n,)
 
     def _rule_same(self, n, f, just, cited):
         (c,) = cited
         if not rule_eq(f, c.formula):
-            return self._mismatch(Rule.SAME, c.formula, f), set()
-        return Verdict(True), self._union_deps(cited)
+            raise _mismatch(Rule.SAME, c.formula, f)
+        return self._union_deps(cited)
 
     def _rule_mp(self, n, f, just, cited):
-        for impl, minor in (cited, reversed(cited)):
+        for impl, minor in (cited, cited[::-1]):
             g = impl.formula
             if isinstance(g, Implies) and rule_eq(minor.formula, g.left):
-                if rule_eq(f, g.right):
-                    return Verdict(True), self._union_deps(cited)
-                return self._mismatch(Rule.MP, g.right, f), set()
-        return Verdict.violation("rule", "MP: antecedent mismatch"), set()
+                if not rule_eq(f, g.right):
+                    raise _mismatch(Rule.MP, g.right, f)
+                return self._union_deps(cited)
+        raise _Reject("MP: antecedent mismatch")
 
     def _rule_mt(self, n, f, just, cited):
-        for impl, minor in (cited, reversed(cited)):
+        for impl, minor in (cited, cited[::-1]):
             g = impl.formula
             if isinstance(g, Implies) and _contradicts(minor.formula, g.right):
-                if rule_eq(f, Not(g.left)):
-                    return Verdict(True), self._union_deps(cited)
-                return self._mismatch(Rule.MT, Not(g.left), f), set()
-        return Verdict.violation("rule", "MT: no cited implication whose consequent is contradicted"), set()
+                if not rule_eq(f, Not(g.left)):
+                    raise _mismatch(Rule.MT, Not(g.left), f)
+                return self._union_deps(cited)
+        raise _Reject("MT: no cited implication whose consequent is contradicted")
 
     def _rule_imp(self, n, f, just, cited):
         (c,) = cited
         if not isinstance(c.formula, Implies):
-            return Verdict.violation("rule", "IMP: cited line is not an implication"), set()
+            raise _Reject("IMP: cited line is not an implication")
         expected = imp_result(c.formula)
         if not rule_eq(f, expected):
-            return self._mismatch(Rule.IMP, expected, f), set()
-        return Verdict(True), self._union_deps(cited)
+            raise _mismatch(Rule.IMP, expected, f)
+        return self._union_deps(cited)
 
     def _rule_lds(self, n, f, just, cited):
-        return self._disjunctive_syllogism(n, f, cited, left_side=True)
+        return self._disjunctive_syllogism(f, cited, left_side=True)
 
     def _rule_rds(self, n, f, just, cited):
-        return self._disjunctive_syllogism(n, f, cited, left_side=False)
+        return self._disjunctive_syllogism(f, cited, left_side=False)
 
-    def _disjunctive_syllogism(self, n, f, cited, left_side: bool):
+    def _disjunctive_syllogism(self, f, cited, left_side: bool):
         rule = Rule.LDS if left_side else Rule.RDS
-        for disj, unit in (cited, list(reversed(cited))):
+        for disj, unit in (cited, cited[::-1]):
             g = disj.formula
             if not isinstance(g, Or):
                 continue
             cancelled, kept = (g.left, g.right) if left_side else (g.right, g.left)
             if _contradicts(unit.formula, cancelled):
-                if rule_eq(f, kept):
-                    return Verdict(True), self._union_deps(cited)
-                return self._mismatch(rule, kept, f), set()
-        return (
-            Verdict.violation(
-                "rule",
-                f"{rule.value}: no cited disjunction whose "
-                f"{'left' if left_side else 'right'} disjunct is contradicted",
-            ),
-            set(),
+                if not rule_eq(f, kept):
+                    raise _mismatch(rule, kept, f)
+                return self._union_deps(cited)
+        raise _Reject(
+            f"{rule.value}: no cited disjunction whose "
+            f"{'left' if left_side else 'right'} disjunct is contradicted"
         )
 
     def _rule_cp(self, n, f, just, cited):
         (c,) = cited
         if not isinstance(f, Implies):
-            return Verdict.violation("rule", "CP: conclusion is not an implication"), set()
+            raise _Reject("CP: conclusion is not an implication")
         if not rule_eq(f.right, c.formula):
-            return self._mismatch(Rule.CP, Implies(f.left, c.formula), f), set()
+            raise _mismatch(Rule.CP, Implies(f.left, c.formula), f)
         deps = self._union_deps(cited)
         if self.assumption_stack and rule_eq(self.assumption_stack[-1].formula, f.left):
             frame = self.assumption_stack.pop()
             deps.discard(frame.line)
             self.closed_regions.append((frame.line, n - 1))
         # otherwise a vacuous discharge: A -> B from B alone.
-        return Verdict(True), deps
+        return deps
 
     def _rule_simp(self, n, f, just, cited):
         (c,) = cited
         members = conjunct_members(c.formula)
         if not members:
-            return Verdict.violation("rule", "SIMP: cited line is not a conjunction"), set()
+            raise _Reject("SIMP: cited line is not a conjunction")
         if not any(rule_eq(f, m) for m in members):
-            return Verdict.violation(
-                "rule", f"SIMP: {print_formula(f)} is not a conjunct of the cited line"
-            ), set()
-        return Verdict(True), self._union_deps(cited)
+            raise _Reject(f"SIMP: {print_formula(f)} is not a conjunct of the cited line")
+        return self._union_deps(cited)
 
     def _rule_de_morgan(self, n, f, just, cited):
         (c,) = cited
-        g = c.formula
-        if isinstance(g, Not) and isinstance(g.body, And):
-            expected: Formula = Or(neg(g.body.left), neg(g.body.right))
-        elif isinstance(g, Not) and isinstance(g.body, Or):
-            expected = And(neg(g.body.left), neg(g.body.right))
-        else:
-            return Verdict.violation("rule", "DE.MORGAN: cited line is not a negated & or |"), set()
+        expected = de_morgan(c.formula)
+        if expected is None:
+            raise _Reject("DE.MORGAN: cited line is not a negated & or |")
         if not rule_eq(f, expected):
-            return self._mismatch(Rule.DE_MORGAN, expected, f), set()
-        return Verdict(True), self._union_deps(cited)
+            raise _mismatch(Rule.DE_MORGAN, expected, f)
+        return self._union_deps(cited)
 
     def _rule_distributive_law(self, n, f, just, cited):
         (c,) = cited
-        g = c.formula
-        if not isinstance(g, Or):
-            return Verdict.violation("rule", "DISTRIBUTIVE-LAW: cited line is not a disjunction"), set()
-        expected: list[Formula] = []
-        if isinstance(g.left, And):
-            expected.append(And(Or(g.left.left, g.right), Or(g.left.right, g.right)))
-        if isinstance(g.right, And):
-            expected.append(And(Or(g.left, g.right.left), Or(g.left, g.right.right)))
+        if not isinstance(c.formula, Or):
+            raise _Reject("DISTRIBUTIVE-LAW: cited line is not a disjunction")
+        expected = distributions(c.formula)
         if not expected:
-            return Verdict.violation("rule", "DISTRIBUTIVE-LAW: no conjunction to distribute over"), set()
+            raise _Reject("DISTRIBUTIVE-LAW: no conjunction to distribute over")
         if not any(rule_eq(f, e) for e in expected):
-            return self._mismatch(Rule.DISTRIBUTIVE_LAW, expected[0], f), set()
-        return Verdict(True), self._union_deps(cited)
+            raise _mismatch(Rule.DISTRIBUTIVE_LAW, expected[0], f)
+        return self._union_deps(cited)
 
     def _rule_case1(self, n, f, just, cited):
         return self._case_open(n, f, cited, "CASE1")
@@ -477,74 +457,56 @@ class Checker:
         (d,) = cited
         g = d.formula
         if not isinstance(g, Or):
-            return Verdict.violation("rule", f"{label}: cited line is not a disjunction"), set()
+            raise _Reject(f"{label}: cited line is not a disjunction")
         pair = self.case_pairs.get(d.number)
         if pair is None or pair.closed:
             # a line may be case-split again once the previous pair is closed
             pair = _CasePair(d.number, g.left, g.right)
             self.case_pairs[d.number] = pair
         if label in pair.opened:
-            return Verdict.violation("rule", f"{label}: already opened for line {d.number}"), set()
+            raise _Reject(f"{label}: already opened for line {d.number}")
         side = None
         if rule_eq(f, pair.left):
             side = "left"
         if rule_eq(f, pair.right) and side is None:
             side = "right"
         if side is None:
-            return Verdict.violation(
-                "rule", f"{label}: formula is neither disjunct of line {d.number}"
-            ), set()
+            raise _Reject(f"{label}: formula is neither disjunct of line {d.number}")
         taken = {s for _, s in pair.opened.values()}
         if side in taken:
             # the two labels must cover the two disjuncts bijectively
             other = "right" if side == "left" else "left"
-            if rule_eq(f, getattr(pair, other)):
-                side = other
-            else:
-                return Verdict.violation(
-                    "rule", f"{label}: both case labels assume the same disjunct"
-                ), set()
+            if not rule_eq(f, getattr(pair, other)):
+                raise _Reject(f"{label}: both case labels assume the same disjunct")
+            side = other
         pair.opened[label] = (n, side)
         self.open_case_lines[n] = f
-        return Verdict(True), {n}
+        return (n,)
 
     def _rule_cases(self, n, f, just, cited):
         d, p, q = cited
         pair = self.case_pairs.get(d.number)
         if pair is None or len(pair.opened) != 2:
-            return Verdict.violation(
-                "rule", "CASES: both case branches for the cited disjunction must be opened"
-            ), set()
+            raise _Reject("CASES: both case branches for the cited disjunction must be opened")
         if pair.closed:
-            return Verdict.violation("scope", "CASES: already closed"), set()
+            raise _Reject("CASES: already closed", "scope")
         for b in (p, q):
             if not rule_eq(f, b.formula):
-                return self._mismatch(Rule.CASES, b.formula, f), set()
+                raise _mismatch(Rule.CASES, b.formula, f)
         asm_lines = [ln for ln, _ in pair.opened.values()]
         c1, c2 = sorted(asm_lines)
-
-        def classify(b: ProofLine) -> set[int]:
-            return self.deps[b.number] & {c1, c2}
-
-        dp, dq = classify(p), classify(q)
+        dp = self.deps[p.number] & {c1, c2}
+        dq = self.deps[q.number] & {c1, c2}
         if len(dp) > 1 or len(dq) > 1:
-            return Verdict.violation(
-                "rule", "CASES: a branch conclusion depends on both case assumptions"
-            ), set()
+            raise _Reject("CASES: a branch conclusion depends on both case assumptions")
         if dp and dq and dp == dq:
-            return Verdict.violation(
-                "rule", "CASES: both branch conclusions rest on the same case assumption"
-            ), set()
+            raise _Reject("CASES: both branch conclusions rest on the same case assumption")
         # A staging line with no case dependency holds in either branch.
         # branch-final: each staging line is the last line resting on its case
         for b, db in ((p, dp), (q, dq)):
             for c in db:
-                later = [m for m, dep in self.deps.items() if c in dep and m > b.number]
-                if later:
-                    return Verdict.violation(
-                        "rule",
-                        f"CASES: line {b.number} is not the final line of its case branch",
-                    ), set()
+                if any(c in dep and m > b.number for m, dep in self.deps.items()):
+                    raise _Reject(f"CASES: line {b.number} is not the final line of its case branch")
         deps = set(self.deps[d.number])
         deps |= self.deps[p.number] - {c1, c2}
         deps |= self.deps[q.number] - {c1, c2}
@@ -552,79 +514,60 @@ class Checker:
         for ln in asm_lines:
             self.open_case_lines.pop(ln, None)
         self.closed_regions.append((min(asm_lines), n - 1))
-        return Verdict(True), deps
+        return deps
 
     def _rule_us(self, n, f, just, cited):
         (c,) = cited
         g = negated_quantifier_view(c.formula)
         if not isinstance(g, Forall):
-            return Verdict.violation("rule", "US: cited line is not universal"), set()
+            raise _Reject("US: cited line is not universal")
         if just.annot:
             if len(just.annot) != 1:
-                return Verdict.violation("rule", "US: exactly one (term var) annotation expected"), set()
+                raise _Reject("US: exactly one (term var) annotation expected")
             t, v = just.annot[0]
             if v != g.var:
-                return Verdict.violation(
-                    "rule", f"US: annotation variable {v!r} does not match bound {g.var!r}"
-                ), set()
+                raise _Reject(f"US: annotation variable {v!r} does not match bound {g.var!r}")
         else:
             t = _infer_single_subst(g.body, g.var, f)
             if t is None:
-                return Verdict.violation("rule", "US: cannot infer the instantiation term"), set()
+                raise _Reject("US: cannot infer the instantiation term")
         expected = substitute(g.body, {g.var: t})
         if not rule_eq(f, expected):
-            return self._mismatch(Rule.US, expected, f), set()
-        return Verdict(True), self._union_deps(cited)
+            raise _mismatch(Rule.US, expected, f)
+        return self._union_deps(cited)
 
     def _rule_ug(self, n, f, just, cited):
         (c,) = cited
         prefix: list[str] = []
-        body: Formula = f
-        while isinstance(body, Forall):
-            prefix.append(body.var)
-            body = body.body
+        bodies = [f]  # bodies[k]: f without its first k quantifiers
+        while isinstance(bodies[-1], Forall):
+            prefix.append(bodies[-1].var)
+            bodies.append(bodies[-1].body)
         if not prefix:
-            return Verdict.violation("rule", "UG: conclusion is not universally quantified"), set()
+            raise _Reject("UG: conclusion is not universally quantified")
         if just.annot:
             # explicit (generalized-variable bound-variable) pairs
-            explicit: dict[str, str] = {}
+            assigned: dict[str, str] = {}
             for t, q in just.annot:
                 if not isinstance(t, Var) or q not in prefix:
-                    return Verdict.violation(
-                        "rule", "UG: annotations must pair a free variable with a prefix variable"
-                    ), set()
-                explicit[q] = t.name
-            k = len(explicit)
-            if set(explicit) != set(prefix[:k]):
-                return Verdict.violation(
-                    "rule", "UG: annotated variables must form the quantifier prefix"
-                ), set()
-            bk: Formula = f
-            for _ in range(k):
-                bk = bk.body  # type: ignore[union-attr]
-            sub = {q: Var(u) for q, u in explicit.items()}
-            if not rule_eq(substitute(bk, sub), c.formula):
-                return self._mismatch(Rule.UG, c.formula, substitute(bk, sub)), set()
-            bad = self._eligible_for_generalization(explicit.values())
-            if bad is not None:
-                return Verdict.violation("rule", f"UG: {bad}"), set()
-            return Verdict(True), self._union_deps(cited)
-        targets = sorted(free_vars(c.formula) - free_vars(f))
-        for k in range(len(prefix), 0, -1):
-            bk = f
-            for _ in range(k):
-                bk = bk.body  # type: ignore[union-attr]
-            qs = prefix[:k]
-            assigned = self._ug_match(qs, bk, c.formula, targets)
-            if assigned is None:
-                continue
-            bad = self._eligible_for_generalization(assigned.values())
-            if bad is not None:
-                return Verdict.violation("rule", f"UG: {bad}"), set()
-            return Verdict(True), self._union_deps(cited)
-        return Verdict.violation(
-            "rule", "UG: conclusion does not generalize the cited line"
-        ), set()
+                    raise _Reject("UG: annotations must pair a free variable with a prefix variable")
+                assigned[q] = t.name
+            k = len(assigned)
+            if set(assigned) != set(prefix[:k]):
+                raise _Reject("UG: annotated variables must form the quantifier prefix")
+            instance = substitute(bodies[k], {q: Var(u) for q, u in assigned.items()})
+            if not rule_eq(instance, c.formula):
+                raise _mismatch(Rule.UG, c.formula, instance)
+        else:
+            targets = sorted(free_vars(c.formula) - free_vars(f))
+            for k in range(len(prefix), 0, -1):
+                assigned = self._ug_match(prefix[:k], bodies[k], c.formula, targets)
+                if assigned is not None:
+                    break
+            else:
+                raise _Reject("UG: conclusion does not generalize the cited line")
+        self._require_arbitrary(Rule.UG, assigned.values())
+        return self._union_deps(cited)
 
     @staticmethod
     def _ug_match(qs: list[str], body: Formula, target: Formula, pool: list[str]) -> dict[str, str] | None:
@@ -651,12 +594,9 @@ class Checker:
 
     def _rule_eg(self, n, f, just, cited):
         (c,) = cited
-        ok = self._eg_matches(f, c.formula)
-        if not ok:
-            return Verdict.violation(
-                "rule", "EG: conclusion does not existentially abstract a disjunct of the cited line"
-            ), set()
-        return Verdict(True), self._union_deps(cited)
+        if not self._eg_matches(f, c.formula):
+            raise _Reject("EG: conclusion does not existentially abstract a disjunct of the cited line")
+        return self._union_deps(cited)
 
     @staticmethod
     def _eg_abstracts(e: Formula, source: Formula) -> bool:
@@ -685,49 +625,43 @@ class Checker:
         (c,) = cited
         g = negated_quantifier_view(c.formula)
         if not isinstance(g, Exists):
-            return Verdict.violation("rule", "EE: cited line is not existential"), set()
+            raise _Reject("EE: cited line is not existential")
         if just.annot:
             t, v = just.annot[0]
             if v != g.var or not isinstance(t, Var):
-                return Verdict.violation("rule", "EE: annotation must name a fresh variable"), set()
-            witness = t.name
+                raise _Reject("EE: annotation must name a fresh variable")
         else:
             t = _infer_single_subst(g.body, g.var, f)
             if not isinstance(t, Var):
-                return Verdict.violation("rule", "EE: cannot infer a variable witness"), set()
-            witness = t.name
+                raise _Reject("EE: cannot infer a variable witness")
+        witness = t.name
         seen: set[str] = set()
         for p in self.premises:
             seen |= free_vars(p)
         for line in self.lines.values():
             seen |= free_vars(line.formula)
         if witness in seen:
-            return Verdict.violation(
-                "rule", f"EE: witness {witness!r} is not fresh"
-            ), set()
+            raise _Reject(f"EE: witness {witness!r} is not fresh")
         expected = substitute(g.body, {g.var: Var(witness)})
         if not rule_eq(f, expected):
-            return self._mismatch(Rule.EE, expected, f), set()
+            raise _mismatch(Rule.EE, expected, f)
         self.ee_witnesses.add(witness)
-        return Verdict(True), self._union_deps(cited)
+        return self._union_deps(cited)
 
     def _rule_sub(self, n, f, just, cited):
         (c,) = cited
         if just.annot:
             sigma = {v: t for t, v in just.annot}
         else:
-            eligible = free_vars(c.formula)
-            sigma = _match_vars_to_terms(c.formula, f, eligible)
+            sigma = _match_vars_to_terms(c.formula, f, free_vars(c.formula))
             if sigma is None:
-                return Verdict.violation("rule", "SUB: cannot infer a substitution"), set()
+                raise _Reject("SUB: cannot infer a substitution")
         sigma = {v: t for v, t in sigma.items() if t != Var(v)}
         expected = substitute(c.formula, sigma)
         if not rule_eq(f, expected):
-            return self._mismatch(Rule.SUB, expected, f), set()
-        bad = self._eligible_for_generalization(sigma.keys())
-        if bad is not None:
-            return Verdict.violation("rule", f"SUB: {bad}"), set()
-        return Verdict(True), self._union_deps(cited)
+            raise _mismatch(Rule.SUB, expected, f)
+        self._require_arbitrary(Rule.SUB, sigma)
+        return self._union_deps(cited)
 
 
 # Each rule's Checker method, looked up once.

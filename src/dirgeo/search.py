@@ -5,7 +5,7 @@ quantifier prefix to fresh v-variables, assume antecedents and the negations
 of leading disjuncts (conditional-proof shape), then saturate forward under
 US / MP / MT / IMP / LDS / RDS / SIMP / DE.MORGAN / DISTRIBUTIVE-LAW with
 instantiation terms drawn from the goal's eigenvariables and the subterms of
-active formulas (optionally wrapped in one extra rev), iterating the
+active formulas, each also wrapped in one extra rev, iterating the
 rev-nesting bound upward.  When saturation stalls, stuck disjunctions are
 case-split up to the nesting bound.  Everything is deterministic: fixed
 iteration orders, no randomness, no wall-clock decisions.  A goal that is
@@ -40,7 +40,6 @@ from .kernel import (
 from .syntax import (
     And,
     App,
-    Atom,
     Forall,
     Formula,
     Implies,
@@ -52,27 +51,24 @@ from .syntax import (
     bound_vars,
     canonical_key,
     conjunct_members,
+    de_morgan,
+    distributions,
     flatten_or,
     free_vars,
     imp_result,
     neg,
-    print_formula,
+    print_term,
     rule_eq,
     strip_double_neg,
     substitute,
     term_vars,
 )
 
-POOL_SUBTERMS_ONLY = "subterms-only"
-POOL_SUBTERMS_PLUS_REV = "subterms-plus-rev"
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     max_depth: int = 2  # case-split nesting bound
     max_term_depth: int = 3  # rev-nesting bound on instantiation terms
     max_lines: int = 50000  # derived-formula budget for the whole call
-    instantiation_pool: str = POOL_SUBTERMS_PLUS_REV
 
 
 @dataclass
@@ -260,20 +256,13 @@ class _Context:
                 unit = self.nodes.get(ck)
                 if unit is not None:
                     self.add(eng.node(f.left, Rule.RDS, (node, unit)), worklist)
-            if isinstance(f.left, And):
-                dist = And(Or(f.left.left, f.right), Or(f.left.right, f.right))
-                self.add(eng.node(dist, Rule.DISTRIBUTIVE_LAW, (node,)), worklist)
-            if isinstance(f.right, And):
-                dist = And(Or(f.left, f.right.left), Or(f.left, f.right.right))
+            for dist in distributions(f):
                 self.add(eng.node(dist, Rule.DISTRIBUTIVE_LAW, (node,)), worklist)
         if isinstance(f, And):
             for part in conjunct_members(f):
                 self.add(eng.node(part, Rule.SIMP, (node,)), worklist)
-        if isinstance(f, Not) and isinstance(f.body, And):
-            dm = Or(neg(f.body.left), neg(f.body.right))
-            self.add(eng.node(dm, Rule.DE_MORGAN, (node,)), worklist)
-        if isinstance(f, Not) and isinstance(f.body, Or):
-            dm = And(neg(f.body.left), neg(f.body.right))
+        dm = de_morgan(f)
+        if dm is not None:
             self.add(eng.node(dm, Rule.DE_MORGAN, (node,)), worklist)
 
         # this node as MP minor / MT refuter / LDS-RDS unit for existing lines
@@ -324,15 +313,14 @@ class _Context:
         if self.pool[0] == len(seen):
             return self.pool[1]
         pool = dict(seen)
-        if eng.cfg.instantiation_pool == POOL_SUBTERMS_PLUS_REV:
-            for t in seen:
-                wrapped = App("rev", (t,))
-                if wrapped in pool:
-                    continue
-                if _term_depth(wrapped) > term_depth:
-                    eng.pruned = True
-                    continue
-                pool[wrapped] = None
+        for t in seen:
+            wrapped = App("rev", (t,))
+            if wrapped in pool:
+                continue
+            if _term_depth(wrapped) > term_depth:
+                eng.pruned = True
+                continue
+            pool[wrapped] = None
         self.pool = (len(seen), sorted(pool, key=_term_sort_key))
         return self.pool[1]
 
@@ -364,7 +352,7 @@ class _Context:
 
 
 def _term_sort_key(t: Term):
-    return (_term_depth(t), print_formula(Atom("UNDIR", (t, t))))
+    return (_term_depth(t), print_term(t))
 
 
 # ---------------------------------------------------------------------------

@@ -573,7 +573,7 @@ def _subst(f: Formula, bindings: Mapping[str, Term]) -> Formula:
     if isinstance(f, (Forall, Exists)):
         live = {k: v for k, v in bindings.items() if k != f.var and k in free_vars(f.body)}
         if not live:
-            return type(f)(f.var, f.body)
+            return f
         body = f.body
         var = f.var
         if any(var in term_vars(t) for t in live.values()):
@@ -729,6 +729,31 @@ def strip_double_neg(f: Formula) -> Formula:
 def imp_result(f: Implies) -> Formula:
     """The IMP rewrite: A1 & ... & Ak -> B becomes ~A1 | ... | ~Ak | B."""
     return build_or([neg(a) for a in flatten_and(f.left)] + [f.right])
+
+
+def de_morgan(f: Formula) -> Formula | None:
+    """The DE.MORGAN rewrite: ~(A & B) becomes ~A | ~B and ~(A | B) becomes
+    ~A & ~B, with one double negation removed from each side; None for any
+    other formula."""
+    if isinstance(f, Not) and isinstance(f.body, And):
+        return Or(neg(f.body.left), neg(f.body.right))
+    if isinstance(f, Not) and isinstance(f.body, Or):
+        return And(neg(f.body.left), neg(f.body.right))
+    return None
+
+
+def distributions(f: Formula) -> list[Formula]:
+    """The DISTRIBUTIVE-LAW rewrites of a disjunction: (A & B) | C becomes
+    (A | C) & (B | C), and A | (B & C) becomes (A | B) & (A | C); the left
+    one first, and none for a formula that is no such disjunction."""
+    if not isinstance(f, Or):
+        return []
+    out: list[Formula] = []
+    if isinstance(f.left, And):
+        out.append(And(Or(f.left.left, f.right), Or(f.left.right, f.right)))
+    if isinstance(f.right, And):
+        out.append(And(Or(f.left, f.right.left), Or(f.left, f.right.right)))
+    return out
 
 
 def conjunct_members(f: Formula) -> list[Formula]:

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -80,6 +82,20 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "parse-error" in out and "formula nested too deeply" in out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_utf8_script_is_a_parse_error(self, tmp_path, corpus_files, capsys, jobs):
+        bad = tmp_path / "latin1.prf"
+        bad.write_bytes(b"\xff")
+        code = main(["check", corpus_files[0], str(bad), "--keep-going", "--jobs", jobs])
+        assert code == EXIT_PARSE_ERROR
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 3 and out[1].startswith(f"parse-error {bad}  ")
+
+    def test_non_utf8_stdin_is_a_parse_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+        assert main(["check", "-"]) == EXIT_PARSE_ERROR
+        assert "parse-error -  'utf-8' codec can't decode byte 0xff" in capsys.readouterr().out
+
     def test_jobs_capped_at_file_count(self, corpus_files, capsys, serial_pool):
         assert main(["check", *corpus_files, "--jobs", "1000"]) == EXIT_OK
         assert serial_pool == [len(corpus_files)]
@@ -129,6 +145,17 @@ class TestProve:
 
     def test_unknown_name_exits_2(self):
         assert main(["prove", "--from", "I6", "--goal", "NOPE"]) == EXIT_PARSE_ERROR
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["prove", "--goal", ""], "''"), (["prove", "--goal", ","], "','"),
+         (["models", "--goal", ","], "','"), (["prove", "--goal", "W1,W2"], "'W1,W2'")],
+    )
+    def test_goal_is_exactly_one_name(self, capsys, argv, name):
+        assert main(argv + ["--from", "I6"]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        report = (captured.err if argv[0] == "prove" else captured.out).splitlines()
+        assert report[0].endswith(f"  unknown axiom name {name}") and len(report) == 2
 
     def test_direct_by_default_staged_on_request(self, capsys):
         assert main(["prove", "--from", "I5,I6,ODO", "--goal", "W2"]) == EXIT_OK
@@ -229,6 +256,16 @@ class TestCorpusCommand:
         monkeypatch.setenv("DIRGEO_CORPUS_DIR", str(tmp_path))
         assert main(["corpus"]) == EXIT_CHECK_FAILED
         assert "E" in capsys.readouterr().out
+
+    def test_non_utf8_entry_is_a_parse_error(self, tmp_path, monkeypatch, capsys):
+        for cid in corpus_ids():
+            (tmp_path / f"{cid}.prf").write_text(script_text(cid))
+        (tmp_path / "A.prf").write_bytes(b"\xff")
+        monkeypatch.setenv("DIRGEO_CORPUS_DIR", str(tmp_path))
+        assert main(["corpus"]) == EXIT_PARSE_ERROR
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0].startswith("parse-error A  ") and sum(l.startswith("valid ") for l in lines) == 5
 
     @pytest.mark.parametrize("depth", [400, 3000])
     def test_deep_nesting_is_a_parse_error(self, tmp_path, monkeypatch, capsys, depth):

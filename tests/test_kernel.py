@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,9 @@ from dirgeo.kernel import (
     print_proof_script,
     rule_from_name,
 )
-from dirgeo.syntax import parse_formula, rule_eq
+from dirgeo.models import find_countermodel
+from dirgeo.syntax import App, Var, canonical_key, parse_formula, rule_eq
+from helpers import closed_up
 
 F = parse_formula
 
@@ -521,3 +524,101 @@ class TestSequentReport:
         rep = check_proof(proof)
         assert len(rep.depths) == 17
         assert rep.depths[0] == 1 and rep.depths[2] == 3
+
+
+def _formula_mutants():
+    """(label, proof): every single-line formula substitution drawn from
+    the same corpus proof's other, canonically distinct formulas."""
+    for cid in corpus_ids():
+        proof, _ = load(cid)
+        keys = [canonical_key(l.formula) for l in proof.lines]
+        pool = {}
+        for k, l in zip(keys, proof.lines):
+            pool.setdefault(k, l.formula)
+        for i, line in enumerate(proof.lines):
+            for j, (k, formula) in enumerate(pool.items()):
+                if k != keys[i]:
+                    mutated = list(proof.lines)
+                    mutated[i] = dataclasses.replace(line, formula=formula)
+                    yield f"{cid}:{line.number}:{j}", Proof(proof.premises, mutated, proof.show)
+
+
+def _renumbered(lines, shift):
+    """Lines renumbered from 1, each cite c mapped to shift(c)."""
+    return [
+        dataclasses.replace(
+            l, number=i, just=dataclasses.replace(l.just, cited=tuple(shift(c) for c in l.just.cited))
+        )
+        for i, l in enumerate(lines, 1)
+    ]
+
+
+def _justification_mutants():
+    """(label, proof): every corpus line with its rule swapped, its cites
+    reversed, one cite set to 0, n+1, n or n-1, its cites dropped, an
+    annotation term wrapped in rev, an annotation variable renamed, its
+    annotation dropped or added; and every line deleted or duplicated,
+    with the cites of the lines after it following them."""
+    for cid in corpus_ids():
+        proof, _ = load(cid)
+        lines = proof.lines
+        for i, line in enumerate(lines):
+            n, just = line.number, line.just
+
+            def variant(tag, **changes):
+                mutated = list(lines)
+                mutated[i] = dataclasses.replace(line, just=dataclasses.replace(just, **changes))
+                return f"{cid}:{n}:{tag}", Proof(proof.premises, mutated, proof.show)
+
+            for rule in Rule:
+                if rule is not just.rule:
+                    yield variant(f"rule={rule.value}", rule=rule)
+            cited = just.cited
+            if len(cited) > 1:
+                yield variant("cites-reversed", cited=cited[::-1])
+            for k, c in enumerate(cited):
+                for target in (0, n + 1, n, n - 1):
+                    if target != c:
+                        yield variant(f"cite{k}={target}", cited=cited[:k] + (target,) + cited[k + 1:])
+            if cited:
+                yield variant("cites-dropped", cited=())
+            annot = just.annot
+            for k, (t, v) in enumerate(annot):
+                yield variant(f"annot{k}-rev", annot=annot[:k] + ((App("rev", (t,)), v),) + annot[k + 1:])
+                yield variant(f"annot{k}-var", annot=annot[:k] + ((t, v + "0"),) + annot[k + 1:])
+            if annot:
+                yield variant("annot-dropped", annot=())
+            else:
+                yield variant("annot-added", annot=((Var("v1"), "x"),))
+            deleted = _renumbered(lines[:i] + lines[i + 1:], lambda c: c - (c >= n))
+            yield f"{cid}:{n}:deleted", Proof(proof.premises, deleted, proof.show)
+            doubled = _renumbered(lines[: i + 1] + lines[i:], lambda c: c + (c > n))
+            yield f"{cid}:{n}:duplicated", Proof(proof.premises, doubled, proof.show)
+
+
+class TestVerdictFingerprint:
+    """Every verdict of the kernel on two mutation sweeps of the corpus:
+    a refactoring of the checker must change no verdict and no message."""
+
+    @staticmethod
+    def _digest(mutants):
+        digest, reports = hashlib.sha256(), []
+        for label, proof in mutants:
+            rep = check_proof(proof)
+            digest.update(repr((label, rep.valid, rep.line, rep.kind, rep.message)).encode() + b"\n")
+            reports.append(rep)
+        return digest.hexdigest()[:16], reports
+
+    def test_formula_mutants(self):
+        digest, reports = self._digest(_formula_mutants())
+        assert len(reports) == 5723 and not any(r.valid for r in reports)
+        assert digest == "1fcc1d0f26cba61a"
+
+    def test_justification_mutants(self):
+        digest, reports = self._digest(_justification_mutants())
+        accepted = [r for r in reports if r.valid]
+        assert (len(reports), len(accepted)) == (4779, 347)
+        assert digest == "b5bec419f17adf0c"
+        # an accepted mutant still certifies only what holds
+        for r in accepted:
+            assert find_countermodel(r.premises, closed_up(r.conclusion), 3) is None, r.sequent()

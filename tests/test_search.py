@@ -11,8 +11,6 @@ from dirgeo.geometry import axiom, axiom_names
 from dirgeo.kernel import Rule, check_proof, parse_proof_script, print_proof_script
 from dirgeo.models import find_countermodel
 from dirgeo.search import (
-    POOL_SUBTERMS_ONLY,
-    POOL_SUBTERMS_PLUS_REV,
     SearchConfig,
     _Context,
     _decompose,
@@ -57,10 +55,6 @@ class TestPositive:
         assert r.proved and len(r.proof.lines) <= 16
         rep = check_proof(r.proof)
         assert rep.valid and rule_eq(rep.conclusion, axiom("OO"))
-
-    def test_oo_with_subterms_only_pool(self):
-        cfg = SearchConfig(max_depth=1, max_term_depth=1, instantiation_pool=POOL_SUBTERMS_ONLY)
-        assert _prove_names(["I5", "ODO"], "OO", cfg).proved
 
     def test_w2_direct(self):
         assert _prove_names(["I5", "I6", "ODO"], "W2").proved
@@ -179,8 +173,6 @@ class TestDeterminism:
             (["I5", "I6", "ODO"], "W2", False, (2, 2), "proved", 734, 342, "408fc274ac731c89"),
             (["I6"], "W2", False, (2, 2, 8000), "budget-exceeded", 8001, 4380, None),
             (["W1"], "W1", False, (2, 1, 2000), "proved", 0, 0, "764fc73590e5dbd2"),
-            (["I5", "I6", "ODO"], "W2", False, (2, 2, 50000, POOL_SUBTERMS_ONLY), "proved", 521,
-             264, "5754df56cd7f6271"),
             (["I5"], "I5", False, (1, 1, 250), "proved", 0, 0, "a9c0a6b0f325036e"),
         ],
     )
@@ -203,23 +195,22 @@ class TestDeterminism:
 
     def test_fuzz_fingerprint(self):
         """Every 0/1-premise catalog sequent whose goal is not a premise, at
-        the fuzz config under both pools: status, counters and script."""
+        the fuzz config: status, counters and script."""
         names = list(axiom_names())
         digest = hashlib.sha256()
-        for pool in (POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV):
-            cfg = SearchConfig(1, 1, 250, pool)
-            for premises in [[]] + [[p] for p in names]:
-                for goal in names:
-                    if goal in premises:
-                        continue
-                    r = _prove_names(premises, goal, cfg)
-                    script = print_proof_script(r.proof) if r.proved else ""
-                    digest.update(
-                        f"{','.join(premises)} {goal} {pool} {r.status} {r.stats.lines_generated} "
-                        f"{r.stats.instantiations_tried} {hashlib.sha256(script.encode()).hexdigest()}\n"
-                        .encode()
-                    )
-        assert digest.hexdigest()[:16] == "9421f277c94790ef"
+        cfg = SearchConfig(1, 1, 250)
+        for premises in [[]] + [[p] for p in names]:
+            for goal in names:
+                if goal in premises:
+                    continue
+                r = _prove_names(premises, goal, cfg)
+                script = print_proof_script(r.proof) if r.proved else ""
+                digest.update(
+                    f"{','.join(premises)} {goal} {r.status} {r.stats.lines_generated} "
+                    f"{r.stats.instantiations_tried} {hashlib.sha256(script.encode()).hexdigest()}\n"
+                    .encode()
+                )
+        assert digest.hexdigest()[:16] == "f16b2f8052b72cff"
 
 
 # Run in a fresh interpreter by TestHashSeeds: every pinned row of
@@ -266,7 +257,7 @@ class TestHashSeeds:
             assert run.returncode == 0, err
         outputs = [out for out, _ in results]
         assert outputs[0] == outputs[1]
-        assert outputs[0].count("pinned") == 11 and "countermodel size=" in outputs[0]
+        assert outputs[0].count("pinned") == 10 and "countermodel size=" in outputs[0]
 
 
 class TestPool:
@@ -285,20 +276,18 @@ class TestPool:
         }
         base = {t for t in occurring if _term_depth(t) <= d} | {Var(v) for v in branch}
         pruned = any(_term_depth(t) > d for t in occurring)
-        pool = set(base)
-        if ctx.engine.cfg.instantiation_pool == POOL_SUBTERMS_PLUS_REV:
-            pool |= {App("rev", (t,)) for t in base if _term_depth(t) < d}
-            pruned = pruned or any(_term_depth(t) == d for t in base)
+        pool = base | {App("rev", (t,)) for t in base if _term_depth(t) < d}
+        pruned = pruned or any(_term_depth(t) == d for t in base)
         return sorted(pool, key=_term_sort_key), pruned
 
     @staticmethod
-    def _context(pool, d=1, saturate=True):
+    def _context(d=1, saturate=True):
         """The root context of I6 |- W1 at term depth d."""
         premises, goal = [axiom("I6")], axiom("W1")
         taken = set(bound_vars(premises[0]) | bound_vars(goal))
         seeded = frozenset(taken)
         _, assumptions, _ = _decompose(goal, taken)
-        engine = _Engine(SearchConfig(max_term_depth=d, instantiation_pool=pool), taken - seeded)
+        engine = _Engine(SearchConfig(max_term_depth=d), taken - seeded)
         ctx = _Context(engine)
         wl = []
         for i, f in enumerate(premises + assumptions):
@@ -330,18 +319,17 @@ class TestPool:
             list(ctx.trail),
         )
 
-    @pytest.mark.parametrize("pool", [POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV])
-    def test_pool_after_clone_matches_a_rescan(self, pool):
+    def test_pool_after_clone_matches_a_rescan(self):
         """The pool of a case branch, opened with mark() and closed with
         undo(), and of the context it returns to."""
         d = 1
-        ctx = self._context(pool, d)
+        ctx = self._context(d)
         engine = ctx.engine
         before = list(ctx.order)
         assert ctx._pool(d) == self._closed_form(ctx, d)[0]
         state = self._state(ctx)
 
-        # [rev v3] and [rev v1] are new to subterms-only, [rev [rev v1]] is too deep
+        # [rev v3] and [rev v1] are in the pool already, [rev [rev v1]] is too deep
         mark = ctx.mark()
         self._open_case(ctx, "~UNDIR [rev v3] [rev [rev v1]]", d)
         assert len(ctx.order) > len(before)
@@ -354,10 +342,9 @@ class TestPool:
         assert ctx.order == before and self._state(ctx) == state
         assert ctx._pool(d) == self._closed_form(ctx, d)[0]
 
-    @pytest.mark.parametrize("pool", [POOL_SUBTERMS_ONLY, POOL_SUBTERMS_PLUS_REV])
-    def test_undo_restores_the_context_exactly(self, pool):
+    def test_undo_restores_the_context_exactly(self):
         # unsaturated, so that the case still has pool terms to add
-        ctx = self._context(pool, saturate=False)
+        ctx = self._context(saturate=False)
         ctx._pool(1)
         before = self._state(ctx)
         mark = ctx.mark()
