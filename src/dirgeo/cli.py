@@ -183,7 +183,7 @@ def cmd_prove(args, cfg: dict) -> RunReport:
     try:
         premises, (goal_name, goal) = _resolve_sequent(args)
     except UnknownAxiom as exc:
-        return report.error(args.goal, f"unknown axiom name {exc}")
+        return report.error(exc.args[0], f"unknown axiom name {exc}")
     for name, f in premises + [(goal_name, goal)]:
         if free_vars(f):
             return report.error(name, "not a closed formula (use --expand-defs?)")
@@ -246,7 +246,7 @@ def cmd_models(args, cfg: dict) -> RunReport:
     try:
         premises, (goal_name, goal) = _resolve_sequent(args)
     except UnknownAxiom as exc:
-        return report.error(args.goal, f"unknown axiom name {exc}")
+        return report.error(exc.args[0], f"unknown axiom name {exc}")
     premise_formulas = [f for _, f in premises]
     label = f"{','.join(n for n, _ in premises) or '(none)'} |= {goal_name}"
     if not 1 <= args.max_size <= MAX_SIZE:

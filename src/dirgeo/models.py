@@ -18,8 +18,10 @@ countermodel, the least member of its class has one too and is <= r*,
 hence is r*.
 
 Two evaluators exist on purpose: eval_formula is the plain recursive
-Tarskian definition; the scan uses a bit-parallel numpy path that
-evaluates all 2^(n*n) undir tables for one rev table at once.  Their
+Tarskian definition; the scan uses a bit-parallel path that evaluates all
+2^(n*n) undir tables for one rev table at once, as a Python int bitset
+with one bit per table.  A formula with no rev term does not depend on the
+rev table, so the scan evaluates it once per size.  The two evaluators'
 agreement is property-tested.
 """
 
@@ -29,8 +31,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
-
-import numpy as np
 
 from .syntax import (
     And,
@@ -43,11 +43,12 @@ from .syntax import (
     Or,
     Term,
     Var,
+    formula_terms,
     free_vars,
 )
 
 # The largest domain size the scan covers: each atom's table takes
-# 2^(n*n) bytes, 64 KB at n=4 and 32 MB at n=5, and size 5 has 3125 rev
+# 2^(n*n) bits, 8 KB at n=4 and 4 MB at n=5, and size 5 has 3125 rev
 # tables where size 4 has 256.
 MAX_SIZE = 4
 
@@ -155,53 +156,59 @@ def enumerate_structures(n: int) -> Iterator[Structure]:
 
 
 # ---------------------------------------------------------------------------
-# Bit-parallel evaluation: one boolean vector over all undir tables of size n
-# for a fixed rev table.  Index i encodes the table whose row-major bit
-# string is i written MSB-first, matching the enumeration order.
+# Bit-parallel evaluation: one int bitset over all undir tables of size n for
+# a fixed rev table.  Bit k is set iff the formula holds in undir table k,
+# the table whose row-major bit string is k written MSB-first, matching the
+# enumeration order.
 
 
-def _atom_tables(n: int) -> list[list[np.ndarray]]:
-    count = 2 ** (n * n)
-    idx = np.arange(count, dtype=np.uint32)
-    tables = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            shift = n * n - 1 - (i * n + j)
-            row.append(((idx >> shift) & 1).astype(bool))
-        tables.append(row)
-    return tables
+@lru_cache(maxsize=MAX_SIZE)
+def _atom_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """atoms[i][j]: the bitset of the undir tables with cell (i, j) set."""
+    full = (1 << (1 << (n * n))) - 1
+
+    def table(s: int) -> int:  # bit s of the index: 2^s zeros, 2^s ones, repeated
+        block = 1 << s
+        return full // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block)
+
+    return tuple(tuple(table(n * n - 1 - (i * n + j)) for j in range(n)) for i in range(n))
 
 
-def _batch_eval(f: Formula, rev: Sequence[int], atoms, a: dict, n: int) -> np.ndarray:
-    if isinstance(f, Atom):
-        if f.pred != "UNDIR":
-            raise ValueError(f"structure does not interpret predicate {f.pred!r}")
-        i = _assign_term(f.args[0], rev, a)
-        j = _assign_term(f.args[1], rev, a)
-        return atoms[i][j]
-    if isinstance(f, Not):
-        return ~_batch_eval(f.body, rev, atoms, a, n)
-    if isinstance(f, And):
-        return _batch_eval(f.left, rev, atoms, a, n) & _batch_eval(f.right, rev, atoms, a, n)
-    if isinstance(f, Or):
-        return _batch_eval(f.left, rev, atoms, a, n) | _batch_eval(f.right, rev, atoms, a, n)
-    if isinstance(f, Implies):
-        return ~_batch_eval(f.left, rev, atoms, a, n) | _batch_eval(f.right, rev, atoms, a, n)
-    if isinstance(f, (Forall, Exists)):
-        acc = None
+def _batch_eval(f: Formula, rev: Sequence[int], atoms, a: dict, n: int) -> int:
+    full = (1 << (1 << (n * n))) - 1
+
+    def value(f: Formula) -> int:
+        cls = type(f)
+        if cls is Atom:
+            if f.pred != "UNDIR":
+                raise ValueError(f"structure does not interpret predicate {f.pred!r}")
+            return atoms[_assign_term(f.args[0], rev, a)][_assign_term(f.args[1], rev, a)]
+        if cls is Not:
+            return full ^ value(f.body)
+        if cls is And:
+            return value(f.left) & value(f.right)
+        if cls is Or:
+            return value(f.left) | value(f.right)
+        if cls is Implies:
+            return (full ^ value(f.left)) | value(f.right)
+        if cls is not Forall and cls is not Exists:
+            raise TypeError(f"not a formula: {f!r}")
+        # Bind f.var in `a` itself, restored below; stop once acc is settled.
+        var = f.var
+        had, saved = var in a, a.get(var)
+        acc, settled = (full, 0) if cls is Forall else (0, full)
         for d in range(n):
-            a2 = dict(a)
-            a2[f.var] = d
-            v = _batch_eval(f.body, rev, atoms, a2, n)
-            if acc is None:
-                acc = v
-            elif isinstance(f, Forall):
-                acc = acc & v
-            else:
-                acc = acc | v
+            a[var] = d
+            acc = acc & value(f.body) if cls is Forall else acc | value(f.body)
+            if acc == settled:
+                break
+        if had:
+            a[var] = saved
+        else:
+            del a[var]
         return acc
-    raise TypeError(f"not a formula: {f!r}")
+
+    return value(f)
 
 
 def _assign_term(t: Term, rev: Sequence[int], a: Mapping[str, int]) -> int:
@@ -248,30 +255,42 @@ def rev_representatives(n: int) -> tuple[tuple[int, ...], ...]:
 def _scan(sizes: range, rev_range: tuple[int, int] | None = None):
     """The representative rev tables of every size in `sizes`, in the
     documented order (`rev_range` slices each size's rev_representatives),
-    as (size, rev, evaluator); the evaluator maps a closed formula to its
-    truth values over all 2^(n*n) undir tables for that rev table."""
+    as (size, rev, evaluator); the evaluator maps a closed formula to the
+    bitset of the undir tables, for that rev table, in which it holds.  A
+    formula with no rev term takes the same value for every rev table, so
+    it is evaluated once per size."""
     if not sizes or sizes.start < 1 or sizes[-1] > MAX_SIZE:
         raise _size_error(sizes.stop - 1)
     for n in sizes:
         atoms = _atom_tables(n)
+        shared: dict[Formula, int | None] = {}  # the value of a rev-free formula, else None
+
+        def value(f, rev, atoms=atoms, n=n, shared=shared):
+            v = shared.get(f)
+            if v is None:
+                v = _batch_eval(f, rev, atoms, {}, n)
+                if f not in shared:
+                    shared[f] = v if all(isinstance(t, Var) for t in formula_terms(f)) else None
+            return v
+
         lo, hi = rev_range or (0, None)
         for rev in rev_representatives(n)[lo:hi]:
-            yield n, rev, (lambda f, rev=rev, atoms=atoms, n=n: _batch_eval(f, rev, atoms, {}, n))
+            yield n, rev, (lambda f, rev=rev, value=value: value(f, rev))
 
 
 def _first_countermodel(premises: Sequence[Formula], goal: Formula, scan) -> Structure | None:
     for f in list(premises) + [goal]:
         if free_vars(f):
             raise ValueError("premises and goal must be closed")
+    refuted = Not(goal)
     for n, rev, value in scan:
-        mask = ~value(goal)
+        mask = value(refuted)
         for p in premises:
-            if not mask.any():
+            if not mask:
                 break
             mask &= value(p)
-        hits = np.flatnonzero(mask)
-        if hits.size:
-            return _structure_from_index(n, rev, int(hits[0]))
+        if mask:
+            return _structure_from_index(n, rev, (mask & -mask).bit_length() - 1)
     return None
 
 
@@ -300,7 +319,7 @@ def equivalent_on_all(f: Formula, g: Formula, max_n: int) -> bool:
     size <= max_n (both closed; max_n at most MAX_SIZE)."""
     if free_vars(f) or free_vars(g):
         raise ValueError("formulas must be closed")
-    return not any((value(f) != value(g)).any() for _, _, value in _scan(range(1, max_n + 1)))
+    return all(value(f) == value(g) for _, _, value in _scan(range(1, max_n + 1)))
 
 
 def direction_circle(n: int = 4) -> Structure:

@@ -157,6 +157,13 @@ class TestProve:
         report = (captured.err if argv[0] == "prove" else captured.out).splitlines()
         assert report[0].endswith(f"  unknown axiom name {name}") and len(report) == 2
 
+    @pytest.mark.parametrize("command", ["prove", "models"])
+    def test_unknown_premise_reported_under_its_name(self, capsys, command):
+        assert main([command, "--from", "I6,NOPE", "--goal", "W1"]) == EXIT_PARSE_ERROR
+        captured = capsys.readouterr()
+        report = (captured.err if command == "prove" else captured.out).splitlines()
+        assert report[0] == "error    NOPE  unknown axiom name 'NOPE'" and len(report) == 2
+
     def test_direct_by_default_staged_on_request(self, capsys):
         assert main(["prove", "--from", "I5,I6,ODO", "--goal", "W2"]) == EXIT_OK
         assert "mode=direct" in capsys.readouterr().err

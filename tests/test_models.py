@@ -1,7 +1,7 @@
+import hashlib
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from dirgeo.geometry import axiom, defined_form, expand_defs, w_decomposition
@@ -97,7 +97,16 @@ class TestEnumeration:
                 s = next(
                     t for t in structures if t.rev == rev and _undir_index(t) == idx
                 )
-                assert bool(got[idx]) == eval_formula(s, f)
+                assert bool(got >> idx & 1) == eval_formula(s, f)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_atom_tables_match_the_decoded_structures(self, n):
+        atoms = _atom_tables(n)
+        for k in range(2 ** (n * n)):
+            s = _structure_from_index(n, (0,) * n, k)
+            for i in range(n):
+                for j in range(n):
+                    assert bool(atoms[i][j] >> k & 1) == s.undir[i][j], (k, i, j)
 
 
 def _undir_index(s: Structure) -> int:
@@ -199,9 +208,9 @@ def _full_scan_countermodel(premises, goal, max_n):
         mask = ~value(goal)
         for p in premises:
             mask &= value(p)
-        hits = np.flatnonzero(mask)
-        if hits.size:
-            return _structure_from_index(n, rev, int(hits[0]))
+        hits = [k for k in range(2 ** (n * n)) if mask >> k & 1]
+        if hits:
+            return _structure_from_index(n, rev, hits[0])
     return None
 
 
@@ -235,7 +244,7 @@ class TestRevRepresentatives:
         pairs += [(axiom(w), expand_defs(defined_form(w))) for w in ("W1", "W2", "W3", "W4")]
         verdicts = set()
         for f, g in pairs:
-            want = not any((value(f) != value(g)).any() for _, _, value in _every_rev_table(2))
+            want = all(value(f) == value(g) for _, _, value in _every_rev_table(2))
             assert equivalent_on_all(f, g, 2) == want, (f, g)
             verdicts.add(want)
         assert verdicts == {True, False}
@@ -286,3 +295,21 @@ class TestHelpers:
         for f, g in ((open_formula, axiom("I5")), (axiom("I5"), open_formula)):
             with pytest.raises(ValueError, match="formulas must be closed"):
                 equivalent_on_all(f, g, 2)
+
+
+class TestFingerprint:
+    def test_answers_pinned(self):
+        # Every 0/1-premise catalog sequent up to size 4, every 2-premise one
+        # up to size 3, and the 45 catalog pairs' equivalence at size 3.  The
+        # digest was taken with the numpy arrays that the int bitsets replaced.
+        answers = []
+        for goal in CATALOG:
+            for premises in [()] + [(p,) for p in CATALOG]:
+                answers.append(find_countermodel([axiom(p) for p in premises], axiom(goal), 4))
+            for premises in itertools.combinations(CATALOG, 2):
+                answers.append(find_countermodel([axiom(p) for p in premises], axiom(goal), 3))
+        for f, g in itertools.combinations(CATALOG, 2):
+            answers.append(equivalent_on_all(axiom(f), axiom(g), 3))
+        assert len(answers) == 605
+        text = "\n".join(map(repr, answers))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "b52e8979c2362d9a"
