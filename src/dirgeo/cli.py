@@ -1,10 +1,11 @@
 """Command-line front end: check, prove, models, corpus.
 
 Exit codes are a stable contract: 0 all verdicts pass, 1 proof-check
-failure, 2 parse error, 3 search exhausted or over budget, 4 expectation
-mismatch (models --expect-*).  Reports print as human-readable text or as
-JSON records (--format records) for CI diffing.  Proof scripts themselves
-go to stdout (or --out) so `dirgeo prove ... | dirgeo check -` round-trips.
+failure, 2 parse error, 3 not proved (refuted, exhausted or over budget),
+4 expectation mismatch (models --expect-*).  Reports print as
+human-readable text or as JSON records (--format records) for CI diffing.
+Proof scripts themselves go to stdout (or --out) so
+`dirgeo prove ... | dirgeo check -` round-trips.
 """
 
 from __future__ import annotations
@@ -216,9 +217,16 @@ def cmd_prove(args, cfg: dict) -> RunReport:
         else:
             sys.stdout.write(script)
         report.add(goal_name, "proved", f"{len(result.proof.lines)} lines, {detail}")
-    else:
-        report.add(goal_name, result.status, detail)
-        report.exit_code = EXIT_SEARCH_FAILED
+        return report
+    extra = {}
+    if result.limits:
+        detail += f" limit={','.join(result.limits)}"
+        extra["limit"] = list(result.limits)
+    if result.countermodel is not None:
+        detail = f"{result.countermodel.describe()}, {detail}"
+        extra["countermodel"] = result.countermodel.to_record()
+    report.add(goal_name, result.status, detail, **extra)
+    report.exit_code = EXIT_SEARCH_FAILED
     return report
 
 

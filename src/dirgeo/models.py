@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
     And,
@@ -43,8 +43,10 @@ from .syntax import (
     Or,
     Term,
     Var,
+    atoms,
     formula_terms,
     free_vars,
+    subterms,
 )
 
 # The largest domain size the scan covers: each atom's table takes
@@ -140,6 +142,23 @@ def _eval(s: Structure, f: Formula, a: dict) -> bool:
             del a[f.var]
         return result
     raise TypeError(f"not a formula: {f!r}")
+
+
+def interprets(formulas: Iterable[Formula]) -> bool:
+    """True iff the structures interpret every formula: each atom is UNDIR
+    with two arguments and each function term is rev with one.  A defined
+    atom (CON, DIR, ...) or a symbol of a custom signature is not."""
+    return all(
+        atom.pred == "UNDIR"
+        and len(atom.args) == 2
+        and all(
+            isinstance(t, Var) or (t.fn == "rev" and len(t.args) == 1)
+            for arg in atom.args
+            for t in subterms(arg)
+        )
+        for f in formulas
+        for atom in atoms(f)
+    )
 
 
 def structure_count(n: int) -> int:

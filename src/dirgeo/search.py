@@ -21,6 +21,18 @@ the case added when it returns, as in DPLL/CDCL solvers.
 
 A proved result is reconstructed into a Proof object and re-checked by the
 kernel before being returned; the prover never self-certifies.
+
+Around the search, the finite-model finder refutes what it can, as the
+semantic filter of Gelernter's geometry machine does.  Before searching,
+prove looks for a countermodel of size <= 2, which takes well under a
+millisecond; after a failed search it looks again at size 3.  A hit ends
+the call with status "refuted" and the structure on the result.  This
+cannot turn a provable sequent into a refuted one while the kernel is
+sound, since a proof makes the goal true in every model of the premises.
+The check runs only on sequents the structures interpret (models.interprets):
+one with a defined atom or a symbol of a custom signature is searched as
+it is.  A search that fails names the bounds that cut it, in
+SearchResult.limits: max_lines, max_depth or max_term_depth.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from .kernel import (
     Rule,
     check_proof,
 )
+from .models import Structure, countermodel_at_size, find_countermodel, interprets
 from .syntax import (
     And,
     App,
@@ -80,9 +93,11 @@ class SearchStats:
 
 @dataclass
 class SearchResult:
-    status: str  # proved | exhausted | budget-exceeded
+    status: str  # proved | refuted | exhausted | budget-exceeded
     proof: Proof | None
     stats: SearchStats
+    countermodel: Structure | None = None  # the structure that refutes the sequent
+    limits: tuple[str, ...] = ()  # the SearchConfig bounds that cut a failed search
 
     @property
     def proved(self) -> bool:
@@ -91,6 +106,10 @@ class SearchResult:
 
 class _Budget(Exception):
     pass
+
+
+# The bounds a failed search names, in the order it reports them.
+_LIMITS = ("max_lines", "max_depth", "max_term_depth")
 
 
 @dataclass
@@ -130,7 +149,7 @@ class _Engine:
         self.stats = SearchStats()
         self.seq = itertools.count(1)
         self.branch_vars = branch_vars
-        self.pruned = False
+        self.limits: set[str] = set()  # bounds that cut the current deepening step
 
     def node(self, formula: Formula, rule: Rule, cited=(), annot=(), extra=()) -> _Node:
         self.stats.lines_generated += 1
@@ -282,8 +301,8 @@ class _Context:
         Only lines added since the last call are scanned, and the last
         list is returned again when they add no base term.  A context is
         always pooled at one term_depth (each deepening step builds fresh
-        contexts), and engine.pruned is reset only per step, so the result
-        and the pruned flag match a rescan of the whole branch."""
+        contexts), and engine.limits is reset only per step, so the result
+        and the max_term_depth cut match a rescan of the whole branch."""
         eng = self.engine
         seen = self.pool_terms
 
@@ -296,7 +315,7 @@ class _Context:
                         visit(a)
                 return
             if _term_depth(t) > term_depth:
-                eng.pruned = True
+                eng.limits.add("max_term_depth")
                 if isinstance(t, App):
                     visit(t.args[0])
                 return
@@ -318,7 +337,7 @@ class _Context:
             if wrapped in pool:
                 continue
             if _term_depth(wrapped) > term_depth:
-                eng.pruned = True
+                eng.limits.add("max_term_depth")
                 continue
             pool[wrapped] = None
         self.pool = (len(seen), sorted(pool, key=_term_sort_key))
@@ -417,10 +436,12 @@ def _search_target(
     if hit is not None:
         return hit
     if cases_left <= 0:
-        ctx.engine.pruned = ctx.engine.pruned or any(
+        limits = ctx.engine.limits
+        if "max_depth" not in limits and any(
             isinstance(n.formula, Or) and canonical_key(n.formula) not in ctx.split_disjunctions
             for n in ctx.order
-        )
+        ):
+            limits.add("max_depth")
         return None
     for disj in list(ctx.order):
         f = disj.formula
@@ -458,7 +479,9 @@ def _search_target(
 
 
 def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = None) -> SearchResult:
-    """Search for a kernel-valid proof of goal from the premises."""
+    """Search for a kernel-valid proof of goal from the premises, unless a
+    countermodel of size <= 2 refutes the sequent first; after a failed
+    search, look for one of size 3."""
     cfg = cfg or SearchConfig()
     started = time.monotonic()
     for f in list(premises) + [goal]:
@@ -466,11 +489,22 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
             raise ValueError("premises and goal must be closed")
 
     given = next((p for p in premises if rule_eq(p, goal)), None)
+    countermodel, limits = None, ()
     if given is not None:  # the goal is a premise up to alpha and AC: cite it
         status, stats = "proved", SearchStats()
         proof = Proof(list(premises), [ProofLine(1, given, Justification(Rule.PREMISE))], show=goal)
     else:
-        status, proof, stats = _search(premises, goal, cfg)
+        interpreted = interprets(list(premises) + [goal])
+        if interpreted:
+            countermodel = find_countermodel(premises, goal, 2)
+        if countermodel is not None:
+            status, proof, stats = "refuted", None, SearchStats()
+        else:
+            status, proof, stats, limits = _search(premises, goal, cfg)
+            if proof is None and interpreted:
+                countermodel = countermodel_at_size(premises, goal, 3)
+                if countermodel is not None:
+                    status = "refuted"
     if proof is not None:
         report = check_proof(proof)
         if not report.valid:
@@ -479,12 +513,12 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
                 f"(line {report.line}: {report.message})"
             )
     stats.wall_time = time.monotonic() - started
-    return SearchResult(status, proof, stats)
+    return SearchResult(status, proof, stats, countermodel, limits)
 
 
 def _search(
     premises: list[Formula], goal: Formula, cfg: SearchConfig
-) -> tuple[str, Proof | None, SearchStats]:
+) -> tuple[str, Proof | None, SearchStats, tuple[str, ...]]:
     taken: set[str] = set()
     for f in list(premises) + [goal]:
         taken |= bound_vars(f)
@@ -497,11 +531,10 @@ def _search(
     premise_nodes = [_Node(p, Rule.PREMISE, seq=next(engine.seq)) for p in premises]
     assumption_nodes = [_Node(a, Rule.ASSUMED_PREMISE, seq=next(engine.seq)) for a in assumptions]
 
-    status = "exhausted"
     hit = None
     try:
         for depth in range(1, max(cfg.max_term_depth, 1) + 1):
-            engine.pruned = False
+            engine.limits = set()
             ctx = _Context(engine)
             wl: list[_Node] = []
             for n in premise_nodes + assumption_nodes:
@@ -509,14 +542,13 @@ def _search(
             hit = _search_target(ctx, target_key, depth, cfg.max_depth, wl)
             if hit is not None:
                 break
-        if hit is None:
-            status = "budget-exceeded" if engine.pruned else "exhausted"
     except _Budget:
-        status = "budget-exceeded"
+        engine.limits = {"max_lines"}
 
     if hit is None:
-        return status, None, engine.stats
-    return "proved", _emit(premises, goal, steps, assumption_nodes, hit, engine), engine.stats
+        limits = tuple(l for l in _LIMITS if l in engine.limits)
+        return ("budget-exceeded" if limits else "exhausted"), None, engine.stats, limits
+    return "proved", _emit(premises, goal, steps, assumption_nodes, hit, engine), engine.stats, ()
 
 
 def _emit(
@@ -594,7 +626,9 @@ def prove_with_lemmas(
     """Prove each (lemma premises, lemma goal) then the goal with the lemmas
     available, and merge everything into one proof from `premises`.
 
-    Lemma premises must be among `premises`.
+    Lemma premises must be among `premises`.  A lemma that is not proved
+    ends the call with its own result: then a "refuted" status and its
+    countermodel are the lemma's, not the goal's.
     """
     cfg = cfg or SearchConfig()
     stats = SearchStats()

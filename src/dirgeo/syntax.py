@@ -44,9 +44,19 @@ class ParseError(ValueError):
 # AST.  Building a node looks up its class and fields in _NODES and returns
 # the live node that has them, if there is one.  == and hash are the
 # identity defaults of object.  The table holds nodes weakly, so it is
-# bounded by the nodes still referenced.
+# bounded by the nodes still referenced.  It is a plain dict of KeyedRefs
+# rather than a WeakValueDictionary, whose Python-level get() costs about
+# three times a dict lookup on every node built.
 
-_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NODES: dict = {}  # (class, *fields) -> weakref.KeyedRef to the node
+
+
+def _forget(ref: weakref.KeyedRef, nodes: dict = _NODES) -> None:
+    """A node died: drop its entry, unless a new node has taken the key.
+    The table is bound as a default so that the callback still finds it
+    while the interpreter tears the module down."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 class _Node:
@@ -55,14 +65,17 @@ class _Node:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _NODES.get(key)
-        if node is None:
-            if len(fields) != len(cls._fields):
-                raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {fields!r}")
-            node = object.__new__(cls)
-            for name, value in zip(cls._fields, fields):
-                object.__setattr__(node, name, value)
-            _NODES[key] = node
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {fields!r}")
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(node, name, value)
+        _NODES[key] = weakref.KeyedRef(node, _forget, key)
         return node
 
     def __setattr__(self, name, value):

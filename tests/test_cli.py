@@ -16,6 +16,7 @@ from dirgeo.cli import (
 from dirgeo.corpus import corpus_ids, script_text
 from dirgeo.geometry import axiom
 from dirgeo.kernel import check_proof, parse_proof_script
+from dirgeo.models import Structure, eval_formula
 from dirgeo.syntax import rule_eq
 
 
@@ -142,6 +143,36 @@ class TestProve:
         code = main(["prove", "--from", "I6", "--goal", "W2", "--max-lines", "2000",
                      "--max-term-depth", "1"])
         assert code == EXIT_SEARCH_FAILED
+
+    def test_refuted_exits_3_with_the_structure(self, capsys):
+        code = main(["prove", "--from", "I6", "--goal", "W2", "--max-lines", "8000"])
+        assert code == EXIT_SEARCH_FAILED
+        out, err = capsys.readouterr()
+        assert out == ""
+        report = err.splitlines()
+        assert report[0].startswith("refuted  W2  size=2 rev=[0 0] undir={(0,1), (1,0)}, ")
+        assert " generated=0 " in report[0] and len(report) == 2
+
+    def test_refuted_record(self, capsys):
+        code = main(["prove", "--from", "I6", "--goal", "W2", "--format", "records"])
+        assert code == EXIT_SEARCH_FAILED
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert record["status"] == "refuted"
+        cm = Structure.from_record(record["countermodel"])
+        assert eval_formula(cm, axiom("I6")) and not eval_formula(cm, axiom("W2"))
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    def test_failure_names_the_bound(self, capsys, fmt):
+        code = main(["prove", "--from", "I7,I8,ODO", "--goal", "I6", "--max-lines", "100",
+                     "--format", fmt])
+        assert code == EXIT_SEARCH_FAILED
+        first = capsys.readouterr().err.splitlines()[0]
+        if fmt == "text":
+            assert first.startswith("budget-exceeded I6  ") and first.endswith(" limit=max_lines")
+        else:
+            record = json.loads(first)
+            assert (record["status"], record["limit"]) == ("budget-exceeded", ["max_lines"])
+            assert "countermodel" not in record
 
     def test_unknown_name_exits_2(self):
         assert main(["prove", "--from", "I6", "--goal", "NOPE"]) == EXIT_PARSE_ERROR

@@ -18,10 +18,11 @@ from dirgeo.models import (
     equivalent_on_all,
     eval_formula,
     find_countermodel,
+    interprets,
     rev_representatives,
     structure_count,
 )
-from dirgeo.syntax import build_and, parse_formula
+from dirgeo.syntax import GEOMETRY, GEOMETRY_WITH_DEFS, build_and, parse_formula
 from helpers import closed_up, random_formula
 
 
@@ -295,6 +296,28 @@ class TestHelpers:
         for f, g in ((open_formula, axiom("I5")), (axiom("I5"), open_formula)):
             with pytest.raises(ValueError, match="formulas must be closed"):
                 equivalent_on_all(f, g, 2)
+
+
+class TestInterprets:
+    def test_the_core_catalog_is_interpreted(self):
+        assert interprets([axiom(n) for n in ("I5", "I6", "I7", "I8", "ODO", "W1", "OO")])
+        assert interprets([expand_defs(axiom("I7conv"))]) and not interprets([axiom("I7conv")])
+        assert interprets([])
+
+    @pytest.mark.parametrize(
+        "text, sig",
+        [
+            ("(Ax)(Ay)[CON x y -> UNDIR x y]", GEOMETRY_WITH_DEFS),
+            ("(Ax)P x", GEOMETRY.extended({"P": 1})),
+            ("(Ax)UNDIR x [f x]", GEOMETRY.extended({}, {"f": 1})),
+            ("(Ax)UNDIR x x x", GEOMETRY.extended({"UNDIR": 3})),
+            ("(Ax)(Ay)UNDIR x [rev x y]", GEOMETRY.extended({}, {"rev": 2})),
+        ],
+    )
+    def test_other_symbols_and_arities_are_not(self, text, sig):
+        f = parse_formula(text, sig)
+        assert not interprets([f])
+        assert not interprets([axiom("I5"), f])
 
 
 class TestFingerprint:

@@ -3,13 +3,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from dirgeo.geometry import axiom, axiom_names
 from dirgeo.kernel import Rule, check_proof, parse_proof_script, print_proof_script
-from dirgeo.models import find_countermodel
+from dirgeo.models import eval_formula, find_countermodel
 from dirgeo.search import (
     SearchConfig,
     _Context,
@@ -22,6 +23,7 @@ from dirgeo.search import (
     prove_with_lemmas,
 )
 from dirgeo.syntax import (
+    GEOMETRY,
     App,
     Var,
     atoms,
@@ -38,6 +40,14 @@ FAST = SearchConfig(max_depth=2, max_term_depth=2, max_lines=30000)
 
 def _prove_names(premises, goal, cfg=FAST):
     return prove([axiom(p) for p in premises], axiom(goal), cfg)
+
+
+def _assert_refutes(r, premises, goal):
+    """r is refuted by a structure in which, by the reference evaluator,
+    every premise holds and the goal fails."""
+    assert r.status == "refuted" and r.proof is None
+    assert all(eval_formula(r.countermodel, p) for p in premises)
+    assert not eval_formula(r.countermodel, goal)
 
 
 class TestPositive:
@@ -131,17 +141,104 @@ class TestStaged:
 
 class TestNegative:
     def test_w2_not_provable_from_i6_alone(self):
+        """Refuted at size 2 before any search line."""
         r = _prove_names(["I6"], "W2", SearchConfig(max_depth=2, max_term_depth=2, max_lines=8000))
-        assert r.status in ("exhausted", "budget-exceeded")
-        assert r.proof is None
+        _assert_refutes(r, [axiom("I6")], axiom("W2"))
+        assert r.countermodel.describe() == "size=2 rev=[0 0] undir={(0,1), (1,0)}"
+        assert (r.stats.lines_generated, r.stats.instantiations_tried, r.limits) == (0, 0, ())
 
     def test_i5_not_provable_from_nothing(self):
         r = _prove_names([], "I5", SearchConfig(max_depth=1, max_term_depth=1))
-        assert r.status == "exhausted"
+        _assert_refutes(r, [], axiom("I5"))
+        assert r.countermodel.size == 1 and r.stats.lines_generated == 0
+
+    def test_refuted_at_size_3_after_a_failed_search(self):
+        """No countermodel of size <= 2: the search runs, fails, and its
+        counters and bounds stay on the refuted result."""
+        assert find_countermodel([axiom("I8")], axiom("W2"), 2) is None
+        r = _prove_names(["I8"], "W2", SearchConfig(1, 1, 250))
+        _assert_refutes(r, [axiom("I8")], axiom("W2"))
+        assert r.countermodel.size == 3
+        assert (r.stats.lines_generated, r.stats.instantiations_tried) == (76, 42)
+        assert r.limits == ("max_depth", "max_term_depth")
+
+    def test_staged_goal_refuted(self):
+        """The lemma is proved, then I5, ODO, OO |- I6 is refuted."""
+        premises = [axiom("I5"), axiom("ODO")]
+        r = prove_with_lemmas(premises, [(premises, axiom("OO"))], axiom("I6"), FAST)
+        _assert_refutes(r, premises + [axiom("OO")], axiom("I6"))
+        assert r.stats.lines_generated == 169  # the lemma's search alone
 
     def test_open_goal_rejected(self):
         with pytest.raises(ValueError):
             prove([], parse_formula("UNDIR x y"), FAST)
+
+
+class TestLimits:
+    """A failed search names the bounds that cut it.  Every sequent here is
+    valid, so no countermodel of size <= 3 turns it into a refutation."""
+
+    @staticmethod
+    def _fails_at(premises, goal, cfg, limits):
+        assert find_countermodel(premises, goal, 3) is None
+        r = prove(premises, goal, cfg)
+        assert (r.status, r.limits, r.countermodel) == ("budget-exceeded", limits, None)
+        return r
+
+    def test_max_lines(self):
+        premises = [axiom("I7"), axiom("I8"), axiom("ODO")]
+        r = self._fails_at(premises, axiom("I6"), SearchConfig(2, 3, 100), ("max_lines",))
+        assert r.stats.lines_generated == 101
+
+    def test_max_term_depth(self):
+        """The goal needs an instance at [rev [rev v1]], of term depth 2."""
+        premises = [parse_formula("(Ax)UNDIR [rev [rev x]] x")]
+        goal = parse_formula("(Ax)UNDIR [rev [rev [rev [rev x]]]] [rev [rev x]]")
+        self._fails_at(premises, goal, SearchConfig(0, 1, 1000), ("max_term_depth",))
+        assert prove(premises, goal, SearchConfig(0, 2, 1000)).proved
+
+    def test_max_depth(self):
+        """The goal needs a case split on UNDIR x y | UNDIR y x."""
+        goal = parse_formula(
+            "(Ax)(Ay)[[[UNDIR x y | UNDIR y x] & [UNDIR x y -> UNDIR x x]"
+            " & [UNDIR y x -> UNDIR x x]] -> UNDIR x x]"
+        )
+        self._fails_at([], goal, SearchConfig(0, 1, 1000), ("max_depth",))
+        assert prove([], goal, SearchConfig(1, 1, 1000)).proved
+
+    def test_both_depth_bounds(self):
+        premises = [axiom("I7"), axiom("I8"), axiom("ODO")]
+        self._fails_at(premises, axiom("I6"), SearchConfig(0, 1, 20000), ("max_depth", "max_term_depth"))
+
+
+class TestUninterpreted:
+    """A sequent with a symbol the structures do not interpret is searched
+    as it was before the model check: same status and counters, pinned
+    from the prover without it, and no countermodel."""
+
+    CUSTOM = GEOMETRY.extended({"P": 1}, {"f": 1})
+    UNDIR3 = GEOMETRY.extended({"UNDIR": 3})
+
+    @pytest.mark.parametrize(
+        "premises, goal, sig, status, lines, insts",
+        [
+            (["I7conv"], "W1", None, "budget-exceeded", 114, 42),
+            ([], "I7conv", None, "exhausted", 0, 0),
+            (["I6"], "I7conv", None, "budget-exceeded", 114, 42),
+            (["(Ax)(Ay)[UNDIR x y -> P x]"], "(Ax)P x", CUSTOM, "budget-exceeded", 14, 6),
+            (["(Ax)UNDIR x [f x]"], "(Ax)UNDIR [f x] x", CUSTOM, "budget-exceeded", 3, 3),
+            ([], "(Ax)P x", CUSTOM, "exhausted", 0, 0),
+            (["(Ax)(Ay)(Az)[UNDIR x y z -> UNDIR y x z]"], "(Ax)(Ay)UNDIR x y x", UNDIR3,
+             "budget-exceeded", 251, 84),
+        ],
+    )
+    def test_searched_as_before(self, premises, goal, sig, status, lines, insts):
+        read = axiom if sig is None else (lambda text: parse_formula(text, sig))
+        r = prove([read(p) for p in premises], read(goal), SearchConfig(1, 1, 250))
+        assert (r.status, r.stats.lines_generated, r.stats.instantiations_tried) == (
+            status, lines, insts
+        )
+        assert r.countermodel is None
 
 
 class TestDeterminism:
@@ -171,7 +268,7 @@ class TestDeterminism:
             (["I5", "I6", "ODO"], "W3", True, (2, 2), "proved", 971, 454, "83848f387f8f9f52"),
             (["I7", "I8", "ODO"], "I6", False, (2, 3), "proved", 929, 360, "14cf35696d8a21b1"),
             (["I5", "I6", "ODO"], "W2", False, (2, 2), "proved", 734, 342, "408fc274ac731c89"),
-            (["I6"], "W2", False, (2, 2, 8000), "budget-exceeded", 8001, 4380, None),
+            (["I6"], "W2", False, (2, 2, 8000), "refuted", 0, 0, None),
             (["W1"], "W1", False, (2, 1, 2000), "proved", 0, 0, "764fc73590e5dbd2"),
             (["I5"], "I5", False, (1, 1, 250), "proved", 0, 0, "a9c0a6b0f325036e"),
         ],
@@ -186,18 +283,19 @@ class TestDeterminism:
         assert (r.status, r.stats.lines_generated, r.stats.instantiations_tried) == (
             status, lines, insts
         )
-        if digest is None:
-            assert r.proof is None
+        if status == "refuted":
+            _assert_refutes(r, [axiom(p) for p in premises], axiom(goal))
         else:
             script = print_proof_script(r.proof).encode()
             assert hashlib.sha256(script).hexdigest()[:16] == digest
 
-
-    def test_fuzz_fingerprint(self):
+    @staticmethod
+    def _fuzz_rows():
         """Every 0/1-premise catalog sequent whose goal is not a premise, at
-        the fuzz config: status, counters and script."""
+        the fuzz config, as (result, row): the row is status, counters and
+        script, then the bounds that cut a failed search and the countermodel
+        of a refuted one.  A refutation is re-checked here."""
         names = list(axiom_names())
-        digest = hashlib.sha256()
         cfg = SearchConfig(1, 1, 250)
         for premises in [[]] + [[p] for p in names]:
             for goal in names:
@@ -205,12 +303,38 @@ class TestDeterminism:
                     continue
                 r = _prove_names(premises, goal, cfg)
                 script = print_proof_script(r.proof) if r.proved else ""
-                digest.update(
+                row = (
                     f"{','.join(premises)} {goal} {r.status} {r.stats.lines_generated} "
-                    f"{r.stats.instantiations_tried} {hashlib.sha256(script.encode()).hexdigest()}\n"
-                    .encode()
+                    f"{r.stats.instantiations_tried} {hashlib.sha256(script.encode()).hexdigest()}"
                 )
-        assert digest.hexdigest()[:16] == "f16b2f8052b72cff"
+                if r.limits:
+                    row += f" limit={','.join(r.limits)}"
+                if r.status == "refuted":
+                    _assert_refutes(r, [axiom(p) for p in premises], axiom(goal))
+                    row += f" {r.countermodel.describe()}"
+                yield r, row + "\n"
+
+    def test_fuzz_fingerprint(self):
+        digest = hashlib.sha256()
+        statuses = Counter()
+        for r, row in self._fuzz_rows():
+            digest.update(row.encode())
+            statuses[r.status, r.countermodel and r.countermodel.size] += 1
+        assert statuses == {
+            ("refuted", 1): 20, ("refuted", 2): 64, ("refuted", 3): 9, ("proved", None): 6,
+            ("budget-exceeded", None): 21, ("exhausted", None): 1,
+        }
+        assert digest.hexdigest()[:16] == "1b51add5fa4a0ef6"
+
+    def test_fuzz_proved_rows(self):
+        """The proved rows of the fuzz fingerprint alone."""
+        digest = hashlib.sha256()
+        proved = 0
+        for r, row in self._fuzz_rows():
+            if r.proved:
+                proved += 1
+                digest.update(row.encode())
+        assert (proved, digest.hexdigest()[:16]) == (6, "e901af45728ad167")
 
 
 # Run in a fresh interpreter by TestHashSeeds: every pinned row of
@@ -336,7 +460,7 @@ class TestPool:
         expected, pruned = self._closed_form(ctx, d)
         assert App("rev", (Var("v3"),)) in expected
         assert ctx._pool(d) == expected
-        assert engine.pruned == pruned
+        assert ("max_term_depth" in engine.limits) == pruned
 
         ctx.undo(mark)
         assert ctx.order == before and self._state(ctx) == state
@@ -376,4 +500,6 @@ class TestSoundnessFuzz:
                 proved += 1
                 assert check_proof(r.proof).valid
                 assert find_countermodel([axiom(p) for p in premises], axiom(goal), 3) is None
+            elif r.status == "refuted":
+                _assert_refutes(r, [axiom(p) for p in premises], axiom(goal))
         assert proved > 0
