@@ -14,14 +14,13 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from .geometry import UnknownAxiom, axiom, expand_defs
 from .kernel import ScriptError, check_proof, parse_proof_script, print_proof_script
-from .models import MAX_SIZE, Structure, countermodel_at_size, find_countermodel, rev_representatives
+from .models import MAX_SIZE, find_countermodel
 from .search import SearchConfig, prove, prove_with_lemmas
 from .syntax import GEOMETRY, IDENT_RE, ParseError, Signature, free_vars, rule_eq
 
@@ -139,40 +138,26 @@ def _resolve_sequent(args):
 _INPUT_ERRORS = (ScriptError, ParseError, OSError, UnicodeDecodeError)
 
 
-def _check_one(path: str, signature_cfg: dict) -> dict:
-    sig = _signature_from_config(signature_cfg)
-    try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text()
-        proof = parse_proof_script(text, sig)
-        report = check_proof(proof)
-    except _INPUT_ERRORS as exc:
-        return {"status": "parse-error", "detail": str(exc)}
-    if report.valid:
-        return {"status": "valid", "detail": report.sequent(), "lines": len(proof.lines)}
-    return {
-        "status": "invalid",
-        "detail": f"line {report.line} [{report.kind}]: {report.message}",
-        "line": report.line,
-    }
-
-
 def cmd_check(args, cfg: dict) -> RunReport:
     report = RunReport("check")
-    results: list[dict] = []
-    if args.jobs > 1 and len(args.paths) > 1 and "-" not in args.paths:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(args.paths))) as pool:
-            results = list(pool.map(_check_one, args.paths, [cfg] * len(args.paths)))
-    else:
-        for p in args.paths:
-            results.append(_check_one(p, cfg))
-            if results[-1]["status"] != "valid" and not args.keep_going:
-                break
-    for path, res in zip(args.paths, results):
-        report.add(path, res["status"], res.get("detail", ""))
-        if res["status"] == "parse-error":
+    sig = _signature_from_config(cfg)
+    for path in args.paths:
+        try:
+            text = sys.stdin.read() if path == "-" else Path(path).read_text()
+            proof = parse_proof_script(text, sig)
+            res = check_proof(proof)
+        except _INPUT_ERRORS as exc:
+            report.add(path, "parse-error", str(exc))
             report.exit_code = EXIT_PARSE_ERROR
-        elif res["status"] != "valid" and report.exit_code == EXIT_OK:
-            report.exit_code = EXIT_CHECK_FAILED
+        else:
+            if res.valid:
+                report.add(path, "valid", res.sequent())
+                continue
+            report.add(path, "invalid", f"line {res.line} [{res.kind}]: {res.message}")
+            if report.exit_code == EXIT_OK:
+                report.exit_code = EXIT_CHECK_FAILED
+        if not args.keep_going:
+            break
     return report
 
 
@@ -233,22 +218,6 @@ def cmd_prove(args, cfg: dict) -> RunReport:
 # -- models ------------------------------------------------------------------
 
 
-def _parallel_countermodel(premises, goal, max_n: int, jobs: int) -> Structure | None:
-    """find_countermodel with each size's rev_representatives split into
-    `jobs` slices."""
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for n in range(1, max_n + 1):
-            count = len(rev_representatives(n))
-            chunk = (count + jobs - 1) // jobs
-            ranges = [(lo, lo + chunk) for lo in range(0, count, chunk)]
-            k = len(ranges)
-            hits = pool.map(countermodel_at_size, [premises] * k, [goal] * k, [n] * k, ranges)
-            hits = [h for h in hits if h is not None]
-            if hits:
-                return min(hits, key=lambda s: (s.rev, s.undir))
-    return None
-
-
 def cmd_models(args, cfg: dict) -> RunReport:
     report = RunReport("models")
     try:
@@ -260,13 +229,8 @@ def cmd_models(args, cfg: dict) -> RunReport:
     if not 1 <= args.max_size <= MAX_SIZE:
         return report.error(label, f"--max-size must be in 1..{MAX_SIZE}, got {args.max_size}")
 
-    # No more workers than the largest size has slices.
-    jobs = min(args.jobs, len(rev_representatives(args.max_size)))
     try:
-        if jobs > 1:
-            cm = _parallel_countermodel(premise_formulas, goal, args.max_size, jobs)
-        else:
-            cm = find_countermodel(premise_formulas, goal, args.max_size)
+        cm = find_countermodel(premise_formulas, goal, args.max_size)
     except ValueError as exc:
         return report.error(label, f"{exc} (did you mean --expand-defs?)")
 
@@ -338,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="verify proof scripts", parents=[common])
     p_check.add_argument("paths", nargs="+", help="script files ('-' for stdin)")
     p_check.add_argument("--keep-going", action="store_true", help="continue past failures")
-    p_check.add_argument("--jobs", type=int, default=1, help="check files in parallel")
     p_check.set_defaults(func=cmd_check)
 
     p_prove = sub.add_parser("prove", help="search for a derivation", parents=[common])
@@ -366,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_models.add_argument("--from", dest="premises", default="", help="comma-separated axiom names")
     p_models.add_argument("--goal", required=True, help="axiom name to test")
     p_models.add_argument("--max-size", type=int, default=3, help="largest domain size")
-    p_models.add_argument("--jobs", type=int, default=1, help="partition the enumeration")
+    # Accepted and ignored: perfbench/workloads.py still passes --jobs 2.
+    p_models.add_argument("--jobs", help=argparse.SUPPRESS)
     p_models.add_argument("--record", action="store_true", help="print the countermodel as JSON")
     expect = p_models.add_mutually_exclusive_group()
     expect.add_argument(
@@ -386,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     try:
         cfg = _load_config(args)
     except (OSError, ValueError) as exc:

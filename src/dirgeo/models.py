@@ -5,10 +5,8 @@ table over the domain [0, n).  Enumeration order is fixed and documented:
 size-ascending, then lexicographic over the rev table, then lexicographic
 over the undir table read row-major with False < True.  find_countermodel
 reports the first structure in that order satisfying every premise and
-falsifying the goal; countermodel_at_size does the same for one size and
-a slice of rev_representatives(n), which is how `dirgeo models --jobs`
-splits the work.  Sizes 1..MAX_SIZE are covered; a larger size raises
-ValueError.
+falsifying the goal; countermodel_at_size does the same for one size.
+Sizes 1..MAX_SIZE are covered; a larger size raises ValueError.
 
 The scan visits only rev_representatives(n), the rev tables least in their
 class under relabelling (1, 3, 7 and 19 of n^n for n = 1..4), yet finds the
@@ -97,10 +95,9 @@ def eval_term(s: Structure, t: Term, a: Mapping[str, int]) -> int:
             return a[t.name]
         except KeyError:
             raise UnassignedVariable(t.name) from None
-    args = [eval_term(s, u, a) for u in t.args]
-    if t.fn != "rev":
-        raise ValueError(f"structure does not interpret function {t.fn!r}")
-    return s.rev[args[0]]
+    if t.fn != "rev" or len(t.args) != 1:
+        raise ValueError(f"structure does not interpret function {t.fn!r}/{len(t.args)}")
+    return s.rev[eval_term(s, t.args[0], a)]
 
 
 def eval_formula(s: Structure, f: Formula, a: Mapping[str, int] | None = None) -> bool:
@@ -111,8 +108,8 @@ def eval_formula(s: Structure, f: Formula, a: Mapping[str, int] | None = None) -
 
 def _eval(s: Structure, f: Formula, a: dict) -> bool:
     if isinstance(f, Atom):
-        if f.pred != "UNDIR":
-            raise ValueError(f"structure does not interpret predicate {f.pred!r}")
+        if f.pred != "UNDIR" or len(f.args) != 2:
+            raise ValueError(f"structure does not interpret predicate {f.pred!r}/{len(f.args)}")
         i = eval_term(s, f.args[0], a)
         j = eval_term(s, f.args[1], a)
         return s.undir[i][j]
@@ -199,8 +196,8 @@ def _batch_eval(f: Formula, rev: Sequence[int], atoms, a: dict, n: int) -> int:
     def value(f: Formula) -> int:
         cls = type(f)
         if cls is Atom:
-            if f.pred != "UNDIR":
-                raise ValueError(f"structure does not interpret predicate {f.pred!r}")
+            if f.pred != "UNDIR" or len(f.args) != 2:
+                raise ValueError(f"structure does not interpret predicate {f.pred!r}/{len(f.args)}")
             return atoms[_assign_term(f.args[0], rev, a)][_assign_term(f.args[1], rev, a)]
         if cls is Not:
             return full ^ value(f.body)
@@ -236,8 +233,8 @@ def _assign_term(t: Term, rev: Sequence[int], a: Mapping[str, int]) -> int:
             return a[t.name]
         except KeyError:
             raise UnassignedVariable(t.name) from None
-    if t.fn != "rev":
-        raise ValueError(f"structure does not interpret function {t.fn!r}")
+    if t.fn != "rev" or len(t.args) != 1:
+        raise ValueError(f"structure does not interpret function {t.fn!r}/{len(t.args)}")
     return rev[_assign_term(t.args[0], rev, a)]
 
 
@@ -271,13 +268,12 @@ def rev_representatives(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(filter(is_least, itertools.product(range(n), repeat=n)))
 
 
-def _scan(sizes: range, rev_range: tuple[int, int] | None = None):
+def _scan(sizes: range):
     """The representative rev tables of every size in `sizes`, in the
-    documented order (`rev_range` slices each size's rev_representatives),
-    as (size, rev, evaluator); the evaluator maps a closed formula to the
-    bitset of the undir tables, for that rev table, in which it holds.  A
-    formula with no rev term takes the same value for every rev table, so
-    it is evaluated once per size."""
+    documented order, as (size, rev, evaluator); the evaluator maps a
+    closed formula to the bitset of the undir tables, for that rev table,
+    in which it holds.  A formula with no rev term takes the same value for
+    every rev table, so it is evaluated once per size."""
     if not sizes or sizes.start < 1 or sizes[-1] > MAX_SIZE:
         raise _size_error(sizes.stop - 1)
     for n in sizes:
@@ -292,8 +288,7 @@ def _scan(sizes: range, rev_range: tuple[int, int] | None = None):
                     shared[f] = v if all(isinstance(t, Var) for t in formula_terms(f)) else None
             return v
 
-        lo, hi = rev_range or (0, None)
-        for rev in rev_representatives(n)[lo:hi]:
+        for rev in rev_representatives(n):
             yield n, rev, (lambda f, rev=rev, value=value: value(f, rev))
 
 
@@ -313,16 +308,10 @@ def _first_countermodel(premises: Sequence[Formula], goal: Formula, scan) -> Str
     return None
 
 
-def countermodel_at_size(
-    premises: Sequence[Formula],
-    goal: Formula,
-    n: int,
-    rev_range: tuple[int, int] | None = None,
-) -> Structure | None:
+def countermodel_at_size(premises: Sequence[Formula], goal: Formula, n: int) -> Structure | None:
     """First structure of size n (documented order) satisfying the premises
-    and falsifying the goal.  rev_range = (lo, hi) restricts the scan to
-    rev_representatives(n)[lo:hi]."""
-    return _first_countermodel(premises, goal, _scan(range(n, n + 1), rev_range))
+    and falsifying the goal."""
+    return _first_countermodel(premises, goal, _scan(range(n, n + 1)))
 
 
 def find_countermodel(

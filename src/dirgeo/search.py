@@ -533,7 +533,7 @@ def _search(
 
     hit = None
     try:
-        for depth in range(1, max(cfg.max_term_depth, 1) + 1):
+        for depth in range(min(1, cfg.max_term_depth), cfg.max_term_depth + 1):
             engine.limits = set()
             ctx = _Context(engine)
             wl: list[_Node] = []

@@ -4,7 +4,6 @@ import sys
 
 import pytest
 
-from dirgeo import cli
 from dirgeo.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EXPECTATION,
@@ -18,31 +17,6 @@ from dirgeo.geometry import axiom
 from dirgeo.kernel import check_proof, parse_proof_script
 from dirgeo.models import Structure, eval_formula
 from dirgeo.syntax import rule_eq
-
-
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        SerialPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    SerialPool.sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    return SerialPool.sizes
 
 
 @pytest.fixture
@@ -83,11 +57,10 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "parse-error" in out and "formula nested too deeply" in out
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_non_utf8_script_is_a_parse_error(self, tmp_path, corpus_files, capsys, jobs):
+    def test_non_utf8_script_is_a_parse_error(self, tmp_path, corpus_files, capsys):
         bad = tmp_path / "latin1.prf"
         bad.write_bytes(b"\xff")
-        code = main(["check", corpus_files[0], str(bad), "--keep-going", "--jobs", jobs])
+        code = main(["check", corpus_files[0], str(bad), "--keep-going"])
         assert code == EXIT_PARSE_ERROR
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 3 and out[1].startswith(f"parse-error {bad}  ")
@@ -97,27 +70,26 @@ class TestCheck:
         assert main(["check", "-"]) == EXIT_PARSE_ERROR
         assert "parse-error -  'utf-8' codec can't decode byte 0xff" in capsys.readouterr().out
 
-    def test_jobs_capped_at_file_count(self, corpus_files, capsys, serial_pool):
-        assert main(["check", *corpus_files, "--jobs", "1000"]) == EXIT_OK
-        assert serial_pool == [len(corpus_files)]
-
-    def test_keep_going(self, tmp_path, capsys):
-        good = tmp_path / "good.prf"
-        good.write_text(script_text("D"))
+    @pytest.fixture
+    def bad_then_good(self, tmp_path):
         bad = tmp_path / "bad.prf"
         bad.write_text(script_text("A").replace("8. UNDIR v2 v3", "8. UNDIR v2 v2"))
-        code = main(["check", str(bad), str(good), "--keep-going"])
+        good = tmp_path / "good.prf"
+        good.write_text(script_text("D"))
+        return [str(bad), str(good)]
+
+    def test_keep_going(self, bad_then_good, capsys):
+        code = main(["check", *bad_then_good, "--keep-going"])
         out = capsys.readouterr().out
         assert code == EXIT_CHECK_FAILED
         assert "invalid" in out and "valid" in out
 
-    def test_jobs_parallel_matches_serial(self, corpus_files, capsys):
-        assert main(["check", *corpus_files, "--jobs", "3"]) == EXIT_OK
-        parallel = capsys.readouterr().out
-        assert main(["check", *corpus_files]) == EXIT_OK
-        serial = capsys.readouterr().out
-        strip = lambda s: [l for l in s.splitlines() if not l.startswith("check:")]
-        assert strip(parallel) == strip(serial)
+    def test_stops_at_first_failure(self, bad_then_good, capsys):
+        assert main(["check", *bad_then_good]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2
+        assert out[0].startswith(f"invalid  {bad_then_good[0]}  line 8")
+        assert out[1].startswith("check: fail (exit 1)")
 
     def test_records_format(self, corpus_files, capsys):
         assert main(["check", corpus_files[0], "--format", "records"]) == EXIT_OK
@@ -249,30 +221,22 @@ class TestModels:
         assert record == {"size": 2, "rev": [0, 0], "undir": [[0, 1], [1, 0]]}
 
     def test_jobs_same_answer(self, capsys):
-        assert main(["models", "--from", "I5,I6", "--goal", "W3", "--max-size", "3",
-                     "--jobs", "3"]) == EXIT_OK
-        parallel = capsys.readouterr().out
-        assert main(["models", "--from", "I5,I6", "--goal", "W3", "--max-size", "3"]) == EXIT_OK
-        serial = capsys.readouterr().out
-        assert parallel.splitlines()[0] == serial.splitlines()[0]
+        # The benchmark's models workload still passes --jobs 2; it is ignored.
+        argv = ["models", "--from", "I6", "--goal", "W1", "--max-size", "4", "--format", "records"]
+        answers = []
+        for extra in (["--jobs", "2"], []):
+            assert main(argv + extra) == EXIT_OK
+            records = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+            answers.append([{k: v for k, v in r.items() if k != "elapsed"} for r in records])
+        assert answers[0] == answers[1]
+        assert answers[0][0]["status"] == "no-countermodel"
 
     @pytest.mark.parametrize("size", ["0", "5"])
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_max_size_outside_bound_exits_2(self, capsys, size, jobs):
-        code = main(["models", "--from", "I6", "--goal", "W1", "--max-size", size,
-                     "--jobs", jobs])
+    def test_max_size_outside_bound_exits_2(self, capsys, size):
+        code = main(["models", "--from", "I6", "--goal", "W1", "--max-size", size])
         assert code == EXIT_PARSE_ERROR
         error = capsys.readouterr().out.splitlines()[0]
         assert "1..4" in error and "expand-defs" not in error
-
-    @pytest.mark.parametrize("size,workers", [("1", []), ("3", [7]), ("4", [19])])
-    def test_jobs_capped_at_slice_count(self, capsys, serial_pool, size, workers):
-        argv = ["models", "--from", "I5,I6", "--goal", "W3", "--max-size", size]
-        assert main(argv) == EXIT_OK
-        serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "1000"]) == EXIT_OK
-        assert serial_pool == workers
-        assert capsys.readouterr().out.splitlines()[0] == serial.splitlines()[0]
 
     def test_expand_defs_resolution(self):
         assert main(["models", "--from", "I7conv", "--goal", "I7", "--max-size", "2",
@@ -366,11 +330,3 @@ class TestConfig:
     def test_negative_flag_exits_2(self, capsys):
         assert main(["prove", "--from", "I6", "--goal", "W1", "--max-depth", "-1"]) == EXIT_PARSE_ERROR
         assert "max_depth" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    @pytest.mark.parametrize("command", [["check", "x.prf"], ["models", "--goal", "W1"]])
-    def test_jobs_below_one_exits_2(self, capsys, serial_pool, command, jobs):
-        assert main(command + ["--jobs", jobs]) == EXIT_PARSE_ERROR
-        captured = capsys.readouterr()
-        assert captured.err == f"--jobs must be at least 1, got {jobs}\n"
-        assert captured.out == "" and serial_pool == []

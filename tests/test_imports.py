@@ -40,10 +40,18 @@ def test_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
-def test_cli_imports_no_numpy():
-    code = "import sys, dirgeo.cli; print('numpy' in sys.modules)"
+def _top_level_modules_after_importing_cli() -> set[str]:
+    code = "import sys, dirgeo.cli; print(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return {name.split(".")[0] for name in out.stdout.split()}
+
+
+def test_cli_imports_no_numpy():
+    assert "numpy" not in _top_level_modules_after_importing_cli()
+
+
+def test_cli_imports_no_process_pool():
+    assert not {"multiprocessing", "concurrent"} & _top_level_modules_after_importing_cli()

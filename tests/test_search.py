@@ -206,6 +206,15 @@ class TestLimits:
         self._fails_at([], goal, SearchConfig(0, 1, 1000), ("max_depth",))
         assert prove([], goal, SearchConfig(1, 1, 1000)).proved
 
+    @pytest.mark.parametrize(
+        "premises,goal", [(["I7", "I8", "ODO"], "I6"), (["I6"], "W1"), (["I5", "ODO"], "OO")]
+    )
+    def test_term_depth_zero_instantiates_at_variables_only(self, premises, goal):
+        r = _prove_names(premises, goal, SearchConfig(2, 0, 20000))
+        assert r.proved and check_proof(r.proof).valid
+        us = [l.just.annot for l in r.proof.lines if l.just.rule is Rule.US]
+        assert us and all(len(a) == 1 and isinstance(a[0][0], Var) for a in us)
+
     def test_both_depth_bounds(self):
         premises = [axiom("I7"), axiom("I8"), axiom("ODO")]
         self._fails_at(premises, axiom("I6"), SearchConfig(0, 1, 20000), ("max_depth", "max_term_depth"))
