@@ -57,13 +57,17 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "parse-error" in out and "formula nested too deeply" in out
 
-    def test_non_utf8_script_is_a_parse_error(self, tmp_path, corpus_files, capsys):
+    # position: where the undecodable script stands among the two files checked
+    @pytest.mark.parametrize("position", [1, 2])
+    def test_non_utf8_script_is_a_parse_error(self, tmp_path, corpus_files, capsys, position):
         bad = tmp_path / "latin1.prf"
         bad.write_bytes(b"\xff")
-        code = main(["check", corpus_files[0], str(bad), "--keep-going"])
+        files = [corpus_files[0]]
+        files.insert(position - 1, str(bad))
+        code = main(["check", *files, "--keep-going"])
         assert code == EXIT_PARSE_ERROR
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 3 and out[1].startswith(f"parse-error {bad}  ")
+        assert len(out) == 3 and out[position - 1].startswith(f"parse-error {bad}  ")
 
     def test_non_utf8_stdin_is_a_parse_error(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
@@ -231,9 +235,12 @@ class TestModels:
         assert answers[0] == answers[1]
         assert answers[0][0]["status"] == "no-countermodel"
 
+    # --jobs is accepted and ignored; the size bound is checked either way
     @pytest.mark.parametrize("size", ["0", "5"])
-    def test_max_size_outside_bound_exits_2(self, capsys, size):
-        code = main(["models", "--from", "I6", "--goal", "W1", "--max-size", size])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_max_size_outside_bound_exits_2(self, capsys, size, jobs):
+        code = main(["models", "--from", "I6", "--goal", "W1", "--max-size", size,
+                     "--jobs", jobs])
         assert code == EXIT_PARSE_ERROR
         error = capsys.readouterr().out.splitlines()[0]
         assert "1..4" in error and "expand-defs" not in error
