@@ -3,9 +3,11 @@
 Exit codes are a stable contract: 0 all verdicts pass, 1 proof-check
 failure, 2 parse error, 3 not proved (refuted, exhausted or over budget),
 4 expectation mismatch (models --expect-*).  Reports print as
-human-readable text or as JSON records (--format records) for CI diffing.
-Proof scripts themselves go to stdout (or --out) so
-`dirgeo prove ... | dirgeo check -` round-trips.
+human-readable text or as JSON records (--format records) for CI diffing;
+a countermodel travels in the record's `countermodel` field.  Proof scripts
+themselves go to stdout (or --out) so `dirgeo prove ... | dirgeo check -`
+round-trips.  Each setting has one flag; the search bounds default to
+SearchConfig's and obey its rule (non-negative integers).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from . import corpus as corpus_mod
 from .geometry import UnknownAxiom, axiom, expand_defs
 from .kernel import ScriptError, check_proof, parse_proof_script, print_proof_script
 from .models import MAX_SIZE, find_countermodel
-from .search import SearchConfig, prove, prove_with_lemmas
-from .syntax import GEOMETRY, IDENT_RE, ParseError, Signature, free_vars, rule_eq
+from .search import SearchConfig, prove
+from .syntax import ParseError, free_vars, rule_eq
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -76,49 +78,6 @@ class RunReport:
             print(f"{self.command}: {overall} in {elapsed:.2f}s", file=stream)
 
 
-# Keys of the config's "search" section; the prove flag of the same name wins.
-_SEARCH_KEYS = ("max_depth", "max_term_depth", "max_lines")
-_SIGNATURE_KEYS = ("predicates", "functions")
-_SECTIONS = {"search": _SEARCH_KEYS, "signature": _SIGNATURE_KEYS}
-
-
-def _load_config(args) -> dict:
-    """The --config file, with the prove flags merged into its "search"
-    section, validated; raises OSError or ValueError with a one-line reason."""
-    cfg = json.loads(Path(args.config).read_text()) if args.config else {}
-    if not isinstance(cfg, dict):
-        raise ValueError("the top level must be a JSON object")
-    unknown = sorted(set(cfg) - set(_SECTIONS))
-    if unknown:
-        raise ValueError(f"unknown section(s): {', '.join(unknown)}")
-    for section, keys in _SECTIONS.items():
-        if not isinstance(cfg.get(section, {}), dict):
-            raise ValueError(f"{section!r} must be a JSON object")
-        unknown = sorted(set(cfg.get(section, {})) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown key(s) in {section!r}: {', '.join(unknown)}")
-    for key in _SIGNATURE_KEYS:
-        arities = cfg.get("signature", {}).get(key, {})
-        if not isinstance(arities, dict) or not all(
-            IDENT_RE.fullmatch(name) and type(n) is int and n >= 0 for name, n in arities.items()
-        ):
-            raise ValueError(f"signature {key!r} must map identifiers to non-negative integers")
-    search = dict(cfg.get("search", {}))
-    search.update({k: getattr(args, k) for k in _SEARCH_KEYS if getattr(args, k, None) is not None})
-    for key in _SEARCH_KEYS:
-        value = search.get(key, 0)
-        if type(value) is not int or value < 0:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"{key} ({flag}) must be a non-negative integer, got {value!r}")
-    cfg["search"] = search
-    return cfg
-
-
-def _signature_from_config(cfg: dict) -> Signature:
-    sig_cfg = cfg.get("signature", {})
-    return GEOMETRY.extended(sig_cfg.get("predicates", {}), sig_cfg.get("functions", {}))
-
-
 def _resolve_sequent(args):
     """(premises, goal) as (name, formula) pairs from --from and --goal: the
     premises a comma-separated list, the goal exactly one name.  Raises
@@ -138,13 +97,12 @@ def _resolve_sequent(args):
 _INPUT_ERRORS = (ScriptError, ParseError, OSError, UnicodeDecodeError)
 
 
-def cmd_check(args, cfg: dict) -> RunReport:
+def cmd_check(args) -> RunReport:
     report = RunReport("check")
-    sig = _signature_from_config(cfg)
     for path in args.paths:
         try:
             text = sys.stdin.read() if path == "-" else Path(path).read_text()
-            proof = parse_proof_script(text, sig)
+            proof = parse_proof_script(text)
             res = check_proof(proof)
         except _INPUT_ERRORS as exc:
             report.add(path, "parse-error", str(exc))
@@ -164,7 +122,7 @@ def cmd_check(args, cfg: dict) -> RunReport:
 # -- prove -------------------------------------------------------------------
 
 
-def cmd_prove(args, cfg: dict) -> RunReport:
+def cmd_prove(args) -> RunReport:
     report = RunReport("prove")
     try:
         premises, (goal_name, goal) = _resolve_sequent(args)
@@ -174,28 +132,19 @@ def cmd_prove(args, cfg: dict) -> RunReport:
         if free_vars(f):
             return report.error(name, "not a closed formula (use --expand-defs?)")
 
-    search_cfg = SearchConfig(**cfg["search"])
-    premise_names = [n for n, _ in premises]
-    premise_formulas = [f for _, f in premises]
-
-    if args.staged:
-        if not {"I5", "ODO"} <= set(premise_names):
-            return report.error(goal_name, "--staged needs I5 and ODO among the premises")
-        lemmas = [([axiom("I5"), axiom("ODO")], axiom("OO"))]
-        result = prove_with_lemmas(premise_formulas, lemmas, goal, search_cfg)
-        mode = "staged (OO lemma inlined)"
-    else:
-        result = prove(premise_formulas, goal, search_cfg)
-        mode = "direct"
-
+    try:
+        search_cfg = SearchConfig(args.max_depth, args.max_term_depth, args.max_lines)
+    except ValueError as exc:
+        return report.error(goal_name, str(exc))
+    result = prove([f for _, f in premises], goal, search_cfg)
     stats = result.stats
     detail = (
-        f"mode={mode} generated={stats.lines_generated} "
+        f"generated={stats.lines_generated} "
         f"instantiations={stats.instantiations_tried} wall={stats.wall_time:.2f}s"
     )
     if result.proved:
         script = print_proof_script(
-            result.proof, header=f"proved {','.join(premise_names)} |- {goal_name}"
+            result.proof, header=f"proved {','.join(n for n, _ in premises)} |- {goal_name}"
         )
         if args.out:
             Path(args.out).write_text(script)
@@ -218,7 +167,7 @@ def cmd_prove(args, cfg: dict) -> RunReport:
 # -- models ------------------------------------------------------------------
 
 
-def cmd_models(args, cfg: dict) -> RunReport:
+def cmd_models(args) -> RunReport:
     report = RunReport("models")
     try:
         premises, (goal_name, goal) = _resolve_sequent(args)
@@ -239,10 +188,7 @@ def cmd_models(args, cfg: dict) -> RunReport:
         if args.expect == "counter":
             report.exit_code = EXIT_EXPECTATION
     else:
-        detail = cm.describe()
-        if args.record:
-            detail = json.dumps(cm.to_record())
-        report.add(label, "countermodel", detail)
+        report.add(label, "countermodel", cm.describe(), countermodel=cm.to_record())
         if args.expect == "none":
             report.exit_code = EXIT_EXPECTATION
     return report
@@ -251,7 +197,7 @@ def cmd_models(args, cfg: dict) -> RunReport:
 # -- corpus ------------------------------------------------------------------
 
 
-def cmd_corpus(args, cfg: dict) -> RunReport:
+def cmd_corpus(args) -> RunReport:
     report = RunReport("corpus")
     for cid in corpus_mod.corpus_ids():
         try:
@@ -293,9 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
         "directed-line geometry fragment.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (search bounds, signature)")
     common.add_argument(
         "--format", choices=("text", "records"), default="text", help="report format"
+    )
+    sequent = argparse.ArgumentParser(add_help=False)
+    sequent.add_argument("--from", dest="premises", default="", help="comma-separated axiom names")
+    sequent.add_argument("--goal", required=True, help="axiom name of the goal")
+    sequent.add_argument(
+        "--expand-defs", action="store_true", help="expand CON/DIR/OPP/INOPP in resolved names"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -304,42 +255,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--keep-going", action="store_true", help="continue past failures")
     p_check.set_defaults(func=cmd_check)
 
-    p_prove = sub.add_parser("prove", help="search for a derivation", parents=[common])
-    p_prove.add_argument("--from", dest="premises", default="", help="comma-separated axiom names")
-    p_prove.add_argument("--goal", required=True, help="axiom name to derive")
-    p_prove.add_argument("--max-depth", type=int, default=None, help="case-split nesting bound")
-    p_prove.add_argument("--max-term-depth", type=int, default=None, help="rev-nesting bound")
-    p_prove.add_argument("--max-lines", type=int, default=None, help="derived-formula budget")
-    p_prove.add_argument("--out", help="write the proof script here instead of stdout")
-    staged = p_prove.add_mutually_exclusive_group()
-    staged.add_argument(
-        "--staged", dest="staged", action="store_true",
-        help="derive the OO lemma from I5,ODO first and inline it",
-    )
-    staged.add_argument(
-        "--direct", dest="staged", action="store_false",
-        help="single search, no lemma staging (the default)",
+    p_prove = sub.add_parser("prove", help="search for a derivation", parents=[common, sequent])
+    p_prove.add_argument(
+        "--max-depth", type=int, default=SearchConfig.max_depth, help="case-split nesting bound"
     )
     p_prove.add_argument(
-        "--expand-defs", action="store_true", help="expand CON/DIR/OPP/INOPP in resolved names"
+        "--max-term-depth", type=int, default=SearchConfig.max_term_depth, help="rev-nesting bound"
     )
+    p_prove.add_argument(
+        "--max-lines", type=int, default=SearchConfig.max_lines, help="derived-formula budget"
+    )
+    p_prove.add_argument("--out", help="write the proof script here instead of stdout")
     p_prove.set_defaults(func=cmd_prove)
 
-    p_models = sub.add_parser("models", help="search finite structures for countermodels", parents=[common])
-    p_models.add_argument("--from", dest="premises", default="", help="comma-separated axiom names")
-    p_models.add_argument("--goal", required=True, help="axiom name to test")
+    p_models = sub.add_parser(
+        "models", help="search finite structures for countermodels", parents=[common, sequent]
+    )
     p_models.add_argument("--max-size", type=int, default=3, help="largest domain size")
     # Accepted and ignored: perfbench/workloads.py still passes --jobs 2.
     p_models.add_argument("--jobs", help=argparse.SUPPRESS)
-    p_models.add_argument("--record", action="store_true", help="print the countermodel as JSON")
     expect = p_models.add_mutually_exclusive_group()
     expect.add_argument(
         "--expect-none", dest="expect", action="store_const", const="none", default=None
     )
     expect.add_argument("--expect-counter", dest="expect", action="store_const", const="counter")
-    p_models.add_argument(
-        "--expand-defs", action="store_true", help="expand CON/DIR/OPP/INOPP in resolved names"
-    )
     p_models.set_defaults(func=cmd_models)
 
     p_corpus = sub.add_parser("corpus", help="run the bundled golden transcripts", parents=[common])
@@ -350,12 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = _load_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    report = args.func(args, cfg)
+    report = args.func(args)
     report.emit(args.format, stream=sys.stderr if args.command == "prove" else sys.stdout)
     return report.exit_code
 

@@ -9,7 +9,7 @@ discharged subproof is reported as a scope violation at the citing line.
 Checker has one rejection path.  Each rule has a _rule_* handler that
 returns the new line's dependency set or raises _Reject(message, kind);
 Checker.add_line is the only place that turns a _Reject into a Verdict, and
-it records the dependencies and the assumption depth of an accepted line.
+it records the dependencies of an accepted line.
 
 Conventions the checker bakes in (all forced by the transcript corpus):
   - formula comparison is modulo associativity/commutativity of & and |,
@@ -128,7 +128,6 @@ class ProofLine:
     number: int
     formula: Formula
     just: Justification
-    depth: int = 0  # assumption-nesting depth; authoritative values come from check
 
 
 @dataclass
@@ -161,7 +160,6 @@ class CheckReport:
     message: str
     premises: tuple[Formula, ...]
     conclusion: Formula | None
-    depths: tuple[int, ...] = ()
 
     def sequent(self) -> str:
         left = ", ".join(print_formula(p) for p in self.premises)
@@ -272,7 +270,6 @@ class Checker:
         self.premises = list(premises)
         self.lines: dict[int, ProofLine] = {}
         self.deps: dict[int, frozenset[int]] = {}
-        self.depths: dict[int, int] = {}
         self.assumption_stack: list[_Frame] = []
         self.case_pairs: dict[int, _CasePair] = {}
         self.open_case_lines: dict[int, Formula] = {}
@@ -333,7 +330,6 @@ class Checker:
         except _Reject as exc:
             return Verdict.violation(exc.kind, str(exc))
         self.deps[n] = frozenset(deps)
-        self.depths[n] = len(self.assumption_stack) + len(self.open_case_lines)
         self.lines[n] = line
         self.next_number += 1
         return _ACCEPTED
@@ -707,8 +703,7 @@ def check_proof(proof: Proof) -> CheckReport:
         return fail(last, "structure", f"existential witness(es) {sorted(witness_leak)} free in the conclusion")
     if proof.show is not None and not rule_eq(proof.show, proof.lines[-1].formula):
         return fail(last, "structure", "conclusion differs from the declared SHOW formula")
-    depths = tuple(checker.depths[l.number] for l in proof.lines)
-    return CheckReport(True, None, "ok", "", premises, conclusion, depths)
+    return CheckReport(True, None, "ok", "", premises, conclusion)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .kernel import (
     Justification,
@@ -82,6 +82,12 @@ class SearchConfig:
     max_depth: int = 2  # case-split nesting bound
     max_term_depth: int = 3  # rev-nesting bound on instantiation terms
     max_lines: int = 50000  # derived-formula budget for the whole call
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{f.name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass

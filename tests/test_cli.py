@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import sys
@@ -10,13 +11,13 @@ from dirgeo.cli import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     EXIT_SEARCH_FAILED,
+    build_parser,
     main,
 )
 from dirgeo.corpus import corpus_ids, script_text
 from dirgeo.geometry import axiom
-from dirgeo.kernel import check_proof, parse_proof_script
 from dirgeo.models import Structure, eval_formula
-from dirgeo.syntax import rule_eq
+from dirgeo.search import SearchConfig
 
 
 @pytest.fixture
@@ -171,25 +172,6 @@ class TestProve:
         report = (captured.err if command == "prove" else captured.out).splitlines()
         assert report[0] == "error    NOPE  unknown axiom name 'NOPE'" and len(report) == 2
 
-    def test_direct_by_default_staged_on_request(self, capsys):
-        assert main(["prove", "--from", "I5,I6,ODO", "--goal", "W2"]) == EXIT_OK
-        assert "mode=direct" in capsys.readouterr().err
-        assert main(["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--staged"]) == EXIT_OK
-        out, err = capsys.readouterr()
-        assert "mode=staged (OO lemma inlined)" in err
-        # The inlined lemma derives OO, which is no premise here.
-        proof = parse_proof_script(out)
-        assert any(rule_eq(line.formula, axiom("OO")) for line in proof.lines)
-        assert check_proof(proof).valid
-
-    def test_staged_without_the_lemma_premises_exits_2(self, capsys):
-        assert main(["prove", "--from", "I6", "--goal", "W1", "--staged"]) == EXIT_PARSE_ERROR
-        assert "--staged needs I5 and ODO among the premises" in capsys.readouterr().err
-
-    def test_direct_flag(self, capsys):
-        assert main(["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--direct"]) == EXIT_OK
-        assert "direct" in capsys.readouterr().err
-
     def test_theorem2_search(self, tmp_path, capsys):
         out = tmp_path / "i6.prf"
         code = main(["prove", "--from", "I7,I8,ODO", "--goal", "I6",
@@ -217,12 +199,16 @@ class TestModels:
                      "--max-size", "4", "--expect-none"]) == EXIT_EXPECTATION
 
     def test_record_output(self, capsys):
-        assert main(["models", "--from", "I5,I6", "--goal", "W2", "--max-size", "2",
-                     "--record"]) == EXIT_OK
-        out = capsys.readouterr().out
-        payload = out[out.index("{"): out.index("}") + 1]
-        record = json.loads(payload)
-        assert record == {"size": 2, "rev": [0, 0], "undir": [[0, 1], [1, 0]]}
+        argv = ["models", "--from", "I5,I6", "--goal", "W2", "--max-size", "2"]
+        assert main(argv + ["--format", "records"]) == EXIT_OK
+        record = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert record["status"] == "countermodel"
+        assert record["countermodel"] == {"size": 2, "rev": [0, 0], "undir": [[0, 1], [1, 0]]}
+        assert record["detail"] == "size=2 rev=[0 0] undir={(0,1), (1,0)}"
+        assert main(argv) == EXIT_OK  # the text form shows the structure, not its record
+        assert capsys.readouterr().out.startswith(
+            "countermodel I5,I6 |= W2  size=2 rev=[0 0] undir={(0,1), (1,0)}\n"
+        )
 
     def test_jobs_same_answer(self, capsys):
         # The benchmark's models workload still passes --jobs 2; it is ignored.
@@ -290,50 +276,73 @@ class TestCorpusCommand:
 
 
 class TestConfig:
-    def test_config_bounds_used_and_flags_override(self, tmp_path, capsys):
-        cfg = tmp_path / "dirgeo.json"
-        cfg.write_text(json.dumps({"search": {"max_lines": 50, "max_term_depth": 1}}))
-        code = main(["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--direct",
-                     "--config", str(cfg)])
-        assert code == EXIT_SEARCH_FAILED  # 50 generated lines is not enough
-        code = main(["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--direct",
-                     "--config", str(cfg), "--max-lines", "30000", "--max-term-depth", "2"])
-        assert code == EXIT_OK
+    """The search bounds: SearchConfig's defaults and its non-negative-int
+    rule, which the prove flags share with library callers."""
+
+    def test_config_bounds_used_and_flags_override(self, capsys):
+        argv = ["prove", "--from", "I5,I6,ODO", "--goal", "W2"]
+        assert main(argv) == EXIT_OK  # SearchConfig's defaults
+        assert main(argv + ["--max-lines", "50", "--max-term-depth", "1"]) == EXIT_SEARCH_FAILED
+        assert main(argv + ["--max-lines", "30000", "--max-term-depth", "2"]) == EXIT_OK
 
     @pytest.mark.parametrize(
-        "text",
-        [
-            "{nope",
-            "[1, 2]",
-            '{"search": [1]}',
-            '{"signature": "GEOMETRY"}',
-            '{"search": {"max_depth": "two"}}',
-            '{"search": {"max_term_depth": -1}}',
-            '{"search": {"max_lines": true}}',
-            '{"search": {"max_lines": 10.5}}',
-            '{"search": {"pool": "everything"}}',
-            '{"search": {"depth": 2}}',
-            '{"signature": {"predicates": [1]}}',
-            '{"signature": {"functions": {"f": -1}}}',
-            '{"signature": {"predicates": {"P": "2"}}}',
-            '{"signature": {"functions": {"2f": 1}}}',
-            '{"signature": {"predicate": {"P": 2}}}',
-            '{"serach": {"max_lines": 5}}',
-        ],
-        ids=["not-json", "top-level-list", "search-not-object", "signature-not-object",
-             "max-depth-string", "negative-term-depth", "bool-max-lines", "float-max-lines",
-             "unknown-pool", "unknown-key", "predicates-not-object", "negative-arity",
-             "string-arity", "bad-function-name", "unknown-signature-key",
-             "unknown-section"],
+        "kwargs, field",
+        [({"max_depth": 2, "max_term_depth": -1, "max_lines": 2000}, "max_term_depth"),
+         ({"max_lines": True}, "max_lines"),
+         ({"max_lines": 10.5}, "max_lines"),
+         ({"max_depth": 2.5}, "max_depth"),
+         ({"max_depth": "two"}, "max_depth")],
+        ids=["negative-term-depth", "bool-max-lines", "float-max-lines", "float-max-depth",
+             "max-depth-string"],
     )
-    def test_bad_config_exits_2(self, tmp_path, capsys, text):
-        cfg = tmp_path / "broken.json"
-        cfg.write_text(text)
-        for argv in (["corpus"], ["prove", "--from", "I6", "--goal", "W1"]):
-            assert main(argv + ["--config", str(cfg)]) == EXIT_PARSE_ERROR
-            captured = capsys.readouterr()
-            assert captured.out == "" and len(captured.err.splitlines()) == 1
+    def test_bad_bound_raises(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a non-negative integer, got "):
+            SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize("flag", ["--max-term-depth", "--max-lines"])
+    def test_negative_bound_flag_is_a_one_line_error(self, capsys, flag):
+        assert main(["prove", "--from", "I6", "--goal", "W1", flag, "-1"]) == EXIT_PARSE_ERROR
+        out, err = capsys.readouterr()
+        field = flag[2:].replace("-", "_")
+        report = err.splitlines()
+        assert out == "" and len(report) == 2
+        assert report[0] == f"error    W1  {field} must be a non-negative integer, got -1"
 
     def test_negative_flag_exits_2(self, capsys):
         assert main(["prove", "--from", "I6", "--goal", "W1", "--max-depth", "-1"]) == EXIT_PARSE_ERROR
         assert "max_depth" in capsys.readouterr().err
+
+
+class TestSurface:
+    """Each setting has one way in: a new option has to be added here."""
+
+    OPTIONS = {
+        "check": {"--format", "--keep-going"},
+        "prove": {"--format", "--from", "--goal", "--expand-defs", "--max-depth",
+                  "--max-term-depth", "--max-lines", "--out"},
+        "models": {"--format", "--from", "--goal", "--expand-defs", "--max-size", "--jobs",
+                   "--expect-none", "--expect-counter"},
+        "corpus": {"--format"},
+    }
+
+    def test_options_per_subcommand(self):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == set(self.OPTIONS)
+        for command, sub in subparsers.choices.items():
+            options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+            assert options == self.OPTIONS[command], command
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(["corpus", "--config", "dirgeo.json"], "--config"),
+         (["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--staged"], "--staged"),
+         (["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--direct"], "--direct"),
+         (["models", "--from", "I5,I6", "--goal", "W2", "--record"], "--record")],
+        ids=["config", "staged", "direct", "record"],
+    )
+    def test_removed_option_is_a_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_PARSE_ERROR
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err.splitlines()[-1]

@@ -519,12 +519,6 @@ class TestSequentReport:
         assert rule_eq(rep.conclusion, entry.declared_conclusion())
         assert rep.sequent().startswith("|- ")
 
-    def test_depths_reported(self):
-        proof, _ = load("A")
-        rep = check_proof(proof)
-        assert len(rep.depths) == 17
-        assert rep.depths[0] == 1 and rep.depths[2] == 3
-
 
 def _formula_mutants():
     """(label, proof): every single-line formula substitution drawn from
