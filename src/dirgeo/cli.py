@@ -232,8 +232,16 @@ def cmd_corpus(args) -> RunReport:
 # -- entry point ---------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is one line on stderr, `dirgeo <cmd>: error: ...`,
+    and exit 2; --help still prints the usage."""
+
+    def error(self, message: str):
+        self.exit(EXIT_PARSE_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dirgeo",
         description="Check, search, and semantically probe derivations in the "
         "directed-line geometry fragment.",

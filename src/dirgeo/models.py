@@ -16,11 +16,12 @@ countermodel, the least member of its class has one too and is <= r*,
 hence is r*.
 
 Two evaluators exist on purpose: eval_formula is the plain recursive
-Tarskian definition; the scan uses a bit-parallel path that evaluates all
-2^(n*n) undir tables for one rev table at once, as a Python int bitset
-with one bit per table.  A formula with no rev term does not depend on the
-rev table, so the scan evaluates it once per size.  The two evaluators'
-agreement is property-tested.
+Tarskian definition, the reference; the scan values all 2^(n*n) undir
+tables for one rev table at once, as a Python int bitset with one bit per
+table, over a plan of the formula (see _plan).  Within one scan, a
+quantified subformula with no rev term is valued once per size and
+assignment of its free variables, and shared by every rev table.  The two
+evaluators' agreement is property-tested.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
+    _CACHE_SIZE,
     And,
+    App,
     Atom,
     Exists,
     Forall,
@@ -42,9 +45,12 @@ from .syntax import (
     Term,
     Var,
     atoms,
+    build_and,
+    build_or,
+    flatten_and,
+    flatten_or,
     formula_terms,
     free_vars,
-    subterms,
 )
 
 # The largest domain size the scan covers: each atom's table takes
@@ -65,8 +71,12 @@ class Structure:
 
     def __post_init__(self):
         n = self.size
-        assert len(self.rev) == n and all(0 <= r < n for r in self.rev)
-        assert len(self.undir) == n and all(len(row) == n for row in self.undir)
+        if type(n) is not int or n < 1:
+            raise ValueError(f"size must be a positive integer, got {n!r}")
+        if len(self.rev) != n or not all(type(r) is int and 0 <= r < n for r in self.rev):
+            raise ValueError(f"rev must be {n} elements of [0, {n}), got {list(self.rev)}")
+        if len(self.undir) != n or any(len(row) != n for row in self.undir):
+            raise ValueError(f"undir must be a {n} x {n} table")
 
     def describe(self) -> str:
         pairs = ", ".join(
@@ -85,6 +95,9 @@ class Structure:
     def from_record(cls, record: Mapping) -> "Structure":
         n = record["size"]
         pairs = {tuple(p) for p in record["undir"]}
+        for p in pairs:
+            if len(p) != 2 or not all(type(i) is int and 0 <= i < n for i in p):
+                raise ValueError(f"undir pair {list(p)} is not a pair of elements of [0, {n})")
         table = tuple(tuple((i, j) in pairs for j in range(n)) for i in range(n))
         return cls(n, table, tuple(record["rev"]))
 
@@ -145,17 +158,19 @@ def interprets(formulas: Iterable[Formula]) -> bool:
     """True iff the structures interpret every formula: each atom is UNDIR
     with two arguments and each function term is rev with one.  A defined
     atom (CON, DIR, ...) or a symbol of a custom signature is not."""
-    return all(
-        atom.pred == "UNDIR"
-        and len(atom.args) == 2
-        and all(
-            isinstance(t, Var) or (t.fn == "rev" and len(t.args) == 1)
-            for arg in atom.args
-            for t in subterms(arg)
-        )
-        for f in formulas
-        for atom in atoms(f)
-    )
+    return _uninterpreted(formulas) is None
+
+
+def _uninterpreted(formulas: Iterable[Formula]) -> str | None:
+    """Why the structures do not interpret some formula, or None."""
+    for f in formulas:
+        for atom in atoms(f):
+            if atom.pred != "UNDIR" or len(atom.args) != 2:
+                return f"structure does not interpret predicate {atom.pred!r}/{len(atom.args)}"
+            for t in formula_terms(atom):
+                if isinstance(t, App) and (t.fn != "rev" or len(t.args) != 1):
+                    return f"structure does not interpret function {t.fn!r}/{len(t.args)}"
+    return None
 
 
 def structure_count(n: int) -> int:
@@ -190,52 +205,119 @@ def _atom_tables(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(table(n * n - 1 - (i * n + j)) for j in range(n)) for i in range(n))
 
 
-def _batch_eval(f: Formula, rev: Sequence[int], atoms, a: dict, n: int) -> int:
+@lru_cache(maxsize=MAX_SIZE)
+def _negated_tables(n: int) -> tuple[tuple[int, ...], ...]:
+    """negated[i][j]: the bitset of the undir tables with cell (i, j) clear."""
     full = (1 << (1 << (n * n))) - 1
+    return tuple(tuple(full ^ t for t in row) for row in _atom_tables(n))
 
-    def value(f: Formula) -> int:
-        cls = type(f)
-        if cls is Atom:
-            if f.pred != "UNDIR" or len(f.args) != 2:
-                raise ValueError(f"structure does not interpret predicate {f.pred!r}/{len(f.args)}")
-            return atoms[_assign_term(f.args[0], rev, a)][_assign_term(f.args[1], rev, a)]
-        if cls is Not:
-            return full ^ value(f.body)
+
+_DUAL = {Forall: Exists, Exists: Forall, And: Or, Or: And}
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _plan(f: Formula, positive: bool) -> Formula:
+    """f, or ~f if not positive, as the scan evaluates it: in negation
+    normal form (no ->, and ~ only on atoms, which read negated atom
+    tables) and miniscoped (see _scope)."""
+    cls = type(f)
+    if cls is Atom:
+        return f if positive else Not(f)
+    if cls is Not:
+        return _plan(f.body, not positive)
+    if cls is Forall or cls is Exists:
+        return _scope(cls if positive else _DUAL[cls], f.var, _plan(f.body, positive))
+    if cls is not And and cls is not Or and cls is not Implies:
+        raise TypeError(f"not a formula: {f!r}")
+    junction = And if cls is And else Or  # A -> B is ~A | B
+    left = _plan(f.left, positive if cls is not Implies else not positive)
+    return (junction if positive else _DUAL[junction])(left, _plan(f.right, positive))
+
+
+def _scope(q, var: str, body: Formula) -> Formula:
+    """q var. body miniscoped: ∀ distributes over & and ∃ over |, and each
+    quantifier keeps only the disjuncts (∀) or conjuncts (∃) in which var
+    is free.  A vacuous quantifier is dropped: domains are non-empty."""
+    spread = And if q is Forall else Or
+    if type(body) is spread:
+        return spread(_scope(q, var, body.left), _scope(q, var, body.right))
+    junction = _DUAL[spread]
+    parts = (flatten_and if junction is And else flatten_or)(body)
+    join = build_and if junction is And else build_or
+    inside = [p for p in parts if var in free_vars(p)]
+    if not inside:
+        return body
+    if len(inside) == 1 and type(inside[0]) is spread:
+        scoped = _scope(q, var, inside[0])
+    else:
+        scoped = q(var, join(inside))
+    return join([p for p in parts if var not in free_vars(p)] + [scoped])
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _memo_key(f: Formula) -> tuple[bool, tuple[str, ...]]:
+    """Whether a quantified plan node is rev-free, and its free variables
+    in order: its value depends only on them, the size and, unless it is
+    rev-free, the rev table."""
+    return not any(isinstance(t, App) for t in formula_terms(f)), tuple(sorted(free_vars(f)))
+
+
+class _Evaluator:
+    """evaluator(f): the bitset of the undir tables of size n in which the
+    closed, interpreted formula f holds for this rev table.  & and | stop
+    early at all-false and all-true.  A quantified plan node is valued once
+    per assignment of its free variables, memoised in `shared`, valid for
+    every rev table of size n, if it is rev-free, and in the evaluator's
+    own memo if not.  No reference cycle holds the memos: they go when the
+    scan drops the evaluator."""
+
+    def __init__(self, n: int, rev: Sequence[int], shared: dict):
+        self.n, self.rev, self.shared, self.own = n, rev, shared, {}
+        self.atoms, self.negated = _atom_tables(n), _negated_tables(n)
+        self.full = (1 << (1 << (n * n))) - 1
+        self.a: dict[str, int] = {}
+
+    def __call__(self, f: Formula) -> int:
+        return self.value(_plan(f, True))
+
+    def term(self, t: Term) -> int:
+        return self.a[t.name] if type(t) is Var else self.rev[self.term(t.args[0])]
+
+    def value(self, g: Formula) -> int:
+        cls, a = type(g), self.a
+        if cls is Atom or cls is Not:
+            x, y = g.args if cls is Atom else g.body.args
+            i = a[x.name] if type(x) is Var else self.term(x)
+            j = a[y.name] if type(y) is Var else self.term(y)
+            return self.atoms[i][j] if cls is Atom else self.negated[i][j]
         if cls is And:
-            return value(f.left) & value(f.right)
+            v = self.value(g.left)
+            return v & self.value(g.right) if v else 0
+        full = self.full
         if cls is Or:
-            return value(f.left) | value(f.right)
-        if cls is Implies:
-            return (full ^ value(f.left)) | value(f.right)
-        if cls is not Forall and cls is not Exists:
-            raise TypeError(f"not a formula: {f!r}")
-        # Bind f.var in `a` itself, restored below; stop once acc is settled.
-        var = f.var
+            v = self.value(g.left)
+            return v | self.value(g.right) if v != full else full
+        rev_free, free = _memo_key(g)
+        memo = self.shared if rev_free else self.own
+        key = (g, *[a[v] for v in free])
+        acc = memo.get(key)
+        if acc is not None:
+            return acc
+        # Bind g.var in `a` itself, restored below; stop once acc is settled.
+        var, body, every = g.var, g.body, cls is Forall
         had, saved = var in a, a.get(var)
-        acc, settled = (full, 0) if cls is Forall else (0, full)
-        for d in range(n):
+        acc, settled = (full, 0) if every else (0, full)
+        for d in range(self.n):
             a[var] = d
-            acc = acc & value(f.body) if cls is Forall else acc | value(f.body)
+            acc = acc & self.value(body) if every else acc | self.value(body)
             if acc == settled:
                 break
         if had:
             a[var] = saved
         else:
             del a[var]
+        memo[key] = acc
         return acc
-
-    return value(f)
-
-
-def _assign_term(t: Term, rev: Sequence[int], a: Mapping[str, int]) -> int:
-    if isinstance(t, Var):
-        try:
-            return a[t.name]
-        except KeyError:
-            raise UnassignedVariable(t.name) from None
-    if t.fn != "rev" or len(t.args) != 1:
-        raise ValueError(f"structure does not interpret function {t.fn!r}/{len(t.args)}")
-    return rev[_assign_term(t.args[0], rev, a)]
 
 
 def _structure_from_index(n: int, rev: Sequence[int], index: int) -> Structure:
@@ -270,32 +352,28 @@ def rev_representatives(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _scan(sizes: range):
     """The representative rev tables of every size in `sizes`, in the
-    documented order, as (size, rev, evaluator); the evaluator maps a
-    closed formula to the bitset of the undir tables, for that rev table,
-    in which it holds.  A formula with no rev term takes the same value for
-    every rev table, so it is evaluated once per size."""
+    documented order, as (size, rev, value); value maps a closed formula to
+    the bitset of the undir tables, for that rev table, in which it holds.
+    The memo of rev-free values lives for one size of one scan."""
     if not sizes or sizes.start < 1 or sizes[-1] > MAX_SIZE:
         raise _size_error(sizes.stop - 1)
     for n in sizes:
-        atoms = _atom_tables(n)
-        shared: dict[Formula, int | None] = {}  # the value of a rev-free formula, else None
-
-        def value(f, rev, atoms=atoms, n=n, shared=shared):
-            v = shared.get(f)
-            if v is None:
-                v = _batch_eval(f, rev, atoms, {}, n)
-                if f not in shared:
-                    shared[f] = v if all(isinstance(t, Var) for t in formula_terms(f)) else None
-            return v
-
+        shared: dict = {}
         for rev in rev_representatives(n):
-            yield n, rev, (lambda f, rev=rev, value=value: value(f, rev))
+            yield n, rev, _Evaluator(n, rev, shared)
+
+
+def _require(formulas: Sequence[Formula], open_message: str) -> None:
+    """Raise ValueError unless every formula is closed and interpreted."""
+    if any(free_vars(f) for f in formulas):
+        raise ValueError(open_message)
+    why = _uninterpreted(formulas)
+    if why:
+        raise ValueError(why)
 
 
 def _first_countermodel(premises: Sequence[Formula], goal: Formula, scan) -> Structure | None:
-    for f in list(premises) + [goal]:
-        if free_vars(f):
-            raise ValueError("premises and goal must be closed")
+    _require(list(premises) + [goal], "premises and goal must be closed")
     refuted = Not(goal)
     for n, rev, value in scan:
         mask = value(refuted)
@@ -325,8 +403,7 @@ def find_countermodel(
 def equivalent_on_all(f: Formula, g: Formula, max_n: int) -> bool:
     """True iff f and g take the same truth value in every structure of
     size <= max_n (both closed; max_n at most MAX_SIZE)."""
-    if free_vars(f) or free_vars(g):
-        raise ValueError("formulas must be closed")
+    _require([f, g], "formulas must be closed")
     return all(value(f) == value(g) for _, _, value in _scan(range(1, max_n + 1)))
 
 

@@ -346,3 +346,11 @@ class TestSurface:
             main(argv)
         assert exc.value.code == EXIT_PARSE_ERROR
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err.splitlines()[-1]
+
+    def test_usage_error_is_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["prove", "--from", "I6", "--goal", "W1", "--max-lines", "10.5"])
+        assert exc.value.code == EXIT_PARSE_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["dirgeo prove: error: argument --max-lines: invalid int value: '10.5'"]

@@ -10,7 +10,7 @@ from dirgeo.models import (
     Structure,
     UnassignedVariable,
     _atom_tables,
-    _batch_eval,
+    _Evaluator,
     _structure_from_index,
     countermodel_at_size,
     direction_circle,
@@ -22,7 +22,7 @@ from dirgeo.models import (
     rev_representatives,
     structure_count,
 )
-from dirgeo.syntax import GEOMETRY, GEOMETRY_WITH_DEFS, build_and, parse_formula
+from dirgeo.syntax import GEOMETRY, GEOMETRY_WITH_DEFS, Not, build_and, parse_formula
 from helpers import closed_up, random_formula
 
 
@@ -88,17 +88,17 @@ class TestEnumeration:
     @pytest.mark.parametrize("seed", range(10))
     def test_batch_agrees_with_recursive_eval(self, seed):
         rng = random.Random(5000 + seed)
-        f = closed_up(random_formula(rng, depth=3))
-        n = 2
-        atoms = _atom_tables(n)
-        structures = list(enumerate_structures(n))
-        for rev in itertools.product(range(n), repeat=n):
-            got = _batch_eval(f, rev, atoms, {}, n)
-            for idx in range(2 ** (n * n)):
-                s = next(
-                    t for t in structures if t.rev == rev and _undir_index(t) == idx
-                )
-                assert bool(got >> idx & 1) == eval_formula(s, f)
+        _assert_scan_agrees(closed_up(random_formula(rng, depth=3)))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(Ax)[UNDIR x x | (Ax)UNDIR x [rev x]]",
+         "(Ax)[UNDIR x x | (Ey)[(Ax)UNDIR y x & UNDIR x [rev y]]]",
+         "(Ax)(Ay)UNDIR x x"],
+        ids=["shadowed-binder", "nested-shadowed-binder", "vacuous-quantifier"],
+    )
+    def test_batch_agrees_where_miniscoping_moves_binders(self, text):
+        _assert_scan_agrees(parse_formula(text))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_atom_tables_match_the_decoded_structures(self, n):
@@ -110,11 +110,22 @@ class TestEnumeration:
                     assert bool(atoms[i][j] >> k & 1) == s.undir[i][j], (k, i, j)
 
 
-def _undir_index(s: Structure) -> int:
-    bits = "".join(
-        "1" if s.undir[i][j] else "0" for i in range(s.size) for j in range(s.size)
-    )
-    return int(bits, 2)
+def _assert_scan_agrees(f):
+    """The scan's evaluator agrees with eval_formula at sizes 1..3, for
+    every rev table, with one memo shared by all rev tables of a size as in
+    a scan, and with ~f valued first to fill it.  Every undir table is
+    compared at sizes 1 and 2, a seeded sample of 64 at size 3."""
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        shared = {}
+        for rev in itertools.product(range(n), repeat=n):
+            value = _Evaluator(n, rev, shared)
+            value(Not(f))
+            got = value(f)
+            indices = range(2 ** (n * n))
+            for idx in indices if n < 3 else rng.sample(indices, 64):
+                s = _structure_from_index(n, rev, idx)
+                assert bool(got >> idx & 1) == eval_formula(s, f), (n, rev, idx)
 
 
 class TestCountermodels:
@@ -214,9 +225,9 @@ def _every_rev_table(n):
     """(size, rev, evaluator) for all n^n rev tables of each size up to n,
     in the documented order: the scan before the symmetry reduction."""
     for size in range(1, n + 1):
-        atoms = _atom_tables(size)
+        shared = {}
         for rev in itertools.product(range(size), repeat=size):
-            yield size, rev, (lambda f, rev=rev, atoms=atoms, size=size: _batch_eval(f, rev, atoms, {}, size))
+            yield size, rev, _Evaluator(size, rev, shared)
 
 
 def _full_scan_countermodel(premises, goal, max_n):
@@ -270,6 +281,17 @@ class TestRecords:
     def test_roundtrip(self):
         s = _struct(3, {(0, 1), (2, 0)}, rev=(1, 2, 0))
         assert Structure.from_record(s.to_record()) == s
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [({"size": 2, "rev": [0, 5], "undir": [[0, 1]]}, "rev"),
+         ({"size": 2, "rev": [0, 1], "undir": [[0, 7]]}, "undir"),
+         ({"size": 0, "rev": [], "undir": []}, "size")],
+        ids=["rev", "undir", "size"],
+    )
+    def test_out_of_range_record_is_a_value_error(self, record, field):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            Structure.from_record(record)
 
     def test_describe(self):
         s = _struct(2, {(0, 1)}, rev=(1, 0))
