@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import random
 
 import pytest
 
 from dirgeo.corpus import corpus_ids, load
+from dirgeo.geometry import axiom
 from dirgeo.kernel import (
     Justification,
     Proof,
@@ -18,6 +20,7 @@ from dirgeo.kernel import (
     rule_from_name,
 )
 from dirgeo.models import find_countermodel
+from dirgeo.search import SearchConfig, prove, prove_with_lemmas
 from dirgeo.syntax import App, Var, canonical_key, parse_formula, rule_eq
 from helpers import closed_up
 
@@ -520,11 +523,46 @@ class TestSequentReport:
         assert rep.sequent().startswith("|- ")
 
 
-def _formula_mutants():
-    """(label, proof): every single-line formula substitution drawn from
-    the same corpus proof's other, canonically distinct formulas."""
+def _corpus_proofs():
+    """(label, proof) for each corpus transcript."""
     for cid in corpus_ids():
-        proof, _ = load(cid)
+        yield cid, load(cid)[0]
+
+
+# The acceptance theorems the prover derives: (label, premises, goal,
+# staged via the OO lemma, (max_depth, max_term_depth)).
+_ACCEPTANCE_SEARCHES = [
+    ("W1", ["I6"], "W1", False, (2, 1)),
+    ("W4", ["I6"], "W4", False, (2, 1)),
+    ("OO", ["I5", "ODO"], "OO", False, (1, 1)),
+    ("W2-staged", ["I5", "I6", "ODO"], "W2", True, (2, 2)),
+    ("W3-staged", ["I5", "I6", "ODO"], "W3", True, (2, 2)),
+    ("W2", ["I5", "I6", "ODO"], "W2", False, (2, 2)),
+    ("I6", ["I7", "I8", "ODO"], "I6", False, (2, 3)),
+]
+
+
+@functools.cache
+def _emitted_proofs():
+    """(label, proof) for the prover's script of each acceptance theorem."""
+    out = []
+    for label, premises, goal, staged, (depth, term_depth) in _ACCEPTANCE_SEARCHES:
+        cfg = SearchConfig(max_depth=depth, max_term_depth=term_depth)
+        premises = [axiom(p) for p in premises]
+        if staged:
+            lemmas = [([axiom("I5"), axiom("ODO")], axiom("OO"))]
+            r = prove_with_lemmas(premises, lemmas, axiom(goal), cfg)
+        else:
+            r = prove(premises, axiom(goal), cfg)
+        assert r.proved, label
+        out.append((label, r.proof))
+    return tuple(out)
+
+
+def _formula_mutants(proofs):
+    """(label, proof): every single-line formula substitution drawn from
+    the same proof's other, canonically distinct formulas."""
+    for name, proof in proofs:
         keys = [canonical_key(l.formula) for l in proof.lines]
         pool = {}
         for k, l in zip(keys, proof.lines):
@@ -534,7 +572,7 @@ def _formula_mutants():
                 if k != keys[i]:
                     mutated = list(proof.lines)
                     mutated[i] = dataclasses.replace(line, formula=formula)
-                    yield f"{cid}:{line.number}:{j}", Proof(proof.premises, mutated, proof.show)
+                    yield f"{name}:{line.number}:{j}", Proof(proof.premises, mutated, proof.show)
 
 
 def _renumbered(lines, shift):
@@ -547,14 +585,13 @@ def _renumbered(lines, shift):
     ]
 
 
-def _justification_mutants():
-    """(label, proof): every corpus line with its rule swapped, its cites
+def _justification_mutants(proofs):
+    """(label, proof): every line with its rule swapped, its cites
     reversed, one cite set to 0, n+1, n or n-1, its cites dropped, an
     annotation term wrapped in rev, an annotation variable renamed, its
     annotation dropped or added; and every line deleted or duplicated,
     with the cites of the lines after it following them."""
-    for cid in corpus_ids():
-        proof, _ = load(cid)
+    for name, proof in proofs:
         lines = proof.lines
         for i, line in enumerate(lines):
             n, just = line.number, line.just
@@ -562,7 +599,7 @@ def _justification_mutants():
             def variant(tag, **changes):
                 mutated = list(lines)
                 mutated[i] = dataclasses.replace(line, just=dataclasses.replace(just, **changes))
-                return f"{cid}:{n}:{tag}", Proof(proof.premises, mutated, proof.show)
+                return f"{name}:{n}:{tag}", Proof(proof.premises, mutated, proof.show)
 
             for rule in Rule:
                 if rule is not just.rule:
@@ -585,34 +622,57 @@ def _justification_mutants():
             else:
                 yield variant("annot-added", annot=((Var("v1"), "x"),))
             deleted = _renumbered(lines[:i] + lines[i + 1:], lambda c: c - (c >= n))
-            yield f"{cid}:{n}:deleted", Proof(proof.premises, deleted, proof.show)
+            yield f"{name}:{n}:deleted", Proof(proof.premises, deleted, proof.show)
             doubled = _renumbered(lines[: i + 1] + lines[i:], lambda c: c + (c > n))
-            yield f"{cid}:{n}:duplicated", Proof(proof.premises, doubled, proof.show)
+            yield f"{name}:{n}:duplicated", Proof(proof.premises, doubled, proof.show)
+
+
+def _verdicts(mutants):
+    """The first 16 hex digits of a sha256 over every mutant's label and
+    verdict, and the reports."""
+    digest, reports = hashlib.sha256(), []
+    for label, proof in mutants:
+        rep = check_proof(proof)
+        digest.update(repr((label, rep.valid, rep.line, rep.kind, rep.message)).encode() + b"\n")
+        reports.append(rep)
+    return digest.hexdigest()[:16], reports
+
+
+def _accepted_without_countermodel(reports):
+    """The accepted reports; each certifies only what holds up to size 3."""
+    accepted = [r for r in reports if r.valid]
+    for r in accepted:
+        assert find_countermodel(r.premises, closed_up(r.conclusion), 3) is None, r.sequent()
+    return accepted
 
 
 class TestVerdictFingerprint:
     """Every verdict of the kernel on two mutation sweeps of the corpus:
     a refactoring of the checker must change no verdict and no message."""
 
-    @staticmethod
-    def _digest(mutants):
-        digest, reports = hashlib.sha256(), []
-        for label, proof in mutants:
-            rep = check_proof(proof)
-            digest.update(repr((label, rep.valid, rep.line, rep.kind, rep.message)).encode() + b"\n")
-            reports.append(rep)
-        return digest.hexdigest()[:16], reports
-
     def test_formula_mutants(self):
-        digest, reports = self._digest(_formula_mutants())
+        digest, reports = _verdicts(_formula_mutants(_corpus_proofs()))
         assert len(reports) == 5723 and not any(r.valid for r in reports)
         assert digest == "1fcc1d0f26cba61a"
 
     def test_justification_mutants(self):
-        digest, reports = self._digest(_justification_mutants())
-        accepted = [r for r in reports if r.valid]
+        digest, reports = _verdicts(_justification_mutants(_corpus_proofs()))
+        accepted = _accepted_without_countermodel(reports)
         assert (len(reports), len(accepted)) == (4779, 347)
         assert digest == "b5bec419f17adf0c"
-        # an accepted mutant still certifies only what holds
-        for r in accepted:
-            assert find_countermodel(r.premises, closed_up(r.conclusion), 3) is None, r.sequent()
+
+
+class TestEmittedScriptFingerprint:
+    """The same two sweeps over the prover's scripts of the acceptance
+    theorems, whose lines and rules differ from the transcripts'."""
+
+    def test_formula_mutants(self):
+        digest, reports = _verdicts(_formula_mutants(_emitted_proofs()))
+        assert len(reports) == 6135 and not any(r.valid for r in reports)
+        assert digest == "ad3131ccddbbc049"
+
+    def test_justification_mutants(self):
+        digest, reports = _verdicts(_justification_mutants(_emitted_proofs()))
+        accepted = _accepted_without_countermodel(reports)
+        assert (len(reports), len(accepted)) == (5530, 390)
+        assert digest == "a5901f93570a8d71"
