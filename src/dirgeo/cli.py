@@ -49,8 +49,8 @@ class RunReport:
         self.exit_code = EXIT_PARSE_ERROR
         return self
 
-    def emit(self, fmt: str, stream=None) -> None:
-        stream = stream or sys.stdout
+    def emit(self, fmt: str) -> None:
+        stream = sys.stderr if self.command == "prove" else sys.stdout
         elapsed = time.monotonic() - self.started
         if fmt == "records":
             for item in self.items:
@@ -232,12 +232,20 @@ def cmd_corpus(args) -> RunReport:
 # -- entry point ---------------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """A bad command line: (message, prog of the parser that read it)."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """A usage error is one line on stderr, `dirgeo <cmd>: error: ...`,
-    and exit 2; --help still prints the usage."""
+    """Raises _UsageError for main to report; --help still prints the usage."""
 
     def error(self, message: str):
-        self.exit(EXIT_PARSE_ERROR, f"{self.prog}: error: {message}\n")
+        raise _UsageError(message, self.prog)
+
+
+# The option every subcommand takes; main also reads it after a usage error.
+_FORMAT = _ArgumentParser(add_help=False)
+_FORMAT.add_argument("--format", choices=("text", "records"), default="text", help="report format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dirgeo",
         description="Check, search, and semantically probe derivations in the "
         "directed-line geometry fragment.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "records"), default="text", help="report format"
     )
     sequent = argparse.ArgumentParser(add_help=False)
     sequent.add_argument("--from", dest="premises", default="", help="comma-separated axiom names")
@@ -258,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_check = sub.add_parser("check", help="verify proof scripts", parents=[common])
+    p_check = sub.add_parser("check", help="verify proof scripts", parents=[_FORMAT])
     p_check.add_argument("paths", nargs="+", help="script files ('-' for stdin)")
     p_check.add_argument("--keep-going", action="store_true", help="continue past failures")
     p_check.set_defaults(func=cmd_check)
 
-    p_prove = sub.add_parser("prove", help="search for a derivation", parents=[common, sequent])
+    p_prove = sub.add_parser("prove", help="search for a derivation", parents=[_FORMAT, sequent])
     p_prove.add_argument(
         "--max-depth", type=int, default=SearchConfig.max_depth, help="case-split nesting bound"
     )
@@ -277,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.set_defaults(func=cmd_prove)
 
     p_models = sub.add_parser(
-        "models", help="search finite structures for countermodels", parents=[common, sequent]
+        "models", help="search finite structures for countermodels", parents=[_FORMAT, sequent]
     )
     p_models.add_argument("--max-size", type=int, default=3, help="largest domain size")
     # Accepted and ignored: perfbench/workloads.py still passes --jobs 2.
@@ -289,17 +293,35 @@ def build_parser() -> argparse.ArgumentParser:
     expect.add_argument("--expect-counter", dest="expect", action="store_const", const="counter")
     p_models.set_defaults(func=cmd_models)
 
-    p_corpus = sub.add_parser("corpus", help="run the bundled golden transcripts", parents=[common])
+    p_corpus = sub.add_parser("corpus", help="run the bundled golden transcripts", parents=[_FORMAT])
     p_corpus.set_defaults(func=cmd_corpus)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _usage_error(*exc.args, argv)
     report = args.func(args)
-    report.emit(args.format, stream=sys.stderr if args.command == "prove" else sys.stdout)
+    report.emit(args.format)
     return report.exit_code
+
+
+def _usage_error(message: str, prog: str, argv: list[str]):
+    """Exit 2 with one stderr line, or under a subcommand's --format
+    records with an `error` item and the summary record."""
+    command = prog.partition(" ")[2]
+    try:
+        records = command and _FORMAT.parse_known_args(argv)[0].format == "records"
+    except _UsageError:  # a bad --format value
+        records = False
+    if records:
+        RunReport(command).error("usage", message).emit("records")
+    else:
+        print(f"{prog}: error: {message}", file=sys.stderr)
+    sys.exit(EXIT_PARSE_ERROR)
 
 
 if __name__ == "__main__":

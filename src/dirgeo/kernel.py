@@ -18,8 +18,8 @@ Conventions the checker bakes in (all forced by the transcript corpus):
   - LDS/RDS and case splits read the top-level | of the cited line
     as written, never the flattened view;
   - two-line citations (MP, MT, LDS, RDS) are order-insensitive;
-  - US/EG/SUB substitutions are inferred by matching when no annotation
-    is given.
+  - US/EE/EG/SUB substitutions are inferred by matching when no annotation
+    is given; EG reads no annotation.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ from .syntax import (
     Signature,
     Term,
     Var,
-    alpha_eq,
+    canonical_key,
     conjunct_members,
+    contradiction_keys,
     de_morgan,
     distributions,
     flatten_or,
-    formula_terms,
     free_vars,
     imp_result,
     negated_quantifier_view,
@@ -58,7 +58,6 @@ from .syntax import (
     print_annotation_term,
     print_formula,
     rule_eq,
-    strip_double_neg,
     substitute,
 )
 
@@ -168,29 +167,9 @@ class CheckReport:
 
 
 def _contradicts(f: Formula, g: Formula) -> bool:
-    """Complementary modulo one double negation, alpha, and the
-    negated-quantifier view (the latter two live in rule_eq)."""
-    for a, b in ((f, g), (strip_double_neg(f), strip_double_neg(g))):
-        if isinstance(a, Not) and rule_eq(a.body, b):
-            return True
-        if isinstance(b, Not) and rule_eq(b.body, a):
-            return True
-    return False
-
-
-def _candidate_terms(f: Formula) -> list[Term]:
-    """Distinct term occurrences of f, for substitution inference."""
-    return list(dict.fromkeys(formula_terms(f)))
-
-
-def _infer_single_subst(body: Formula, var: str, target: Formula) -> Term | None:
-    """A term t with body[var := t] equal (mod alpha) to target, if any."""
-    if var not in free_vars(body):
-        return None if not alpha_eq(body, target) else Var(var)
-    for t in _candidate_terms(target):
-        if alpha_eq(substitute(body, {var: t}), target):
-            return t
-    return None
+    """One is, up to rule_eq, the negation of the other, or the body of the
+    other's ~ or ~~~: the test the search indexes by."""
+    return canonical_key(g) in contradiction_keys(f) or canonical_key(f) in contradiction_keys(g)
 
 
 def _match_vars_to_terms(pattern: Formula, target: Formula, eligible: frozenset[str]) -> dict[str, Term] | None:
@@ -230,6 +209,26 @@ def _match_vars_to_terms(pattern: Formula, target: Formula, eligible: frozenset[
         return False
 
     return binding if walk(pattern, target, {}) else None
+
+
+def _infer_single_subst(body: Formula, var: str, target: Formula) -> Term | None:
+    """The term matching binds var to, Var(var) if var is not bound, None if
+    body does not match target; the caller checks body[var := t]."""
+    binding = _match_vars_to_terms(body, target, frozenset((var,)))
+    return None if binding is None else binding.get(var, Var(var))
+
+
+def _instance_term(rule: Rule, just: Justification, g: Forall | Exists, f: Formula) -> Term | None:
+    """The term a US or EE line f puts for g's variable: that of its one
+    annotation, or else the one matching infers."""
+    if not just.annot:
+        return _infer_single_subst(g.body, g.var, f)
+    if len(just.annot) != 1:
+        raise _Reject(f"{rule.value}: exactly one (term var) annotation expected")
+    t, v = just.annot[0]
+    if v != g.var:
+        raise _Reject(f"{rule.value}: annotation variable {v!r} does not match bound {g.var!r}")
+    return t
 
 
 @dataclass
@@ -306,10 +305,7 @@ class Checker:
         return self.lines[j]
 
     def _union_deps(self, cited: list[ProofLine]) -> set[int]:
-        out: set[int] = set()
-        for c in cited:
-            out |= self.deps[c.number]
-        return out
+        return set().union(*(self.deps[c.number] for c in cited))
 
     # -- the rule engine ---------------------------------------------------
 
@@ -517,16 +513,9 @@ class Checker:
         g = negated_quantifier_view(c.formula)
         if not isinstance(g, Forall):
             raise _Reject("US: cited line is not universal")
-        if just.annot:
-            if len(just.annot) != 1:
-                raise _Reject("US: exactly one (term var) annotation expected")
-            t, v = just.annot[0]
-            if v != g.var:
-                raise _Reject(f"US: annotation variable {v!r} does not match bound {g.var!r}")
-        else:
-            t = _infer_single_subst(g.body, g.var, f)
-            if t is None:
-                raise _Reject("US: cannot infer the instantiation term")
+        t = _instance_term(Rule.US, just, g, f)
+        if t is None:
+            raise _Reject("US: cannot infer the instantiation term")
         expected = substitute(g.body, {g.var: t})
         if not rule_eq(f, expected):
             raise _mismatch(Rule.US, expected, f)
@@ -596,40 +585,32 @@ class Checker:
 
     @staticmethod
     def _eg_abstracts(e: Formula, source: Formula) -> bool:
-        return isinstance(e, Exists) and _infer_single_subst(e.body, e.var, source) is not None
+        if not isinstance(e, Exists):
+            return False
+        t = _infer_single_subst(e.body, e.var, source)
+        return t is not None and rule_eq(substitute(e.body, {e.var: t}), source)
 
     def _eg_matches(self, f: Formula, g: Formula) -> bool:
         if self._eg_abstracts(f, g):
             return True
-        fc = flatten_or(f)
-        gc = flatten_or(g)
-        if len(fc) != len(gc):
-            return False
-        remaining_f = list(fc)
-        remaining_g = list(gc)
-        for x in fc:
-            for y in remaining_g:
-                if rule_eq(x, y):
-                    remaining_f.remove(x)
-                    remaining_g.remove(y)
-                    break
-        if len(remaining_f) != 1 or len(remaining_g) != 1:
-            return False
-        return self._eg_abstracts(remaining_f[0], remaining_g[0])
+        rest_f, rest_g = [], flatten_or(g)
+        for x in flatten_or(f):
+            y = next((y for y in rest_g if rule_eq(x, y)), None)
+            if y is None:
+                rest_f.append(x)
+            else:
+                rest_g.remove(y)
+        return len(rest_f) == len(rest_g) == 1 and self._eg_abstracts(rest_f[0], rest_g[0])
 
     def _rule_ee(self, n, f, just, cited):
         (c,) = cited
         g = negated_quantifier_view(c.formula)
         if not isinstance(g, Exists):
             raise _Reject("EE: cited line is not existential")
-        if just.annot:
-            t, v = just.annot[0]
-            if v != g.var or not isinstance(t, Var):
-                raise _Reject("EE: annotation must name a fresh variable")
-        else:
-            t = _infer_single_subst(g.body, g.var, f)
-            if not isinstance(t, Var):
-                raise _Reject("EE: cannot infer a variable witness")
+        t = _instance_term(Rule.EE, just, g, f)
+        if not isinstance(t, Var):
+            raise _Reject("EE: annotation must name a fresh variable" if just.annot
+                          else "EE: cannot infer a variable witness")
         witness = t.name
         seen: set[str] = set()
         for p in self.premises:

@@ -64,6 +64,7 @@ from .syntax import (
     bound_vars,
     canonical_key,
     conjunct_members,
+    contradiction_keys,
     de_morgan,
     distributions,
     flatten_or,
@@ -72,7 +73,6 @@ from .syntax import (
     neg,
     print_term,
     rule_eq,
-    strip_double_neg,
     substitute,
     term_vars,
 )
@@ -126,19 +126,6 @@ class _Node:
     annot: tuple[tuple[Term, str], ...] = ()
     seq: int = 0
     extra: tuple["_Node", ...] = ()  # emission-only dependencies (case openings)
-
-
-def _contra_keys(f: Formula) -> set:
-    """Canonical keys of formulas that contradict f."""
-    out = {canonical_key(Not(f))}
-    if isinstance(f, Not):
-        out.add(canonical_key(f.body))
-    s = strip_double_neg(f)
-    if s is not f:
-        out.add(canonical_key(Not(s)))
-        if isinstance(s, Not):
-            out.add(canonical_key(s.body))
-    return out
 
 
 def _term_depth(t: Term) -> int:
@@ -258,7 +245,7 @@ class _Context:
             self.universals.append(node)
         if isinstance(f, Implies):
             self._index(self.by_antecedent, canonical_key(f.left), node)
-            for ck in _contra_keys(f.right):
+            for ck in contradiction_keys(f.right):
                 self._index(self.mt_index, ck, node)
             # IMP normalization
             self.add(eng.node(imp_result(f), Rule.IMP, (node,)), worklist)
@@ -266,17 +253,17 @@ class _Context:
             minor = self.nodes.get(canonical_key(f.left))
             if minor is not None:
                 self.add(eng.node(f.right, Rule.MP, (node, minor)), worklist)
-            for ck in _contra_keys(f.right):
+            for ck in contradiction_keys(f.right):
                 other = self.nodes.get(ck)
                 if other is not None:
                     self.add(eng.node(Not(f.left), Rule.MT, (node, other)), worklist)
         if isinstance(f, Or):
-            for ck in _contra_keys(f.left):
+            for ck in contradiction_keys(f.left):
                 self._index(self.lds_index, ck, node)
                 unit = self.nodes.get(ck)
                 if unit is not None:
                     self.add(eng.node(f.right, Rule.LDS, (node, unit)), worklist)
-            for ck in _contra_keys(f.right):
+            for ck in contradiction_keys(f.right):
                 self._index(self.rds_index, ck, node)
                 unit = self.nodes.get(ck)
                 if unit is not None:

@@ -706,6 +706,19 @@ def rule_eq(f: Formula, g: Formula) -> bool:
     return f is g or canonical_key(f) == canonical_key(g)
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def contradiction_keys(f: Formula) -> tuple:
+    """Canonical keys of the formulas that contradict f: ~f, the body of f if
+    f is a negation, and t if f is ~~~t, in that order, without repeats.  The
+    search indexes by them, so a tuple keeps it deterministic."""
+    keys = [canonical_key(Not(f))]
+    if isinstance(f, Not):
+        keys.append(canonical_key(f.body))
+        if isinstance(f.body, Not) and isinstance(f.body.body, Not):
+            keys.append(canonical_key(f.body.body.body))
+    return tuple(dict.fromkeys(keys))
+
+
 def flatten_or(f: Formula) -> list[Formula]:
     return list(_flat(f, Or))
 
@@ -731,12 +744,6 @@ def build_and(parts: list[Formula]) -> Formula:
 def neg(f: Formula) -> Formula:
     """~X, with one double negation removed: neg(~X) = X."""
     return f.body if isinstance(f, Not) else Not(f)
-
-
-def strip_double_neg(f: Formula) -> Formula:
-    if isinstance(f, Not) and isinstance(f.body, Not):
-        return f.body.body
-    return f
 
 
 def imp_result(f: Implies) -> Formula:

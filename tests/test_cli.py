@@ -354,3 +354,16 @@ class TestSurface:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["dirgeo prove: error: argument --max-lines: invalid int value: '10.5'"]
+
+    @pytest.mark.parametrize("command, flag", [("models", "--max-size"), ("prove", "--max-lines")])
+    def test_usage_error_under_records(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--goal", "W1", flag, "x", "--format", "records"])
+        assert exc.value.code == EXIT_PARSE_ERROR
+        out, err = capsys.readouterr()
+        report, other = (err, out) if command == "prove" else (out, err)
+        records = [json.loads(line) for line in report.splitlines()]
+        assert other == "" and [r["status"] for r in records] == ["error", "fail"]
+        assert records[0] == {"command": command, "item": "usage", "status": "error",
+                              "detail": f"argument {flag}: invalid int value: 'x'"}
+        assert records[1]["exit_code"] == EXIT_PARSE_ERROR

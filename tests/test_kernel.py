@@ -104,6 +104,15 @@ class TestCheckLine:
         ])
         assert check_line(prefix, _line(3, "UNDIR v3 [rev v2]", Rule.LDS, 1, 2)).ok
 
+    @pytest.mark.parametrize("rule", [Rule.LDS, Rule.MT])
+    def test_universal_contradicts_existential(self, rule):
+        # (Ax)~P is ~(Ex)P under the negated-quantifier view
+        cancelled = "(Ex)UNDIR x x"
+        cited = f"{cancelled} | UNDIR v1 v2" if rule is Rule.LDS else f"UNDIR v1 v2 -> {cancelled}"
+        conclusion = "UNDIR v1 v2" if rule is Rule.LDS else "~UNDIR v1 v2"
+        prefix = _proof([], [_assume(1, "(Ax)~UNDIR x x"), _assume(2, cited)])
+        assert check_line(prefix, _line(3, conclusion, rule, 2, 1)).ok
+
     def test_rds(self):
         prefix = _proof([], [
             _assume(1, "~UNDIR v2 v2"),
@@ -170,6 +179,12 @@ class TestCheckLine:
         prefix = _proof([], [_assume(1, "UNDIR [rev v2] [rev v2]")])
         assert check_line(prefix, _line(2, "(Ew)UNDIR w w", Rule.EG, 1)).ok
         assert check_line(prefix, _line(2, "(Ew)UNDIR w [rev v2]", Rule.EG, 1)).ok
+
+    def test_eg_checks_its_instance(self):
+        # matching binds x to the bound y, and (Ay)UNDIR y y is no instance
+        prefix = _proof([], [_assume(1, "(Ay)UNDIR y y")])
+        v = check_line(prefix, _line(2, "(Ex)(Ay)UNDIR x y", Rule.EG, 1))
+        assert not v.ok and v.message.startswith("EG: ")
 
     def test_same(self):
         prefix = _proof([], [_assume(1, "UNDIR v2 v3")])
@@ -363,6 +378,15 @@ class TestExistentialElimination:
             _line(3, "(Ey)UNDIR y y", Rule.EG, 2),
         ]
         assert check_proof(_proof(["(Ex)UNDIR x x"], lines)).valid
+
+    def test_one_annotation(self):
+        lines = [
+            _line(1, "(Ex)UNDIR x x", Rule.PREMISE),
+            _line(2, "UNDIR w w", Rule.EE, 1, annot=((Var("w"), "x"), (Var("q"), "y"))),
+        ]
+        rep = check_proof(_proof(["(Ex)UNDIR x x"], lines))
+        assert (rep.valid, rep.line) == (False, 2)
+        assert rep.message == "EE: exactly one (term var) annotation expected"
 
     def test_witness_must_be_fresh(self):
         lines = [

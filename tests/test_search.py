@@ -104,6 +104,13 @@ class TestPositive:
         rep = check_proof(r.proof)
         assert rep.valid and rule_eq(rep.conclusion, goal)
 
+    def test_quantified_complement_cancels_a_disjunct(self):
+        # the search cancels (Ex)P with (Ax)~P, and the kernel accepts that LDS
+        premises = [parse_formula("(Ex)UNDIR x x | (Ay)UNDIR y y"), parse_formula("(Ax)~UNDIR x x")]
+        r = prove(premises, parse_formula("(Ay)UNDIR y y"))
+        assert r.proved and check_proof(r.proof).valid
+        assert [l.just.rule for l in r.proof.lines][2] is Rule.LDS
+
     def test_emitted_script_reparses_and_rechecks(self):
         r = _prove_names(["I5", "ODO"], "OO", SearchConfig(max_depth=1, max_term_depth=1))
         text = print_proof_script(r.proof)
@@ -364,16 +371,31 @@ print("countermodel", hit.describe())
 """
 
 
+# Both ~Q and ~~~Q contradict the consequent ~~Q: which one MT cites must
+# not depend on the hash seed (seeds 0 and 1 once cited different ones).
+_CONTRADICTION_RUN = """
+from dirgeo.kernel import print_proof_script
+from dirgeo.search import prove
+from dirgeo.syntax import parse_formula as F
+
+P, Q = "(Ex)UNDIR x x", "(Ex)UNDIR x [rev x]"
+r = prove([F(f"{P} -> ~~{Q}"), F(f"~{Q}"), F(f"~~~{Q}")], F(f"~{P}"))
+print(print_proof_script(r.proof), end="")
+"""
+
+
 class TestHashSeeds:
     """Nodes hash by identity, so by memory address, and strings by the
     hash seed: no output may depend on the iteration order of a set."""
 
-    def test_outputs_do_not_depend_on_the_hash_seed(self):
+    @staticmethod
+    def _outputs(code):
+        """The stdout of code run in a fresh interpreter under hash seeds 0 and 1."""
         tests = Path(__file__).resolve().parent
         path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
         runs = [
             subprocess.Popen(
-                [sys.executable, "-c", _SEEDED_RUN],
+                [sys.executable, "-c", code],
                 env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
@@ -388,9 +410,17 @@ class TestHashSeeds:
                 run.kill()
         for run, (_, err) in zip(runs, results):
             assert run.returncode == 0, err
-        outputs = [out for out, _ in results]
+        return [out for out, _ in results]
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self):
+        outputs = self._outputs(_SEEDED_RUN)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("pinned") == 10 and "countermodel size=" in outputs[0]
+
+    def test_cited_contradiction_does_not_depend_on_the_hash_seed(self):
+        outputs = self._outputs(_CONTRADICTION_RUN)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[-1].split() == ["3.", "~(Ex)UNDIR", "x", "x", "MT", "1", "2"]
 
 
 class TestPool:
