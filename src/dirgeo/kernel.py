@@ -211,21 +211,16 @@ def _match_vars_to_terms(pattern: Formula, target: Formula, eligible: frozenset[
     return binding if walk(pattern, target, {}) else None
 
 
-def _infer_single_subst(body: Formula, var: str, target: Formula) -> Term | None:
-    """The term matching binds var to, Var(var) if var is not bound, None if
-    body does not match target; the caller checks body[var := t]."""
-    binding = _match_vars_to_terms(body, target, frozenset((var,)))
-    return None if binding is None else binding.get(var, Var(var))
-
-
-def _instance_term(rule: Rule, just: Justification, g: Forall | Exists, f: Formula) -> Term | None:
-    """The term a US or EE line f puts for g's variable: that of its one
-    annotation, or else the one matching infers."""
-    if not just.annot:
-        return _infer_single_subst(g.body, g.var, f)
-    if len(just.annot) != 1:
+def _instance_term(rule: Rule, annot: tuple, g: Forall | Exists, f: Formula) -> Term | None:
+    """The term a US, EE or EG line f puts for g's variable: that of its one
+    annotation, or else the one matching binds it to (itself if it does not
+    occur), None if g's body does not match f.  The caller checks the instance."""
+    if not annot:
+        binding = _match_vars_to_terms(g.body, f, frozenset((g.var,)))
+        return None if binding is None else binding.get(g.var, Var(g.var))
+    if len(annot) != 1:
         raise _Reject(f"{rule.value}: exactly one (term var) annotation expected")
-    t, v = just.annot[0]
+    t, v = annot[0]
     if v != g.var:
         raise _Reject(f"{rule.value}: annotation variable {v!r} does not match bound {g.var!r}")
     return t
@@ -305,7 +300,10 @@ class Checker:
         return self.lines[j]
 
     def _union_deps(self, cited: list[ProofLine]) -> set[int]:
-        return set().union(*(self.deps[c.number] for c in cited))
+        out: set[int] = set()
+        for c in cited:
+            out |= self.deps[c.number]
+        return out
 
     # -- the rule engine ---------------------------------------------------
 
@@ -513,7 +511,7 @@ class Checker:
         g = negated_quantifier_view(c.formula)
         if not isinstance(g, Forall):
             raise _Reject("US: cited line is not universal")
-        t = _instance_term(Rule.US, just, g, f)
+        t = _instance_term(Rule.US, just.annot, g, f)
         if t is None:
             raise _Reject("US: cannot infer the instantiation term")
         expected = substitute(g.body, {g.var: t})
@@ -587,7 +585,7 @@ class Checker:
     def _eg_abstracts(e: Formula, source: Formula) -> bool:
         if not isinstance(e, Exists):
             return False
-        t = _infer_single_subst(e.body, e.var, source)
+        t = _instance_term(Rule.EG, (), e, source)
         return t is not None and rule_eq(substitute(e.body, {e.var: t}), source)
 
     def _eg_matches(self, f: Formula, g: Formula) -> bool:
@@ -607,7 +605,7 @@ class Checker:
         g = negated_quantifier_view(c.formula)
         if not isinstance(g, Exists):
             raise _Reject("EE: cited line is not existential")
-        t = _instance_term(Rule.EE, just, g, f)
+        t = _instance_term(Rule.EE, just.annot, g, f)
         if not isinstance(t, Var):
             raise _Reject("EE: annotation must name a fresh variable" if just.annot
                           else "EE: cannot infer a variable witness")
