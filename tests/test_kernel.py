@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dirgeo.corpus import corpus_ids, load
+from dirgeo.corpus import corpus_ids, load, script_text
 from dirgeo.geometry import axiom
 from dirgeo.kernel import (
     Justification,
@@ -700,3 +700,98 @@ class TestEmittedScriptFingerprint:
         accepted = _accepted_without_countermodel(reports)
         assert (len(reports), len(accepted)) == (5530, 390)
         assert digest == "a5901f93570a8d71"
+
+
+# Hand-written scripts for the justification tail: tab-separated and
+# Unicode-digit cites, rule names that start with a digit or '.', a formula
+# glued to its rule, nested and unbalanced annotations, annotations after a
+# cite, and empty or comment-only records.
+_TAIL_SCRIPTS = [
+    "1. UNDIR x y  ASSUMED-PREMISE\n2. UNDIR x y  SAME\t1\n",
+    "1. UNDIR x y  SAME\t1\t2\n",
+    "1. UNDIR x y  SAME 1 \u0663\n",
+    "1. UNDIR x y  SAME \u0663\n",
+    "1. UNDIR x y  SAME 1\u06632\n",
+    "1. UNDIR x y  SAME 1\u00a02\n",
+    "1. UNDIR x y  SAME 1_0\n",
+    "1. UNDIR x y  SAME 0 -3\n",
+    "1. UNDIR x y  1SAME 1\n",
+    "1. UNDIR x y  .SAME 1\n",
+    "1. UNDIR x y  9.SIMP 1\n",
+    "1. UNDIR x y  SA_ME-x.1 1\n",
+    "1. UNDIR x y  SAM\u00c9 1\n",
+    "1. UNDIR x y  \u00c9SAME 1\n",
+    "1. UNDIR x xSIMP 1\n",
+    "1. UNDIR x y SAME 1\n",
+    "1. UNDIR x y  (v1 x) 1\n",
+    "1. (Ax)UNDIR x x  US\n",
+    "1. UNDIR x y  US (rev(rev(v1)) x) (v2 y) 1\n",
+    "1. UNDIR x y  US ((v1) x) 1\n",
+    "1. UNDIR x y  US ((v1 x) 1\n",
+    "1. UNDIR x y  US (v1 x)) 1\n",
+    "1. UNDIR x y  US v1 x) 1\n",
+    "1. UNDIR x y  US (v1 x)(v2 y) 1 2\n",
+    "1. UNDIR x y  US(v1 x) 1\n",
+    "1. UNDIR x y  US (v1 x) 1 (v2 y) 2\n",
+    "1. UNDIR x y  SAME (v1 x)\n",
+    "1. UNDIR x y  SAME )\n",
+    "1. UNDIR x y  US (v1 x)  \t 1  \n",
+    "1. UNDIR x y\n   SAME\n   1\n",
+    "1. UNDIR x y  SAME 1 # a comment 2\n",
+    "1. UNDIR x y  SAME 1\n2.5  SAME 1\n",
+    "1. 5\n",
+    "1.SAME\n",
+    "1. \n",
+    "1.  # only a comment\n",
+    "# a comment\n\n   \n",
+]
+
+
+def _script_mutants():
+    """Seeded single-character deletions and insertions in the formula
+    text and the justification tail of every numbered line of the corpus
+    transcripts and the prover's emitted scripts, each in its whole script;
+    then _TAIL_SCRIPTS."""
+    scripts = [script_text(cid) for cid in corpus_ids()]
+    scripts += [print_proof_script(proof) for _, proof in _emitted_proofs()]
+    rng = random.Random(17)
+    tail_alphabet = " \t()0123456789\u0663.-_xvSUE#"
+    formula_alphabet = "~&|-()[],> xAEv1rU$"
+    out = []
+    for text in scripts:
+        lines = text.split("\n")
+        for i, line in enumerate(lines):
+            number, dot, rest = line.partition(".")
+            if not (number.isdigit() and dot):
+                continue
+            formula, gap, tail = rest.rpartition("  ")
+            for in_tail, count, alphabet in ((True, 2, tail_alphabet), (False, 1, formula_alphabet)):
+                part = tail if in_tail else formula
+                for _ in range(count):
+                    k = rng.randrange(len(part))
+                    deleted = part[:k] + part[k + 1:]
+                    k = rng.randrange(len(part) + 1)
+                    inserted = part[:k] + rng.choice(alphabet) + part[k:]
+                    for mutated in (deleted, inserted):
+                        new = formula + gap + mutated if in_tail else mutated + gap + tail
+                        out.append("\n".join(lines[:i] + [number + dot + new] + lines[i + 1:]))
+    return out + _TAIL_SCRIPTS
+
+
+class TestScriptFingerprint:
+    def test_outcomes_pinned(self):
+        # 2,305 scripts; 1,664 of them are rejected.  The digest covers each
+        # script with its re-printed proof, or its ScriptError message and
+        # line number.
+        inputs = _script_mutants()
+        digest = hashlib.sha256()
+        rejected = 0
+        for text in inputs:
+            try:
+                got = print_proof_script(parse_proof_script(text))
+            except ScriptError as exc:
+                got = f"{exc}|{exc.lineno}"
+                rejected += 1
+            digest.update(f"{text}\t{got}\n".encode())
+        assert (len(inputs), rejected) == (2305, 1664)
+        assert digest.hexdigest()[:16] == "ac5d87f8fe8826b4"
