@@ -25,6 +25,7 @@ Conventions the checker bakes in (all forced by the transcript corpus):
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -697,8 +698,9 @@ def check_proof(proof: Proof) -> CheckReport:
 # joined until the justification at the end of the record is complete.
 
 _RECORD_START = re.compile(r"^(PREMISE:|SHOW:|\d+\.)")
-_RULE_TAIL = re.compile(r"([A-Za-z][A-Za-z0-9._\-]*)$")
-_CITE_TAIL = re.compile(r"\s(\d+)$")
+# The characters of a rule name; it starts at its first letter.
+_RULE_CHARS = string.ascii_letters + string.digits + "._-"
+_RULE_LEAD = string.digits + "._-"
 
 
 class ScriptError(ValueError):
@@ -709,41 +711,42 @@ class ScriptError(ValueError):
 
 
 def _split_justification(text: str) -> tuple[str, str, list[str], list[int]]:
-    """Split '<formula> RULE (annot)... cites...' from the right.
+    """Split '<formula> RULE (annot)... cites...' from the right, in time
+    linear in the text.
 
     Formulas never end in ')' or in a bare integer token, so trailing
-    parenthesized groups are annotations and trailing integers are cites.
+    whitespace-separated decimal words are cites, trailing balanced
+    parenthesized groups are annotations, and the rule is the trailing run
+    of [A-Za-z0-9._-] from its first letter.
     """
     s = text.rstrip()
-    cites: list[int] = []
-    while True:
-        m = _CITE_TAIL.search(s)
-        if not m:
-            break
-        cites.append(int(m.group(1)))
-        s = s[: m.start()].rstrip()
-    cites.reverse()
+    words = s.split()
+    k = len(words)
+    while k > (not s[:1].isspace()) and words[k - 1].isdecimal():
+        k -= 1
+    # Read right to left, so that the first cite int() refuses is the last.
+    cites = [int(w) for w in reversed(words[k:])][::-1]
+    if cites:
+        s = s.rsplit(None, len(cites))[0] if k else ""
     annots: list[str] = []
-    while s.endswith(")"):
-        depth = 0
-        start = None
-        for i in range(len(s) - 1, -1, -1):
-            if s[i] == ")":
-                depth += 1
-            elif s[i] == "(":
-                depth -= 1
-                if depth == 0:
-                    start = i
-                    break
-        if start is None:
-            raise ValueError("unbalanced parentheses in justification")
-        annots.append(s[start + 1 : -1])
-        s = s[:start].rstrip()
+    end = len(s)
+    while end and s[end - 1] == ")":
+        depth, i = 0, end
+        while depth or i == end:
+            i -= 1
+            if i < 0:
+                raise ValueError("unbalanced parentheses in justification")
+            depth += (s[i] == ")") - (s[i] == "(")
+        annots.append(s[i + 1 : end - 1])
+        while i and s[i - 1].isspace():
+            i -= 1
+        end = i
     annots.reverse()
-    m = _RULE_TAIL.search(s)
-    if not m:
+    s = s[:end]
+    rule = s[len(s.rstrip(_RULE_CHARS)) :].lstrip(_RULE_LEAD)
+    if not rule:
         raise ValueError("no justification rule found")
-    return s[: m.start()], m.group(1), annots, cites
+    return s[: len(s) - len(rule)], rule, annots, cites
 
 
 def _records(text: str) -> list[tuple[str, int]]:

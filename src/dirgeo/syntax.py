@@ -28,6 +28,7 @@ import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterator, Mapping, Union
 
 
@@ -159,24 +160,18 @@ class Signature:
     """Declared predicate and function arities.
 
     Names are matched case-insensitively; predicates canonicalize to upper
-    case, functions to lower case.
+    case, functions to lower case, and so do the keys of the two maps.
     """
 
     predicates: Mapping[str, int]
     functions: Mapping[str, int]
 
-    def predicate_arity(self, name: str) -> int | None:
-        return self.predicates.get(name.upper())
-
-    def function_arity(self, name: str) -> int | None:
-        return self.functions.get(name.lower())
+    def __post_init__(self):
+        object.__setattr__(self, "predicates", {k.upper(): v for k, v in self.predicates.items()})
+        object.__setattr__(self, "functions", {k.lower(): v for k, v in self.functions.items()})
 
     def extended(self, predicates: Mapping[str, int] = (), functions: Mapping[str, int] = ()) -> "Signature":
-        preds = dict(self.predicates)
-        preds.update({k.upper(): v for k, v in dict(predicates).items()})
-        fns = dict(self.functions)
-        fns.update({k.lower(): v for k, v in dict(functions).items()})
-        return Signature(preds, fns)
+        return Signature({**self.predicates, **dict(predicates)}, {**self.functions, **dict(functions)})
 
 
 GEOMETRY = Signature(predicates={"UNDIR": 2}, functions={"rev": 1})
@@ -191,8 +186,11 @@ GEOMETRY_WITH_DEFS = GEOMETRY.extended(
 # ---------------------------------------------------------------------------
 # Lexer.  _lex returns two flat lists, kinds and texts, that end in one "eof"
 # entry.  Punctuation and the arrow have themselves as kind and text; a
-# Unicode alias is read as the ASCII token it stands for.  Offsets are found
-# again only when an error needs one (_Parser.offset).
+# Unicode alias is read as the ASCII token it stands for.  One findall reads
+# the tokens: it skips what starts no token, so the input is well formed iff
+# the tokens, joined, are its non-whitespace characters.  Only a malformed
+# input is matched again, by _LEXED_RE, to find the culprit.  Offsets are
+# found again only when an error needs one (_Parser.offset).
 
 _ALIASES = {"∼": "~", "¬": "~", "∧": "&", "∨": "|", "→": "->", "⟶": "->"}
 _KINDS = {c: c for c in ("->", "(", ")", "[", "]", "~", "&", "|", ",")}
@@ -208,11 +206,11 @@ _LEXED_RE = re.compile(rf"(?:\s*(?:{_NAME}(?![A-Za-z0-9])|{_SYMBOL}))*\s*")
 
 
 def _lex(src: str) -> tuple[list[str], list[str]]:
-    end = _LEXED_RE.match(src).end()
-    if end < len(src):
-        raise ParseError(f"unexpected character {src[end]!r}", end)
     texts = _TOKEN_RE.findall(src)
-    kinds = [_KINDS.get(text, "name") for text in texts]
+    if "".join(texts) != "".join(src.split()):
+        end = _LEXED_RE.match(src).end()
+        raise ParseError(f"unexpected character {src[end]!r}", end)
+    kinds = list(map(_KINDS.get, texts, repeat("name")))
     if not src.isascii():
         texts = [_ALIASES.get(text, text) for text in texts]
     kinds.append("eof")
@@ -244,8 +242,8 @@ class _Parser:
         self.kinds, self.texts = _lex(src)
         self.pos = 0
         self.deepest = 0
-        self.predicate_arity = signature.predicate_arity
-        self.function_arity = signature.function_arity
+        self.predicates = signature.predicates
+        self.functions = signature.functions
 
     def offset(self, i: int) -> int:
         """The character offset of token i in the input."""
@@ -298,6 +296,8 @@ class _Parser:
         self.nest(depth)
         i = self.pos
         kind = self.kinds[i]
+        if kind == "name":
+            return self.atom(depth)
         if kind == "~":
             self.pos = i + 1
             return Not(self.unary(depth + 1))
@@ -305,7 +305,7 @@ class _Parser:
             return self.quantified(depth)
         if kind == "[":
             head = self.texts[i + 1]
-            if self.kinds[i + 1] == "name" and self.function_arity(head) is not None:
+            if self.kinds[i + 1] == "name" and head.lower() in self.functions:
                 raise ParseError(
                     f"function term [{head} ...] found where a formula is required",
                     self.offset(i),
@@ -314,8 +314,6 @@ class _Parser:
             inner = self.implication(depth + 1)
             self.expect("]")
             return inner
-        if kind == "name":
-            return self.atom(depth)
         raise ParseError(f"expected a formula, found {self.texts[i]!r}", self.offset(i))
 
     def quantified(self, depth: int) -> Formula:
@@ -340,29 +338,34 @@ class _Parser:
         return Forall(var, body) if q == "A" else Exists(var, body)
 
     def atom(self, depth: int) -> Formula:
-        i = self.expect("name")
+        """The atom at the current token, a name."""
+        i = self.pos
         text = self.texts[i]
-        arity = self.predicate_arity(text)
+        pred = text.upper()
+        arity = self.predicates.get(pred)
         if arity is None:
             raise ParseError(f"unknown predicate {text!r}", self.offset(i))
-        args = tuple([self.term(depth + 1) for _ in range(arity)])
-        return Atom(text.upper(), args)
+        self.pos = i + 1
+        if arity == 2:
+            return Atom(pred, (self.term(depth + 1), self.term(depth + 1)))
+        return Atom(pred, tuple([self.term(depth + 1) for _ in range(arity)]))
 
     def term(self, depth: int) -> Term:
-        self.nest(depth)
+        if depth > self.deepest:
+            self.nest(depth)
         i = self.pos
         kind = self.kinds[i]
         if kind == "name":
             self.pos = i + 1
             text = self.texts[i]
-            if self.function_arity(text) is not None:
+            if text.lower() in self.functions:
                 raise ParseError(f"function symbol {text!r} used without brackets", self.offset(i))
             return Var(text)
         if kind == "[":
             self.pos = i + 1
             j = self.expect("name")
             fn = self.texts[j]
-            arity = self.function_arity(fn)
+            arity = self.functions.get(fn.lower())
             if arity is None:
                 raise ParseError(f"unknown function symbol {fn!r}", self.offset(j))
             args = tuple([self.term(depth + 1) for _ in range(arity)])
@@ -378,7 +381,7 @@ class _Parser:
         i = self.expect("name")
         name = self.texts[i]
         if self.kinds[self.pos] == "(":
-            arity = self.function_arity(name)
+            arity = self.functions.get(name.lower())
             if arity is None:
                 raise ParseError(f"unknown function symbol {name!r}", self.offset(i))
             self.pos += 1
@@ -392,7 +395,7 @@ class _Parser:
                     f"{name!r} expects {arity} argument(s), got {len(args)}", self.offset(i)
                 )
             return App(name.lower(), tuple(args))
-        if self.function_arity(name) is not None:
+        if name.lower() in self.functions:
             raise ParseError(f"function symbol {name!r} needs arguments", self.offset(i))
         return Var(name)
 
