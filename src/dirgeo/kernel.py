@@ -698,7 +698,8 @@ def check_proof(proof: Proof) -> CheckReport:
 # joined until the justification at the end of the record is complete.
 
 _RECORD_START = re.compile(r"^(PREMISE:|SHOW:|\d+\.)")
-# The characters of a rule name; it starts at its first letter.
+# A rule name is the trailing run of _RULE_CHARS from its first letter:
+# _RULE_LEAD, the rest of them, is stripped from the front of the run.
 _RULE_CHARS = string.ascii_letters + string.digits + "._-"
 _RULE_LEAD = string.digits + "._-"
 
@@ -722,17 +723,18 @@ def _split_justification(text: str) -> tuple[str, str, list[str], list[int]]:
     s = text.rstrip()
     words = s.split()
     k = len(words)
-    while k > (not s[:1].isspace()) and words[k - 1].isdecimal():
+    first = 0 if s[:1].isspace() else 1  # a cite follows whitespace
+    while k > first and words[k - 1].isdecimal():
         k -= 1
-    # Read right to left, so that the first cite int() refuses is the last.
+    # Right to left, so that an error of int() names the last long cite.
     cites = [int(w) for w in reversed(words[k:])][::-1]
     if cites:
         s = s.rsplit(None, len(cites))[0] if k else ""
     annots: list[str] = []
     end = len(s)
     while end and s[end - 1] == ")":
-        depth, i = 0, end
-        while depth or i == end:
+        depth, i = 1, end - 1
+        while depth:
             i -= 1
             if i < 0:
                 raise ValueError("unbalanced parentheses in justification")

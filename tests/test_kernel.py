@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -531,6 +532,28 @@ SHOW: (Az)[~UNDIR v4 [rev v5] & ~UNDIR v4 z -> ~UNDIR v5 [rev z]]
         proof = parse_proof_script("1. UNDIR v1 v2  ASSUMED-PREMISE\n3. UNDIR v1 v2  SAME 1\n")
         rep = check_proof(proof)
         assert not rep.valid and rep.kind == "structure"
+
+    @pytest.mark.parametrize("kind", ["name-run", "cites", "annotations"])
+    def test_long_record_in_linear_time(self, kind):
+        # About 10^6 characters each.  A split of the tail that is quadratic
+        # in the record's length takes minutes on them, a linear one well
+        # under a second.  The bound is loose, for a loaded machine.
+        text = {
+            "name-run": "1. UNDIR x " + "a" * 10**6 + " ~\n",
+            "cites": "1. UNDIR x y  SAME" + " 123456789" * 10**5 + "\n",
+            "annotations": "1. (Ax)UNDIR x x  US" + (" " * 90 + "(v1 x)") * 10**4 + " 1\n",
+        }[kind]
+        start = time.perf_counter()
+        try:
+            just = parse_proof_script(text).lines[0].just
+        except ScriptError as exc:
+            just = str(exc)
+        assert time.perf_counter() - start < 5.0
+        assert just == {
+            "name-run": "no justification rule found (script line 1)",
+            "cites": Justification(Rule.SAME, (123456789,) * 10**5),
+            "annotations": Justification(Rule.US, (1,), ((Var("v1"), "x"),) * 10**4),
+        }[kind]
 
     def test_show_mismatch_detected(self):
         text = "SHOW: UNDIR v2 v1\n1. UNDIR v1 v2  ASSUMED-PREMISE\n2. UNDIR v1 v2 -> UNDIR v1 v2  CP 1\n"

@@ -100,6 +100,11 @@ class TestEnumeration:
     def test_batch_agrees_where_miniscoping_moves_binders(self, text):
         _assert_scan_agrees(parse_formula(text))
 
+    def test_batch_agrees_under_an_all_false_left_disjunct(self):
+        # The left part of the | is a contradiction, all-false in every
+        # undir table, so | must return its right part as it is.
+        _assert_scan_agrees(parse_formula("(Ax)[[UNDIR x x & ~UNDIR x x] | UNDIR x [rev x]]"))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_atom_tables_match_the_decoded_structures(self, n):
         atoms = _atom_tables(n)

@@ -21,6 +21,7 @@ from dirgeo.syntax import (
     Not,
     Or,
     ParseError,
+    Signature,
     Term,
     Var,
     _CACHE_SIZE,
@@ -120,6 +121,18 @@ class TestParseFormula:
 
     def test_case_insensitive_predicates(self):
         assert parse_formula("Undir x y") == parse_formula("UNDIR x y")
+
+    def test_signature_keys_in_any_case(self):
+        sig = Signature(predicates={"undir": 2, "Con": 2}, functions={"REV": 1})
+        assert (sig.predicates, sig.functions) == ({"UNDIR": 2, "CON": 2}, {"rev": 1})
+        assert parse_formula("UNDIR x [Rev y] & con y x", sig) == And(
+            U(x, App("rev", (y,))), Atom("CON", (y, x))
+        )
+        wider = sig.extended(predicates={"dir": 2}, functions={"Mid": 2})
+        assert (wider.predicates, wider.functions) == (
+            {"UNDIR": 2, "CON": 2, "DIR": 2}, {"rev": 1, "mid": 2}
+        )
+        assert parse_formula("Dir x [MID x y]", wider) == Atom("DIR", (x, App("mid", (x, y))))
 
     def test_term_bracket_in_formula_position_rejected(self):
         with pytest.raises(ParseError) as err:
