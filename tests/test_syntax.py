@@ -348,6 +348,83 @@ class TestAlphaEq:
         assert alpha_eq(g, h) and alpha_eq(f, h)
 
 
+def _rename_binder(f, k: int, new: str):
+    """f with its k-th binder (preorder) and the occurrences it binds renamed
+    to `new`, capturing any free `new` below it."""
+    seen = [0]
+
+    def term(t, old, new):
+        if isinstance(t, Var):
+            return Var(new) if t.name == old else t
+        return App(t.fn, tuple(term(a, old, new) for a in t.args))
+
+    def rebind(g, old, new):
+        if isinstance(g, Atom):
+            return Atom(g.pred, tuple(term(a, old, new) for a in g.args))
+        if isinstance(g, Not):
+            return Not(rebind(g.body, old, new))
+        if isinstance(g, (And, Or, Implies)):
+            return type(g)(rebind(g.left, old, new), rebind(g.right, old, new))
+        return g if g.var == old else type(g)(g.var, rebind(g.body, old, new))
+
+    def walk(g):
+        if isinstance(g, Atom):
+            return g
+        if isinstance(g, Not):
+            return Not(walk(g.body))
+        if isinstance(g, (And, Or, Implies)):
+            return type(g)(walk(g.left), walk(g.right))
+        seen[0] += 1
+        if seen[0] - 1 == k:
+            return type(g)(new, rebind(g.body, g.var, new))
+        return type(g)(g.var, walk(g.body))
+
+    return walk(f)
+
+
+def _count_binders(f) -> int:
+    if isinstance(f, Atom):
+        return 0
+    if isinstance(f, (And, Or, Implies)):
+        return _count_binders(f.left) + _count_binders(f.right)
+    return isinstance(f, (Forall, Exists)) + _count_binders(f.body)
+
+
+# alpha_eq gives False on each: a shadowing binder, a free variable against
+# a bound one of the same name, and a free variable against a bound one.
+_ALPHA_SHAPES = [
+    ("(Ax)(Ay)UNDIR x y", "(Ax)(Ax)UNDIR x x"),
+    ("(Ay)UNDIR z y", "(Az)UNDIR z z"),
+    ("(Ay)UNDIR x y", "(Ay)UNDIR y y"),
+]
+
+
+class TestAlphaEqFingerprint:
+    def test_verdicts_pinned(self):
+        # 400 seeded formulas f, each against an alpha variant, another
+        # random formula, and (when f has a binder and a free variable) f
+        # with one binder renamed to a name free in f.  The digest covers
+        # each pair with its verdict.
+        rng = random.Random(1800)
+        pairs = [(parse_formula(a), parse_formula(b)) for a, b in _ALPHA_SHAPES]
+        for _ in range(400):
+            f = random_formula(rng)
+            pairs.append((f, alpha_variant(rng, f)))
+            pairs.append((f, random_formula(rng)))
+            binders = _count_binders(f)
+            names = sorted(free_vars(f))
+            if binders and names:
+                pairs.append((f, _rename_binder(f, rng.randrange(binders), rng.choice(names))))
+        digest = hashlib.sha256()
+        equal = 0
+        for f, g in pairs:
+            verdict = alpha_eq(f, g)
+            equal += verdict
+            digest.update(f"{print_formula(f)}\t{print_formula(g)}\t{verdict}\n".encode())
+        assert (len(pairs), equal) == (1057, 494)
+        assert digest.hexdigest()[:16] == "0ba9a2ee6149bff2"
+
+
 class TestNegatedQuantifierView:
     def test_negated_exists(self):
         f = parse_formula("~(Ex)UNDIR x x")
