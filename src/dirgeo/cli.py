@@ -24,7 +24,7 @@ from .geometry import UnknownAxiom, axiom, expand_defs
 from .kernel import ScriptError, check_proof, parse_proof_script, print_proof_script
 from .models import MAX_SIZE, find_countermodel
 from .search import SearchConfig, prove
-from .syntax import ParseError, free_vars, rule_eq
+from .syntax import ParseError, rule_eq
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -128,10 +128,6 @@ def cmd_prove(args) -> RunReport:
         premises, (goal_name, goal) = _resolve_sequent(args)
     except UnknownAxiom as exc:
         return report.error(exc.args[0], f"unknown axiom name {exc}")
-    for name, f in premises + [(goal_name, goal)]:
-        if free_vars(f):
-            return report.error(name, "not a closed formula (use --expand-defs?)")
-
     try:
         search_cfg = SearchConfig(args.max_depth, args.max_term_depth, args.max_lines)
     except ValueError as exc:

@@ -26,8 +26,6 @@ from .syntax import (
     parse_formula,
 )
 
-AXIOM_NAMES = ("I5", "I6", "I7", "I7conv", "I8", "ODO", "W1", "W2", "W3", "W4", "OO")
-
 # name -> (parameter names, body builder over the parameter terms)
 _DEFS: dict[str, tuple[int, object]] = {
     "CON": (2, lambda a, b: And(Atom("UNDIR", (a, b)), Atom("UNDIR", (a, App("rev", (b,)))))),

@@ -18,8 +18,9 @@ Conventions the checker bakes in (all forced by the transcript corpus):
   - LDS/RDS and case splits read the top-level | of the cited line
     as written, never the flattened view;
   - two-line citations (MP, MT, LDS, RDS) are order-insensitive;
-  - US/EE/EG/SUB substitutions are inferred by matching when no annotation
-    is given; EG reads no annotation.
+  - US/EE/EG/SUB substitutions are inferred by syntax.match when no
+    annotation is given (EG reads none): exact up to bound-variable names,
+    never capturing; a line that no term fits "cannot infer" one.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .syntax import (
-    And,
-    Atom,
     Exists,
     Forall,
     Formula,
@@ -53,6 +52,7 @@ from .syntax import (
     flatten_or,
     free_vars,
     imp_result,
+    match,
     negated_quantifier_view,
     parse_annotation_term,
     parse_formula,
@@ -136,20 +136,12 @@ class Proof:
     lines: list[ProofLine]
     show: Formula | None = None  # declared conclusion, if any
 
-    @property
-    def conclusion(self) -> Formula:
-        return self.lines[-1].formula
-
 
 @dataclass(frozen=True)
 class Verdict:
     ok: bool
     kind: str = "ok"  # ok | rule | scope | structure
     message: str = ""
-
-    @classmethod
-    def violation(cls, kind: str, message: str) -> "Verdict":
-        return cls(False, kind, message)
 
 
 @dataclass(frozen=True)
@@ -173,51 +165,12 @@ def _contradicts(f: Formula, g: Formula) -> bool:
     return canonical_key(g) in contradiction_keys(f) or canonical_key(f) in contradiction_keys(g)
 
 
-def _match_vars_to_terms(pattern: Formula, target: Formula, eligible: frozenset[str]) -> dict[str, Term] | None:
-    """One-sided structural matching: bindings for eligible free variables of
-    `pattern` making it equal to `target`.  Bound variables must align."""
-    binding: dict[str, Term] = {}
-
-    def terms(p: Term, t: Term, bound: dict[str, str]) -> bool:
-        if isinstance(p, Var):
-            if p.name in bound:
-                return isinstance(t, Var) and bound[p.name] == t.name
-            if p.name in eligible:
-                if p.name in binding:
-                    return binding[p.name] == t
-                binding[p.name] = t
-                return True
-            return p == t
-        if isinstance(t, Var) or p.fn != t.fn or len(p.args) != len(t.args):
-            return False
-        return all(terms(a, b, bound) for a, b in zip(p.args, t.args))
-
-    def walk(p: Formula, t: Formula, bound: dict[str, str]) -> bool:
-        if type(p) is not type(t):
-            return False
-        if isinstance(p, Atom):
-            return p.pred == t.pred and len(p.args) == len(t.args) and all(
-                terms(a, b, bound) for a, b in zip(p.args, t.args)
-            )
-        if isinstance(p, Not):
-            return walk(p.body, t.body, bound)
-        if isinstance(p, (And, Or, Implies)):
-            return walk(p.left, t.left, bound) and walk(p.right, t.right, bound)
-        if isinstance(p, (Forall, Exists)):
-            b2 = dict(bound)
-            b2[p.var] = t.var
-            return walk(p.body, t.body, b2)
-        return False
-
-    return binding if walk(pattern, target, {}) else None
-
-
 def _instance_term(rule: Rule, annot: tuple, g: Forall | Exists, f: Formula) -> Term | None:
     """The term a US, EE or EG line f puts for g's variable: that of its one
     annotation, or else the one matching binds it to (itself if it does not
     occur), None if g's body does not match f.  The caller checks the instance."""
     if not annot:
-        binding = _match_vars_to_terms(g.body, f, frozenset((g.var,)))
+        binding = match(g.body, f, frozenset((g.var,)))
         return None if binding is None else binding.get(g.var, Var(g.var))
     if len(annot) != 1:
         raise _Reject(f"{rule.value}: exactly one (term var) annotation expected")
@@ -323,7 +276,7 @@ class Checker:
                 )
             deps = _HANDLERS[just.rule](self, n, line.formula, just, cited)
         except _Reject as exc:
-            return Verdict.violation(exc.kind, str(exc))
+            return Verdict(False, exc.kind, str(exc))
         self.deps[n] = frozenset(deps)
         self.lines[n] = line
         self.next_number += 1
@@ -629,7 +582,7 @@ class Checker:
         if just.annot:
             sigma = {v: t for t, v in just.annot}
         else:
-            sigma = _match_vars_to_terms(c.formula, f, free_vars(c.formula))
+            sigma = match(c.formula, f, free_vars(c.formula))
             if sigma is None:
                 raise _Reject("SUB: cannot infer a substitution")
         sigma = {v: t for v, t in sigma.items() if t != Var(v)}
@@ -650,7 +603,7 @@ def check_line(proof_so_far: Proof, line: ProofLine) -> Verdict:
     for prev in proof_so_far.lines:
         v = checker.add_line(prev)
         if not v.ok:
-            return Verdict.violation("structure", f"prefix line {prev.number} invalid: {v.message}")
+            return Verdict(False, "structure", f"prefix line {prev.number} invalid: {v.message}")
     return checker.add_line(line)
 
 
@@ -711,6 +664,16 @@ class ScriptError(ValueError):
         self.lineno = lineno
 
 
+def _number(text: str, what: str) -> int:
+    """int(text), or a one-line error for digits too many to convert."""
+    try:
+        return int(text)
+    except ValueError:
+        if text.isdecimal():
+            raise ValueError(f"{what} of {len(text)} digits is too long") from None
+        raise
+
+
 def _split_justification(text: str) -> tuple[str, str, list[str], list[int]]:
     """Split '<formula> RULE (annot)... cites...' from the right, in time
     linear in the text.
@@ -726,8 +689,8 @@ def _split_justification(text: str) -> tuple[str, str, list[str], list[int]]:
     first = 0 if s[:1].isspace() else 1  # a cite follows whitespace
     while k > first and words[k - 1].isdecimal():
         k -= 1
-    # Right to left, so that an error of int() names the last long cite.
-    cites = [int(w) for w in reversed(words[k:])][::-1]
+    # Right to left, so that an error names the last long cite.
+    cites = [_number(w, "cite") for w in reversed(words[k:])][::-1]
     if cites:
         s = s.rsplit(None, len(cites))[0] if k else ""
     annots: list[str] = []
@@ -790,7 +753,7 @@ def parse_proof_script(text: str, signature: Signature = GEOMETRY) -> Proof:
                 show = parse_formula(record[len("SHOW:"):], signature)
                 continue
             num_text, _, rest = record.partition(".")
-            number = int(num_text)
+            number = _number(num_text, "line number")
             formula_text, rule_name, annot_texts, cite_list = _split_justification(rest)
             try:
                 rule = rule_from_name(rule_name)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from types import MappingProxyType
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -160,15 +161,23 @@ class Signature:
     """Declared predicate and function arities.
 
     Names are matched case-insensitively; predicates canonicalize to upper
-    case, functions to lower case, and so do the keys of the two maps.
+    case, functions to lower case, and so do the keys of the two maps.  The
+    maps are read-only views, so a signature hashes by their items.
     """
 
     predicates: Mapping[str, int]
     functions: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "predicates", {k.upper(): v for k, v in self.predicates.items()})
-        object.__setattr__(self, "functions", {k.lower(): v for k, v in self.functions.items()})
+        for name, case in (("predicates", str.upper), ("functions", str.lower)):
+            view = MappingProxyType({case(k): v for k, v in getattr(self, name).items()})
+            object.__setattr__(self, name, view)
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.predicates.items()), frozenset(self.functions.items())))
+
+    def __reduce__(self):
+        return Signature, (dict(self.predicates), dict(self.functions))
 
     def extended(self, predicates: Mapping[str, int] = (), functions: Mapping[str, int] = ()) -> "Signature":
         return Signature({**self.predicates, **dict(predicates)}, {**self.functions, **dict(functions)})
@@ -196,13 +205,12 @@ _ALIASES = {"∼": "~", "¬": "~", "∧": "&", "∨": "|", "→": "->", "⟶": "
 _KINDS = {c: c for c in ("->", "(", ")", "[", "]", "~", "&", "|", ",")}
 _KINDS |= _ALIASES | {"∀": "forall", "∃": "exists"}
 
-_NAME = r"[A-Za-z][A-Za-z0-9]*"
 _SYMBOL = r"->|[()\[\]~&|,∼¬∧∨→⟶∀∃]"
-_TOKEN_RE = re.compile(f"{_NAME}|{_SYMBOL}")
+_TOKEN_RE = re.compile(f"{IDENT_RE.pattern}|{_SYMBOL}")
 # Tokens and whitespace from the start; it ends at the first character that
 # starts no token.  A name may not be followed by a name character, so the
 # match never backtracks into a name.
-_LEXED_RE = re.compile(rf"(?:\s*(?:{_NAME}(?![A-Za-z0-9])|{_SYMBOL}))*\s*")
+_LEXED_RE = re.compile(rf"(?:\s*(?:{IDENT_RE.pattern}(?![A-Za-z0-9])|{_SYMBOL}))*\s*")
 
 
 def _lex(src: str) -> tuple[list[str], list[str]]:
@@ -232,8 +240,6 @@ def _lex(src: str) -> tuple[list[str], list[str]]:
 # level reached in the current chain, is what sinks.
 
 _MAX_DEPTH = 100
-
-_QUANT_NAME_RE = re.compile(r"^([AE])([A-Za-z][A-Za-z0-9]*)$")
 
 
 class _Parser:
@@ -325,12 +331,11 @@ class _Parser:
             q = "A" if kind == "forall" else "E"
             var = self.texts[self.expect("name")]
         elif kind == "name":
-            m = _QUANT_NAME_RE.match(text)
-            if not m or self.kinds[self.pos] != ")":
+            if text[0] not in "AE" or not IDENT_RE.fullmatch(text, 1) or self.kinds[self.pos] != ")":
                 raise ParseError(
                     f"expected a quantifier like (Ax) or (Ex), found ({text}", self.offset(i)
                 )
-            q, var = m.groups()
+            q, var = text[0], text[1:]
         else:
             raise ParseError(f"expected a quantifier, found {text!r}", self.offset(i))
         self.expect(")")
@@ -601,49 +606,52 @@ def _subst(f: Formula, bindings: Mapping[str, Term]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Alpha equivalence and the canonical comparison key
+# Matching up to bound-variable names, and the canonical comparison key
 
 
 def alpha_eq(f: Formula, g: Formula) -> bool:
     """True iff f and g differ only in bound-variable names."""
-    return _alpha(f, g, {}, {}, 0)
+    return match(f, g, frozenset()) is not None
 
 
-def _alpha_term(s: Term, t: Term, env1: dict, env2: dict) -> bool:
-    if isinstance(s, Var) and isinstance(t, Var):
-        d1, d2 = env1.get(s.name), env2.get(t.name)
-        if (d1 is None) != (d2 is None):
+def match(pattern: Formula, target: Formula, eligible: frozenset[str]) -> dict[str, Term] | None:
+    """The bindings of pattern's eligible free variables under which pattern
+    is target up to bound-variable names, or None if there are none.
+
+    Binders are paired by position, with one environment per side: a bound
+    pattern variable matches only the variable that its paired binder binds,
+    and a free one that is not eligible only itself, free in target.  An
+    eligible variable binds the same term at every occurrence, a term that
+    names no variable bound in target there, so matching never captures."""
+    binding: dict[str, Term] = {}
+
+    def terms(p: Term, t: Term, env1: dict, env2: dict) -> bool:
+        if isinstance(p, App):
+            return isinstance(t, App) and p.fn == t.fn and len(p.args) == len(t.args) and all(
+                terms(a, b, env1, env2) for a, b in zip(p.args, t.args)
+            )
+        if p.name in env1:
+            return isinstance(t, Var) and env2.get(t.name) == env1[p.name]
+        if p.name in eligible:
+            return not any(v in env2 for v in term_vars(t)) and binding.setdefault(p.name, t) is t
+        return t is p and p.name not in env2
+
+    def walk(p: Formula, t: Formula, env1: dict, env2: dict, depth: int) -> bool:
+        if type(p) is not type(t):
             return False
-        return d1 == d2 if d1 is not None else s.name == t.name
-    if isinstance(s, App) and isinstance(t, App):
-        return (
-            s.fn == t.fn
-            and len(s.args) == len(t.args)
-            and all(_alpha_term(a, b, env1, env2) for a, b in zip(s.args, t.args))
-        )
-    return False
+        if isinstance(p, Atom):
+            return p.pred == t.pred and len(p.args) == len(t.args) and all(
+                terms(a, b, env1, env2) for a, b in zip(p.args, t.args)
+            )
+        if isinstance(p, Not):
+            return walk(p.body, t.body, env1, env2, depth)
+        if isinstance(p, (And, Or, Implies)):
+            return walk(p.left, t.left, env1, env2, depth) and walk(p.right, t.right, env1, env2, depth)
+        if isinstance(p, (Forall, Exists)):
+            return walk(p.body, t.body, {**env1, p.var: depth}, {**env2, t.var: depth}, depth + 1)
+        raise TypeError(f"not a formula: {p!r}")
 
-
-def _alpha(f: Formula, g: Formula, env1: dict, env2: dict, depth: int) -> bool:
-    if type(f) is not type(g):
-        return False
-    if isinstance(f, Atom):
-        return f.pred == g.pred and len(f.args) == len(g.args) and all(
-            _alpha_term(a, b, env1, env2) for a, b in zip(f.args, g.args)
-        )
-    if isinstance(f, Not):
-        return _alpha(f.body, g.body, env1, env2, depth)
-    if isinstance(f, (And, Or, Implies)):
-        return _alpha(f.left, g.left, env1, env2, depth) and _alpha(
-            f.right, g.right, env1, env2, depth
-        )
-    if isinstance(f, (Forall, Exists)):
-        e1 = dict(env1)
-        e2 = dict(env2)
-        e1[f.var] = depth
-        e2[g.var] = depth
-        return _alpha(f.body, g.body, e1, e2, depth + 1)
-    raise TypeError(f"not a formula: {f!r}")
+    return binding if walk(pattern, target, {}, {}, 0) else None
 
 
 def negated_quantifier_view(f: Formula) -> Formula:

@@ -48,6 +48,13 @@ class TestCheck:
         p.write_text("1. UNDIR v1\n")
         assert main(["check", str(p)]) == EXIT_PARSE_ERROR
 
+    def test_cite_too_long_is_a_parse_error(self, tmp_path, capsys):
+        p = tmp_path / "long.prf"
+        p.write_text("1. UNDIR x y  SAME " + "1" * 5000 + "\n")
+        assert main(["check", str(p)]) == EXIT_PARSE_ERROR
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"parse-error {p}  cite of 5000 digits is too long (script line 1)"
+
     @pytest.mark.parametrize("depth", [400, 3000])
     def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, depth):
         # 3000 levels overflow the parser; 400 parse but overflow the check

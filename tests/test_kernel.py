@@ -555,6 +555,21 @@ SHOW: (Az)[~UNDIR v4 [rev v5] & ~UNDIR v4 z -> ~UNDIR v5 [rev z]]
             "annotations": Justification(Rule.US, (1,), ((Var("v1"), "x"),) * 10**4),
         }[kind]
 
+    @pytest.mark.parametrize("text, what", [
+        ("1" * 5000 + ". UNDIR x y  PREMISE\n", "line number"),
+        ("1. UNDIR x y  SAME 1 " + "2" * 5000 + " 3\n", "cite"),
+    ], ids=["line-number", "cite"])
+    def test_number_too_long_to_convert(self, text, what):
+        with pytest.raises(ScriptError) as err:
+            parse_proof_script(text)
+        assert str(err.value) == f"{what} of 5000 digits is too long (script line 1)"
+
+    def test_instance_that_would_capture_cannot_be_inferred(self):
+        # x := y would be captured by (Ay): no term fits, and the line says so.
+        text = "PREMISE: (Ax)(Ay)UNDIR x y\n1. (Ax)(Ay)UNDIR x y  PREMISE\n2. (Ay)UNDIR y y  US 1\n"
+        rep = check_proof(parse_proof_script(text))
+        assert (rep.valid, rep.line, rep.message) == (False, 2, "US: cannot infer the instantiation term")
+
     def test_show_mismatch_detected(self):
         text = "SHOW: UNDIR v2 v1\n1. UNDIR v1 v2  ASSUMED-PREMISE\n2. UNDIR v1 v2 -> UNDIR v1 v2  CP 1\n"
         rep = check_proof(parse_proof_script(text))

@@ -12,6 +12,7 @@ from dirgeo.corpus import corpus_ids, load
 from dirgeo.geometry import axiom, axiom_names
 from dirgeo.models import equivalent_on_all
 from dirgeo.syntax import (
+    GEOMETRY,
     And,
     App,
     Atom,
@@ -33,6 +34,7 @@ from dirgeo.syntax import (
     flatten_and,
     flatten_or,
     free_vars,
+    match,
     negated_quantifier_view,
     parse_annotation_term,
     parse_formula,
@@ -133,6 +135,16 @@ class TestParseFormula:
             {"UNDIR": 2, "CON": 2, "DIR": 2}, {"rev": 1, "mid": 2}
         )
         assert parse_formula("Dir x [MID x y]", wider) == Atom("DIR", (x, App("mid", (x, y))))
+
+    def test_signature_is_read_only_and_hashable(self):
+        with pytest.raises(TypeError):
+            GEOMETRY.predicates["FOO"] = 1
+        with pytest.raises(ParseError):
+            parse_formula("FOO x")
+        same = Signature(predicates={"undir": 2}, functions={"REV": 1})
+        assert same == GEOMETRY and hash(same) == hash(GEOMETRY)
+        assert {GEOMETRY: 1}[same] == 1
+        assert pickle.loads(pickle.dumps(GEOMETRY)) == GEOMETRY == copy.deepcopy(GEOMETRY)
 
     def test_term_bracket_in_formula_position_rejected(self):
         with pytest.raises(ParseError) as err:
@@ -423,6 +435,65 @@ class TestAlphaEqFingerprint:
             digest.update(f"{print_formula(f)}\t{print_formula(g)}\t{verdict}\n".encode())
         assert (len(pairs), equal) == (1057, 494)
         assert digest.hexdigest()[:16] == "0ba9a2ee6149bff2"
+
+
+def _scramble(rng, f, pool):
+    """f with about a third of its variable occurrences and binder names
+    redrawn from pool, free or bound alike: mostly near misses of f."""
+    def name(old):
+        return rng.choice(pool) if rng.random() < 0.3 else old
+
+    def term(t):
+        return Var(name(t.name)) if isinstance(t, Var) else App(t.fn, tuple(map(term, t.args)))
+
+    if isinstance(f, Atom):
+        return Atom(f.pred, tuple(map(term, f.args)))
+    if isinstance(f, Not):
+        return Not(_scramble(rng, f.body, pool))
+    if isinstance(f, (And, Or, Implies)):
+        return type(f)(_scramble(rng, f.left, pool), _scramble(rng, f.right, pool))
+    return type(f)(name(f.var), _scramble(rng, f.body, pool))
+
+
+class TestMatch:
+    @pytest.mark.parametrize("pattern, target, eligible", [(a, b, ()) for a, b in _ALPHA_SHAPES[:2]]
+                             + [(*_ALPHA_SHAPES[2], ("x",))], ids=["shadowing", "free-bound", "capture"])
+    def test_binder_shapes_do_not_match(self, pattern, target, eligible):
+        assert match(parse_formula(pattern), parse_formula(target), frozenset(eligible)) is None
+
+    def test_binds_under_renamed_binders(self):
+        got = match(parse_formula("(Ay)UNDIR x y"), parse_formula("(Aw)UNDIR [rev z] w"), frozenset("x"))
+        assert got == {"x": App("rev", (z,))}
+
+    def test_one_term_per_variable(self):
+        p = parse_formula("UNDIR x x")
+        assert match(p, parse_formula("UNDIR y y"), frozenset("x")) == {"x": y}
+        assert match(p, parse_formula("UNDIR y z"), frozenset("x")) is None
+
+    def test_absent_eligible_variable_is_not_bound(self):
+        assert match(parse_formula("(Ax)UNDIR x z"), parse_formula("(Ay)UNDIR y z"), frozenset("xv")) == {}
+
+    def test_seeded_completeness_and_soundness(self):
+        # Completeness: a substitution instance of p matches p with the
+        # substituted terms, also up to bound names.  Soundness, checked with
+        # rule_eq: whatever binding comes back makes p the target.
+        rng = random.Random(18)
+        hits = 0
+        for _ in range(1500):
+            p = random_formula(rng)
+            eligible = frozenset(v for v in VARS if rng.random() < 0.5)
+            bindings = {v: random_term(rng, VARS) for v in eligible}
+            want = {v: t for v, t in bindings.items() if v in free_vars(p)}
+            t = substitute(p, bindings)
+            assert match(p, t, eligible) == want
+            assert match(p, alpha_variant(rng, t), eligible) == want
+            p = random_formula(rng, ["x", "y", "z"], 3)
+            t = _scramble(rng, p, ["x", "y", "z"])
+            got = match(p, t, frozenset("x"))
+            if got is not None:
+                hits += 1
+                assert rule_eq(substitute(p, got), t)
+        assert hits == 590
 
 
 class TestNegatedQuantifierView:
