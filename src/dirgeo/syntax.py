@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import re
 import weakref
-from types import MappingProxyType
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 from itertools import repeat
+from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
 
@@ -233,11 +233,11 @@ def _lex(src: str) -> tuple[list[str], list[str]]:
 # Every rule takes the depth at which its node sits in the tree.  nest() caps
 # it at _MAX_DEPTH, which bounds the parser's own recursion (at most 4
 # frames per level) and that of every recursive walker over a parsed formula
-# (_subst, _canon, _print, the kernel's matchers, the models' evaluators: at
-# most 3 frames per level), far inside Python's default limit of 1000.  A
-# chain of & or | is parsed by a loop but nests to the left, so each operator
-# sinks the chain read so far one level deeper; self.deepest, the deepest
-# level reached in the current chain, is what sinks.
+# (_subst, _canon, _print, match, the models' evaluators: at most 3 frames
+# per level), far inside Python's default limit of 1000.  A chain of & or |
+# is parsed by a loop but nests to the left, so each operator sinks the
+# chain read so far one level deeper; self.deepest, the deepest level
+# reached in the current chain, is what sinks.
 
 _MAX_DEPTH = 100
 

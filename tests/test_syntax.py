@@ -12,12 +12,12 @@ from dirgeo.corpus import corpus_ids, load
 from dirgeo.geometry import axiom, axiom_names
 from dirgeo.models import equivalent_on_all
 from dirgeo.syntax import (
-    GEOMETRY,
     And,
     App,
     Atom,
     Exists,
     Forall,
+    GEOMETRY,
     Implies,
     Not,
     Or,
@@ -403,7 +403,8 @@ def _count_binders(f) -> int:
 
 
 # alpha_eq gives False on each: a shadowing binder, a free variable against
-# a bound one of the same name, and a free variable against a bound one.
+# a bound one of the same name, and a free x against a bound y (a term that,
+# with x eligible for matching, the target's binder would capture).
 _ALPHA_SHAPES = [
     ("(Ax)(Ay)UNDIR x y", "(Ax)(Ax)UNDIR x x"),
     ("(Ay)UNDIR z y", "(Az)UNDIR z z"),
@@ -462,16 +463,16 @@ class TestMatch:
         assert match(parse_formula(pattern), parse_formula(target), frozenset(eligible)) is None
 
     def test_binds_under_renamed_binders(self):
-        got = match(parse_formula("(Ay)UNDIR x y"), parse_formula("(Aw)UNDIR [rev z] w"), frozenset("x"))
+        got = match(parse_formula("(Ay)UNDIR x y"), parse_formula("(Aw)UNDIR [rev z] w"), frozenset({"x"}))
         assert got == {"x": App("rev", (z,))}
 
     def test_one_term_per_variable(self):
         p = parse_formula("UNDIR x x")
-        assert match(p, parse_formula("UNDIR y y"), frozenset("x")) == {"x": y}
-        assert match(p, parse_formula("UNDIR y z"), frozenset("x")) is None
+        assert match(p, parse_formula("UNDIR y y"), frozenset({"x"})) == {"x": y}
+        assert match(p, parse_formula("UNDIR y z"), frozenset({"x"})) is None
 
     def test_absent_eligible_variable_is_not_bound(self):
-        assert match(parse_formula("(Ax)UNDIR x z"), parse_formula("(Ay)UNDIR y z"), frozenset("xv")) == {}
+        assert match(parse_formula("(Ax)UNDIR x z"), parse_formula("(Ay)UNDIR y z"), frozenset({"x", "v1"})) == {}
 
     def test_seeded_completeness_and_soundness(self):
         # Completeness: a substitution instance of p matches p with the
@@ -489,7 +490,7 @@ class TestMatch:
             assert match(p, alpha_variant(rng, t), eligible) == want
             p = random_formula(rng, ["x", "y", "z"], 3)
             t = _scramble(rng, p, ["x", "y", "z"])
-            got = match(p, t, frozenset("x"))
+            got = match(p, t, frozenset({"x"}))
             if got is not None:
                 hits += 1
                 assert rule_eq(substitute(p, got), t)
