@@ -2,7 +2,9 @@
 
 Exit codes are a stable contract: 0 all verdicts pass, 1 proof-check
 failure, 2 parse error, 3 not proved (refuted, exhausted or over budget),
-4 expectation mismatch (models --expect-*).  Reports print as
+4 expectation mismatch (models --expect-*); in check and corpus a parse
+error outranks a failed check.  Axiom names resolve with their defined
+relations (CON, DIR, OPP, INOPP) expanded.  Reports print as
 human-readable text or as JSON records (--format records) for CI diffing;
 a countermodel travels in the record's `countermodel` field.  Proof scripts
 themselves go to stdout (or --out) so `dirgeo prove ... | dirgeo check -`
@@ -49,6 +51,12 @@ class RunReport:
         self.exit_code = EXIT_PARSE_ERROR
         return self
 
+    def fail(self, name: str, status: str, detail: str) -> None:
+        """Record a failed check: exit 1, unless a parse error has set 2."""
+        self.add(name, status, detail)
+        if self.exit_code == EXIT_OK:
+            self.exit_code = EXIT_CHECK_FAILED
+
     def emit(self, fmt: str) -> None:
         stream = sys.stderr if self.command == "prove" else sys.stdout
         elapsed = time.monotonic() - self.started
@@ -56,18 +64,10 @@ class RunReport:
             for item in self.items:
                 record = {"command": self.command, **item}
                 print(json.dumps(record), file=stream)
-            print(
-                json.dumps(
-                    {
-                        "command": self.command,
-                        "item": None,
-                        "status": "pass" if self.exit_code == EXIT_OK else "fail",
-                        "exit_code": self.exit_code,
-                        "elapsed": round(elapsed, 4),
-                    }
-                ),
-                file=stream,
-            )
+            status = "pass" if self.exit_code == EXIT_OK else "fail"
+            summary = {"command": self.command, "item": None, "status": status,
+                       "exit_code": self.exit_code, "elapsed": round(elapsed, 4)}
+            print(json.dumps(summary), file=stream)
         else:
             for item in self.items:
                 line = f"{item['status']:<8} {item['item']}"
@@ -80,15 +80,12 @@ class RunReport:
 
 def _resolve_sequent(args):
     """(premises, goal) as (name, formula) pairs from --from and --goal: the
-    premises a comma-separated list, the goal exactly one name.  Raises
+    premises a comma-separated list, the goal exactly one name.  Defined
+    relations are expanded, so check reads what prove emits.  Raises
     UnknownAxiom for a name not in the catalog."""
-
-    def resolve(name: str):
-        f = axiom(name)
-        return name, expand_defs(f) if args.expand_defs else f
-
     names = [s.strip() for s in (args.premises or "").split(",") if s.strip()]
-    return [resolve(name) for name in names], resolve(args.goal.strip())
+    sequent = [(name, expand_defs(axiom(name))) for name in [*names, args.goal.strip()]]
+    return sequent[:-1], sequent[-1]
 
 
 # -- check -------------------------------------------------------------------
@@ -97,24 +94,32 @@ def _resolve_sequent(args):
 _INPUT_ERRORS = (ScriptError, ParseError, OSError, UnicodeDecodeError)
 
 
+def _check_script(report: RunReport, name: str, read):
+    """(proof, CheckReport) of the valid script that read() returns, for the
+    caller to report; else None, with the parse error (exit 2, outranking a
+    failed check) or the invalid proof (exit 1) reported under name."""
+    try:
+        proof = parse_proof_script(read())
+        res = check_proof(proof)
+    except _INPUT_ERRORS as exc:
+        report.add(name, "parse-error", str(exc))
+        report.exit_code = EXIT_PARSE_ERROR
+        return None
+    if not res.valid:
+        report.fail(name, "invalid", f"line {res.line} [{res.kind}]: {res.message}")
+        return None
+    return proof, res
+
+
 def cmd_check(args) -> RunReport:
     report = RunReport("check")
     for path in args.paths:
-        try:
-            text = sys.stdin.read() if path == "-" else Path(path).read_text()
-            proof = parse_proof_script(text)
-            res = check_proof(proof)
-        except _INPUT_ERRORS as exc:
-            report.add(path, "parse-error", str(exc))
-            report.exit_code = EXIT_PARSE_ERROR
-        else:
-            if res.valid:
-                report.add(path, "valid", res.sequent())
-                continue
-            report.add(path, "invalid", f"line {res.line} [{res.kind}]: {res.message}")
-            if report.exit_code == EXIT_OK:
-                report.exit_code = EXIT_CHECK_FAILED
-        if not args.keep_going:
+        checked = _check_script(
+            report, path, lambda: sys.stdin.read() if path == "-" else Path(path).read_text()
+        )
+        if checked:
+            report.add(path, "valid", checked[1].sequent())
+        elif not args.keep_going:
             break
     return report
 
@@ -174,11 +179,7 @@ def cmd_models(args) -> RunReport:
     if not 1 <= args.max_size <= MAX_SIZE:
         return report.error(label, f"--max-size must be in 1..{MAX_SIZE}, got {args.max_size}")
 
-    try:
-        cm = find_countermodel(premise_formulas, goal, args.max_size)
-    except ValueError as exc:
-        return report.error(label, f"{exc} (did you mean --expand-defs?)")
-
+    cm = find_countermodel(premise_formulas, goal, args.max_size)
     if cm is None:
         report.add(label, "no-countermodel", f"up to size {args.max_size}")
         if args.expect == "counter":
@@ -196,17 +197,10 @@ def cmd_models(args) -> RunReport:
 def cmd_corpus(args) -> RunReport:
     report = RunReport("corpus")
     for cid in corpus_mod.corpus_ids():
-        try:
-            proof, entry = corpus_mod.load(cid)
-            res = check_proof(proof)
-        except _INPUT_ERRORS as exc:
-            report.add(cid, "parse-error", str(exc))
-            report.exit_code = EXIT_PARSE_ERROR
+        checked = _check_script(report, cid, lambda: corpus_mod.script_text(cid))
+        if not checked:
             continue
-        if not res.valid:
-            report.add(cid, "invalid", f"line {res.line} [{res.kind}]: {res.message}")
-            report.exit_code = EXIT_CHECK_FAILED
-            continue
+        (proof, res), entry = checked, corpus_mod.ENTRIES[cid]
         problems = []
         if len(proof.lines) != entry.expected_lines:
             problems.append(f"expected {entry.expected_lines} lines, found {len(proof.lines)}")
@@ -218,8 +212,7 @@ def cmd_corpus(args) -> RunReport:
         if not rule_eq(res.conclusion, entry.declared_conclusion()):
             problems.append("conclusion differs from the declared sequent")
         if problems:
-            report.add(cid, "mismatch", "; ".join(problems))
-            report.exit_code = EXIT_CHECK_FAILED
+            report.fail(cid, "mismatch", "; ".join(problems))
         else:
             report.add(cid, "valid", res.sequent())
     return report
@@ -253,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     sequent = argparse.ArgumentParser(add_help=False)
     sequent.add_argument("--from", dest="premises", default="", help="comma-separated axiom names")
     sequent.add_argument("--goal", required=True, help="axiom name of the goal")
-    sequent.add_argument(
-        "--expand-defs", action="store_true", help="expand CON/DIR/OPP/INOPP in resolved names"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="verify proof scripts", parents=[_FORMAT])

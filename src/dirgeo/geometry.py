@@ -2,8 +2,8 @@
 
 Axioms live in data/catalog.txt as source text in the module grammar; the
 defined relations rewrite between the UNDIR-only core the kernel uses and
-the human-readable forms.  Expansion is always explicit (expand_defs or the
-CLI's --expand-defs); nothing expands silently.
+the human-readable forms.  Library callers expand with expand_defs; the
+CLI expands every axiom name it resolves.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def defined_form_names() -> tuple[str, ...]:
 def expand_defs(f: Formula) -> Formula:
     """Replace CON/DIR/OPP/INOPP atoms by their UNDIR bodies.
 
-    Idempotent on UNDIR-only formulas; raises on arity mismatch.
+    Idempotent on UNDIR-only formulas; raises ValueError on arity mismatch,
+    and NestingError (a ValueError) if the expansion is too tall.
     """
     if isinstance(f, Atom):
         entry = _DEFS.get(f.pred)

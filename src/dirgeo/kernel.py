@@ -9,7 +9,8 @@ discharged subproof is reported as a scope violation at the citing line.
 Checker has one rejection path.  Each rule has a _rule_* handler that
 returns the new line's dependency set or raises _Reject(message, kind);
 Checker.add_line is the only place that turns a _Reject into a Verdict, and
-it records the dependencies of an accepted line.
+it records the dependencies of an accepted line; a rule that would build a
+formula past the node bound (NestingError) rejects the line as "rule" too.
 
 Conventions the checker bakes in (all forced by the transcript corpus):
   - formula comparison is modulo associativity/commutativity of & and |,
@@ -38,6 +39,7 @@ from .syntax import (
     GEOMETRY,
     IDENT_RE,
     Implies,
+    NestingError,
     Not,
     Or,
     ParseError,
@@ -244,10 +246,8 @@ class Checker:
                 raise _Reject(f"{rule.value}: {name} is free in {blocked[name]}")
 
     def _cite(self, n: int, j: int) -> ProofLine:
-        if j not in self.lines:
+        if j not in self.lines:  # it holds lines 1..n-1, so j >= n too
             raise _Reject(f"line {n} cites nonexistent line {j}", "structure")
-        if j >= n:
-            raise _Reject(f"line {n} cites a later line {j}", "structure")
         for lo, hi in self.closed_regions:
             if lo <= j <= hi:
                 raise _Reject(f"line {n} cites line {j} inside a closed subproof ({lo}..{hi})", "scope")
@@ -277,6 +277,8 @@ class Checker:
             deps = _HANDLERS[just.rule](self, n, line.formula, just, cited)
         except _Reject as exc:
             return Verdict(False, exc.kind, str(exc))
+        except NestingError as exc:  # the rule built a formula too tall to exist
+            return Verdict(False, "rule", f"{just.rule.value}: {exc}")
         self.deps[n] = frozenset(deps)
         self.lines[n] = line
         self.next_number += 1

@@ -6,7 +6,8 @@ size-ascending, then lexicographic over the rev table, then lexicographic
 over the undir table read row-major with False < True.  find_countermodel
 reports the first structure in that order satisfying every premise and
 falsifying the goal; countermodel_at_size does the same for one size.
-Sizes 1..MAX_SIZE are covered; a larger size raises ValueError.
+Sizes 1..MAX_SIZE are covered; a larger size raises ValueError, and so
+does a formula whose negation or plan would nest too deeply (NestingError).
 
 The scan visits only rev_representatives(n), the rev tables least in their
 class under relabelling (1, 3, 7 and 19 of n^n for n = 1..4), yet finds the

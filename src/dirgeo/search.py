@@ -32,7 +32,9 @@ sound, since a proof makes the goal true in every model of the premises.
 The check runs only on sequents the structures interpret (models.interprets):
 one with a defined atom or a symbol of a custom signature is searched as
 it is.  A search that fails names the bounds that cut it, in
-SearchResult.limits: max_lines, max_depth or max_term_depth.
+SearchResult.limits: max_lines, max_depth or max_term_depth, or nesting
+when a formula it built would pass the node bound of syntax.NestingError;
+prove never raises that error.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .syntax import (
     Forall,
     Formula,
     Implies,
+    NestingError,
     Not,
     Or,
     Term,
@@ -114,8 +117,8 @@ class _Budget(Exception):
     pass
 
 
-# The bounds a failed search names, in the order it reports them.
-_LIMITS = ("max_lines", "max_depth", "max_term_depth")
+# The bounds a failed search names, in the order it reports them (nesting: NestingError).
+_LIMITS = ("max_lines", "max_depth", "max_term_depth", "nesting")
 
 
 @dataclass
@@ -126,12 +129,6 @@ class _Node:
     annot: tuple[tuple[Term, str], ...] = ()
     seq: int = 0
     extra: tuple["_Node", ...] = ()  # emission-only dependencies (case openings)
-
-
-def _term_depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0
-    return 1 + max(_term_depth(a) for a in t.args)
 
 
 class _Engine:
@@ -219,22 +216,18 @@ class _Context:
 
     # -- saturation ---------------------------------------------------------
 
-    def saturate(self, targets: set, term_depth: int, seed) -> _Node | None:
-        """Forward closure; returns the node for a target key if reached."""
+    def saturate(self, target_key, term_depth: int, seed) -> _Node | None:
+        """Forward closure; returns the node for target_key once it is
+        added (every node enters through the worklist)."""
         worklist = deque(seed)
         while True:
             while worklist:
-                node = worklist.popleft()
-                self._combine(node, worklist)
-                for key in targets:
-                    if key in self.nodes:
-                        return self.nodes[key]
+                self._combine(worklist.popleft(), worklist)
+                hit = self.nodes.get(target_key)
+                if hit is not None:
+                    return hit
             if not self._instantiate_round(term_depth, worklist):
-                break
-        for key in targets:
-            if key in self.nodes:
-                return self.nodes[key]
-        return None
+                return None
 
     def _combine(self, node: _Node, worklist) -> None:
         eng = self.engine
@@ -307,7 +300,7 @@ class _Context:
                     for a in t.args:
                         visit(a)
                 return
-            if _term_depth(t) > term_depth:
+            if t.height > term_depth + 1:  # the height counts the variable too
                 eng.limits.add("max_term_depth")
                 if isinstance(t, App):
                     visit(t.args[0])
@@ -329,7 +322,7 @@ class _Context:
             wrapped = App("rev", (t,))
             if wrapped in pool:
                 continue
-            if _term_depth(wrapped) > term_depth:
+            if wrapped.height > term_depth + 1:
                 eng.limits.add("max_term_depth")
                 continue
             pool[wrapped] = None
@@ -364,7 +357,7 @@ class _Context:
 
 
 def _term_sort_key(t: Term):
-    return (_term_depth(t), print_term(t))
+    return (t.height, print_term(t))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +418,7 @@ def _decompose(goal: Formula, taken: set[str]) -> tuple[list[_Step], list[Formul
 def _search_target(
     ctx: _Context, target_key, term_depth: int, cases_left: int, seed: list[_Node]
 ) -> _Node | None:
-    hit = ctx.saturate({target_key}, term_depth, seed)
+    hit = ctx.saturate(target_key, term_depth, seed)
     if hit is not None:
         return hit
     if cases_left <= 0:
@@ -488,16 +481,18 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
         proof = Proof(list(premises), [ProofLine(1, given, Justification(Rule.PREMISE))], show=goal)
     else:
         interpreted = interprets(list(premises) + [goal])
-        if interpreted:
-            countermodel = find_countermodel(premises, goal, 2)
+        proof, stats = None, SearchStats()
+        try:  # the refutations build ~goal, a level taller than the goal
+            if interpreted:
+                countermodel = find_countermodel(premises, goal, 2)
+            if countermodel is None:
+                status, proof, stats, limits = _search(premises, goal, cfg)
+                if proof is None and interpreted:
+                    countermodel = countermodel_at_size(premises, goal, 3)
+        except NestingError:
+            status, limits = "budget-exceeded", ("nesting",)
         if countermodel is not None:
-            status, proof, stats = "refuted", None, SearchStats()
-        else:
-            status, proof, stats, limits = _search(premises, goal, cfg)
-            if proof is None and interpreted:
-                countermodel = countermodel_at_size(premises, goal, 3)
-                if countermodel is not None:
-                    status = "refuted"
+            status = "refuted"
     if proof is not None:
         report = check_proof(proof)
         if not report.valid:
@@ -524,7 +519,6 @@ def _search(
     premise_nodes = [_Node(p, Rule.PREMISE, seq=next(engine.seq)) for p in premises]
     assumption_nodes = [_Node(a, Rule.ASSUMED_PREMISE, seq=next(engine.seq)) for a in assumptions]
 
-    hit = None
     try:
         for depth in range(min(1, cfg.max_term_depth), cfg.max_term_depth + 1):
             engine.limits = set()
@@ -534,14 +528,14 @@ def _search(
                 ctx.add(n, wl)
             hit = _search_target(ctx, target_key, depth, cfg.max_depth, wl)
             if hit is not None:
-                break
+                proof = _emit(premises, goal, steps, assumption_nodes, hit, engine)
+                return "proved", proof, engine.stats, ()
     except _Budget:
         engine.limits = {"max_lines"}
-
-    if hit is None:
-        limits = tuple(l for l in _LIMITS if l in engine.limits)
-        return ("budget-exceeded" if limits else "exhausted"), None, engine.stats, limits
-    return "proved", _emit(premises, goal, steps, assumption_nodes, hit, engine), engine.stats, ()
+    except NestingError:
+        engine.limits = {"nesting"}
+    limits = tuple(l for l in _LIMITS if l in engine.limits)
+    return ("budget-exceeded" if limits else "exhausted"), None, engine.stats, limits
 
 
 def _emit(
@@ -576,32 +570,19 @@ def _emit(
         cited = tuple(numbers[c.seq] for c in n.cited)
         lines.append(ProofLine(len(lines) + 1, n.formula, Justification(n.rule, cited, n.annot)))
 
-    # unwind the goal plan inside-out
-    current = numbers[hit.seq]
-    current_formula = hit.formula
+    # unwind the goal plan inside-out, each line citing the one before
+    current, formula = numbers[hit.seq], hit.formula
     for step in reversed(steps):
-        if step.kind in ("cp", "cp_imp"):
-            impl = Implies(step.assumption, current_formula)
-            lines.append(
-                ProofLine(len(lines) + 1, impl, Justification(Rule.CP, (current,)))
-            )
-            current = len(lines)
-            current_formula = impl
+        if step.kind == "ug":
+            restated = [(step.quantified, Rule.UG)]
+        else:
+            impl = Implies(step.assumption, formula)
+            restated = [(impl, Rule.CP)]
             if step.kind == "cp_imp":
-                disj = imp_result(impl)
-                lines.append(
-                    ProofLine(len(lines) + 1, disj, Justification(Rule.IMP, (current,)))
-                )
-                current = len(lines)
-                current_formula = disj
-        else:  # ug
-            lines.append(
-                ProofLine(
-                    len(lines) + 1, step.quantified, Justification(Rule.UG, (current,))
-                )
-            )
+                restated.append((imp_result(impl), Rule.IMP))
+        for formula, rule in restated:
+            lines.append(ProofLine(len(lines) + 1, formula, Justification(rule, (current,))))
             current = len(lines)
-            current_formula = step.quantified
     return Proof(list(premises), lines, show=goal)
 
 

@@ -12,14 +12,17 @@ the ASCII conventions of the bundled derivation transcripts:
     grouping      [ ... ]          also used for function terms [rev x]
     atoms         UNDIR t1 t2      prefix form, arity from the signature
 
-Unicode aliases are accepted on input and never emitted.  The parser
-rejects a formula nested more than _MAX_DEPTH levels deep, so that no
-recursive walker over it can reach Python's recursion limit.
+Unicode aliases are accepted on input and never emitted.
 
 Terms and formulas are hash-consed: two equal structures are the same
 object, so == is `is` and hashing costs O(1), whatever the size of the
 tree.  Build nodes only through their constructors, with the fields in
 order; unpickling and copying do so too.
+
+Every node stores its height: a variable is one level, and each term,
+atom, connective and quantifier adds one.  The constructor raises
+NestingError past 2 * _MAX_DEPTH levels, and the parser rejects text past
+_MAX_DEPTH, which leaves a derivation room to build on what it reads.
 """
 
 from __future__ import annotations
@@ -27,10 +30,14 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
+
+
+class NestingError(ValueError):
+    """A node would be taller than 2 * _MAX_DEPTH levels."""
 
 
 class ParseError(ValueError):
@@ -48,9 +55,15 @@ class ParseError(ValueError):
 # identity defaults of object.  The table holds nodes weakly, so it is
 # bounded by the nodes still referenced.  It is a plain dict of KeyedRefs
 # rather than a WeakValueDictionary, whose Python-level get() costs about
-# three times a dict lookup on every node built.
+# three times a dict lookup on every node built.  A node's height is worked
+# out once, on a miss, by its class's _height from the fields.
 
 _NODES: dict = {}  # (class, *fields) -> weakref.KeyedRef to the node
+
+# Text may nest _MAX_DEPTH levels, a node twice as many.  No recursive walker
+# (_subst, _canon, _print, match, the models' evaluators) takes more than 3
+# frames per level, so none reaches Python's default recursion limit of 1000.
+_MAX_DEPTH = 100
 
 
 def _forget(ref: weakref.KeyedRef, nodes: dict = _NODES) -> None:
@@ -62,8 +75,9 @@ def _forget(ref: weakref.KeyedRef, nodes: dict = _NODES) -> None:
 
 
 class _Node:
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "height")
     _fields: tuple[str, ...] = ()
+    height: int
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -74,7 +88,11 @@ class _Node:
                 return node
         if len(fields) != len(cls._fields):
             raise TypeError(f"{cls.__name__} takes the fields {cls._fields}, got {fields!r}")
+        height = cls._height(*fields)
+        if height > 2 * _MAX_DEPTH:
+            raise NestingError("formula nested too deeply")
         node = object.__new__(cls)
+        object.__setattr__(node, "height", height)
         for name, value in zip(cls._fields, fields):
             object.__setattr__(node, name, value)
         _NODES[key] = weakref.KeyedRef(node, _forget, key)
@@ -96,13 +114,23 @@ class _Node:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
+def _over_args(head, args) -> int:
+    return 1 + max([a.height for a in args], default=0)
+
+
+def _over_sides(left, right) -> int:
+    return 1 + max(left.height, right.height)
+
+
 class Var(_Node):
     __slots__ = _fields = ("name",)
+    _height = staticmethod(lambda name: 1)
     name: str
 
 
 class App(_Node):
     __slots__ = _fields = ("fn", "args")
+    _height = staticmethod(_over_args)
     fn: str
     args: tuple["Term", ...]
 
@@ -112,41 +140,48 @@ Term = Union[Var, App]
 
 class Atom(_Node):
     __slots__ = _fields = ("pred", "args")
+    _height = staticmethod(_over_args)
     pred: str
     args: tuple[Term, ...]
 
 
 class Not(_Node):
     __slots__ = _fields = ("body",)
+    _height = staticmethod(lambda body: 1 + body.height)
     body: "Formula"
 
 
 class And(_Node):
     __slots__ = _fields = ("left", "right")
+    _height = staticmethod(_over_sides)
     left: "Formula"
     right: "Formula"
 
 
 class Or(_Node):
     __slots__ = _fields = ("left", "right")
+    _height = staticmethod(_over_sides)
     left: "Formula"
     right: "Formula"
 
 
 class Implies(_Node):
     __slots__ = _fields = ("left", "right")
+    _height = staticmethod(_over_sides)
     left: "Formula"
     right: "Formula"
 
 
 class Forall(_Node):
     __slots__ = _fields = ("var", "body")
+    _height = staticmethod(lambda var, body: 1 + body.height)
     var: str
     body: "Formula"
 
 
 class Exists(_Node):
     __slots__ = _fields = ("var", "body")
+    _height = staticmethod(lambda var, body: 1 + body.height)
     var: str
     body: "Formula"
 
@@ -232,14 +267,11 @@ def _lex(src: str) -> tuple[list[str], list[str]]:
 #
 # Every rule takes the depth at which its node sits in the tree.  nest() caps
 # it at _MAX_DEPTH, which bounds the parser's own recursion (at most 4
-# frames per level) and that of every recursive walker over a parsed formula
-# (_subst, _canon, _print, match, the models' evaluators: at most 3 frames
-# per level), far inside Python's default limit of 1000.  A chain of & or |
-# is parsed by a loop but nests to the left, so each operator sinks the
-# chain read so far one level deeper; self.deepest, the deepest level
-# reached in the current chain, is what sinks.
-
-_MAX_DEPTH = 100
+# frames per level).  A chain of & or | is parsed by a loop but nests to the
+# left, so each operator sinks the chain read so far one level deeper: read
+# at depth, its deepest node sits at depth + height - 1, one more once sunk.
+# A bracket group adds a level to depth but none to height.  So parsed text
+# is at most _MAX_DEPTH + 1 levels tall (the left of -> sits at its depth).
 
 
 class _Parser:
@@ -247,7 +279,6 @@ class _Parser:
         self.src = src
         self.kinds, self.texts = _lex(src)
         self.pos = 0
-        self.deepest = 0
         self.predicates = signature.predicates
         self.functions = signature.functions
 
@@ -260,8 +291,6 @@ class _Parser:
         """Admit a node at `depth`, starting at the current token."""
         if depth > _MAX_DEPTH:
             raise ParseError("formula nested too deeply", self.offset(self.pos))
-        if depth > self.deepest:
-            self.deepest = depth
 
     def expect(self, kind: str) -> int:
         i = self.pos
@@ -279,23 +308,19 @@ class _Parser:
         return left
 
     def disjunction(self, depth: int) -> Formula:
-        outer, self.deepest = self.deepest, depth
         f = self.conjunction(depth)
         while self.kinds[self.pos] == "|":
-            self.nest(self.deepest + 1)
+            self.nest(depth + f.height)
             self.pos += 1
             f = Or(f, self.conjunction(depth + 1))
-        self.deepest = max(outer, self.deepest)
         return f
 
     def conjunction(self, depth: int) -> Formula:
-        outer, self.deepest = self.deepest, depth
         f = self.unary(depth)
         while self.kinds[self.pos] == "&":
-            self.nest(self.deepest + 1)
+            self.nest(depth + f.height)
             self.pos += 1
             f = And(f, self.unary(depth + 1))
-        self.deepest = max(outer, self.deepest)
         return f
 
     def unary(self, depth: int) -> Formula:
@@ -356,7 +381,7 @@ class _Parser:
         return Atom(pred, tuple([self.term(depth + 1) for _ in range(arity)]))
 
     def term(self, depth: int) -> Term:
-        if depth > self.deepest:
+        if depth > _MAX_DEPTH:
             self.nest(depth)
         i = self.pos
         kind = self.kinds[i]
@@ -567,7 +592,8 @@ def fresh_name(base: str, taken: frozenset[str] | set[str]) -> str:
 
 
 def substitute(f: Formula, bindings: Mapping[str, Term]) -> Formula:
-    """Simultaneous capture-avoiding substitution on free occurrences."""
+    """Simultaneous capture-avoiding substitution on free occurrences;
+    NestingError if the result is too tall."""
     bindings = {k: v for k, v in bindings.items() if v is not Var(k)}
     if not bindings:
         return f
@@ -739,17 +765,11 @@ def flatten_and(f: Formula) -> list[Formula]:
 
 
 def build_or(parts: list[Formula]) -> Formula:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = Or(p, out)
-    return out
+    return reduce(lambda out, p: Or(p, out), reversed(parts))
 
 
 def build_and(parts: list[Formula]) -> Formula:
-    out = parts[-1]
-    for p in reversed(parts[:-1]):
-        out = And(p, out)
-    return out
+    return reduce(lambda out, p: And(p, out), reversed(parts))
 
 
 def neg(f: Formula) -> Formula:

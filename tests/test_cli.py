@@ -30,6 +30,13 @@ def corpus_files(tmp_path):
     return paths
 
 
+def _restate_last(script: str) -> str:
+    """The script with one more line, a SAME of its last."""
+    number, record = script.rstrip("\n").splitlines()[-1].split(". ", 1)
+    formula = record.rsplit("  ", 1)[0]
+    return script + f"{int(number) + 1}. {formula}  SAME {number}\n"
+
+
 class TestCheck:
     def test_all_corpus_files_valid(self, corpus_files, capsys):
         assert main(["check", *corpus_files]) == EXIT_OK
@@ -82,6 +89,24 @@ class TestCheck:
         assert main(["check", "-"]) == EXIT_PARSE_ERROR
         assert "parse-error -  'utf-8' codec can't decode byte 0xff" in capsys.readouterr().out
 
+    def test_derivation_too_deep_is_one_invalid_line(self, tmp_path, capsys):
+        # B is a balanced & of 1,024 atoms in brackets 10 deep, so the text
+        # parses; the IMP result of line 2 would be a chain of 1,025
+        # disjuncts, past the node bound.
+        def balanced(k):
+            return "UNDIR x x" if k == 0 else f"[{balanced(k - 1)} & {balanced(k - 1)}]"
+
+        b = balanced(10)
+        p = tmp_path / "imp.prf"
+        p.write_text(
+            f"PREMISE: (Ax)[{b} -> UNDIR x x]\n1. (Ax)[{b} -> UNDIR x x]  PREMISE\n"
+            f"2. {b} -> UNDIR x x  US 1\n3. UNDIR x x  IMP 2\n"
+        )
+        assert main(["check", str(p)]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"invalid  {p}  line 3 [rule]: IMP: formula nested too deeply"
+        assert len(out) == 2
+
     @pytest.fixture
     def bad_then_good(self, tmp_path):
         bad = tmp_path / "bad.prf"
@@ -117,6 +142,14 @@ class TestProve:
         assert main(["prove", "--from", "I6", "--goal", "W1", "--out", str(out)]) == EXIT_OK
         capsys.readouterr()
         assert main(["check", str(out)]) == EXIT_OK
+
+    def test_defined_relations_round_trip(self, monkeypatch, capsys):
+        # I7conv is written with CON; prove emits it expanded, which check reads
+        assert main(["prove", "--from", "I7conv,I8", "--goal", "I7conv"]) == EXIT_OK
+        script = capsys.readouterr().out
+        assert "CON" not in script
+        monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+        assert main(["check", "-"]) == EXIT_OK
 
     def test_prove_writes_script_to_stdout(self, capsys):
         assert main(["prove", "--from", "I5,ODO", "--goal", "OO"]) == EXIT_OK
@@ -239,8 +272,9 @@ class TestModels:
         assert "1..4" in error and "expand-defs" not in error
 
     def test_expand_defs_resolution(self):
+        # names always resolve expanded: I7conv is I7 with CON written out
         assert main(["models", "--from", "I7conv", "--goal", "I7", "--max-size", "2",
-                     "--expand-defs", "--expect-none"]) == EXIT_OK
+                     "--expect-none"]) == EXIT_OK
 
 
 class TestCorpusCommand:
@@ -268,6 +302,36 @@ class TestCorpusCommand:
         out = capsys.readouterr().out
         lines = out.splitlines()
         assert lines[0].startswith("parse-error A  ") and sum(l.startswith("valid ") for l in lines) == 5
+
+    def test_parse_error_outranks_failed_check(self, tmp_path, monkeypatch, capsys):
+        # A does not parse and E fails its check; E is checked last
+        for cid in corpus_ids():
+            (tmp_path / f"{cid}.prf").write_text(script_text(cid))
+        (tmp_path / "A.prf").write_text("1. UNDIR x @ PREMISE\n")
+        (tmp_path / "E.prf").write_text(script_text("E").replace(" SAME ", " MP ", 1))
+        monkeypatch.setenv("DIRGEO_CORPUS_DIR", str(tmp_path))
+        assert main(["corpus"]) == EXIT_PARSE_ERROR
+        statuses = [line.split()[0] for line in capsys.readouterr().out.splitlines()[:-1]]
+        assert statuses == ["parse-error", "valid", "valid", "valid", "valid", "invalid"]
+        paths = [str(tmp_path / f"{cid}.prf") for cid in ("A", "E")]
+        assert main(["check", "--keep-going", *paths]) == EXIT_PARSE_ERROR
+
+    @pytest.mark.parametrize(
+        "cid, text, problem",
+        [("A", lambda: _restate_last(script_text("A")), "expected 17 lines, found 18"),
+         ("A", lambda: script_text("D"), "conclusion differs from the declared sequent")],
+        ids=["line-count", "conclusion"],
+    )
+    def test_valid_script_that_is_not_its_entry(self, tmp_path, monkeypatch, capsys, cid, text,
+                                                 problem):
+        for other in corpus_ids():
+            (tmp_path / f"{other}.prf").write_text(script_text(other))
+        (tmp_path / f"{cid}.prf").write_text(text())
+        monkeypatch.setenv("DIRGEO_CORPUS_DIR", str(tmp_path))
+        assert main(["corpus"]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"mismatch {cid}  {problem}"
+        assert sum(line.startswith("valid ") for line in out) == 5
 
     @pytest.mark.parametrize("depth", [400, 3000])
     def test_deep_nesting_is_a_parse_error(self, tmp_path, monkeypatch, capsys, depth):
@@ -325,10 +389,10 @@ class TestSurface:
 
     OPTIONS = {
         "check": {"--format", "--keep-going"},
-        "prove": {"--format", "--from", "--goal", "--expand-defs", "--max-depth",
-                  "--max-term-depth", "--max-lines", "--out"},
-        "models": {"--format", "--from", "--goal", "--expand-defs", "--max-size", "--jobs",
-                   "--expect-none", "--expect-counter"},
+        "prove": {"--format", "--from", "--goal", "--max-depth", "--max-term-depth",
+                  "--max-lines", "--out"},
+        "models": {"--format", "--from", "--goal", "--max-size", "--jobs", "--expect-none",
+                   "--expect-counter"},
         "corpus": {"--format"},
     }
 
@@ -345,8 +409,9 @@ class TestSurface:
         [(["corpus", "--config", "dirgeo.json"], "--config"),
          (["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--staged"], "--staged"),
          (["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--direct"], "--direct"),
-         (["models", "--from", "I5,I6", "--goal", "W2", "--record"], "--record")],
-        ids=["config", "staged", "direct", "record"],
+         (["models", "--from", "I5,I6", "--goal", "W2", "--record"], "--record"),
+         (["models", "--from", "I7conv", "--goal", "I7", "--expand-defs"], "--expand-defs")],
+        ids=["config", "staged", "direct", "record", "expand-defs"],
     )
     def test_removed_option_is_a_usage_error(self, capsys, argv, option):
         with pytest.raises(SystemExit) as exc:

@@ -239,6 +239,12 @@ class TestScope:
         rep = check_proof(_proof([], lines))
         assert not rep.valid and rep.line == 5 and rep.kind == "scope"
 
+    @pytest.mark.parametrize("cite", [2, 3])
+    def test_cite_of_itself_or_a_later_line_is_nonexistent(self, cite):
+        lines = [_line(1, "UNDIR x y", Rule.PREMISE), _line(2, "UNDIR x y", Rule.SAME, cite)]
+        rep = check_proof(_proof(["UNDIR x y"], lines))
+        assert (rep.line, rep.kind, rep.message) == (2, "structure", f"line 2 cites nonexistent line {cite}")
+
     def test_corpus_redirections_into_closed_regions(self):
         # citing any line of a subproof already discharged at that point
         # must be flagged as a scope violation, across all corpus proofs
@@ -577,6 +583,11 @@ SHOW: (Az)[~UNDIR v4 [rev v5] & ~UNDIR v4 z -> ~UNDIR v5 [rev z]]
 
 
 class TestSequentReport:
+    def test_empty_proof(self):
+        rep = check_proof(Proof([], []))
+        assert (rep.valid, rep.line, rep.kind, rep.message) == (False, None, "structure", "empty proof")
+        assert rep.conclusion is None
+
     def test_a_sequent(self):
         proof, entry = load("A")
         rep = check_proof(proof)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import os
 import random
@@ -17,7 +18,6 @@ from dirgeo.search import (
     _decompose,
     _Engine,
     _Node,
-    _term_depth,
     _term_sort_key,
     prove,
     prove_with_lemmas,
@@ -25,6 +25,9 @@ from dirgeo.search import (
 from dirgeo.syntax import (
     GEOMETRY,
     App,
+    Atom,
+    Forall,
+    Not,
     Var,
     atoms,
     bound_vars,
@@ -141,6 +144,20 @@ class TestStaged:
         rep = check_proof(r.proof)
         assert rep.valid and rule_eq(rep.conclusion, axiom("W2"))
 
+    def test_unproved_lemma_ends_the_call(self):
+        """The second lemma runs out of lines: its result comes back, with
+        the stats of both lemma searches."""
+        cfg = SearchConfig(2, 3, 100)
+        theorem2 = [axiom("I7"), axiom("I8"), axiom("ODO")]
+        first = prove([axiom("I6")], axiom("W1"), cfg)
+        assert first.proved
+        r = prove_with_lemmas(
+            [axiom("I6"), *theorem2], [([axiom("I6")], axiom("W1")), (theorem2, axiom("I6"))],
+            axiom("W2"), cfg,
+        )
+        assert (r.status, r.limits, r.proof) == ("budget-exceeded", ("max_lines",), None)
+        assert r.stats.lines_generated == first.stats.lines_generated + 101
+
     def test_lemma_premises_must_be_subset(self):
         with pytest.raises(ValueError):
             prove_with_lemmas([axiom("I6")], [([axiom("I5")], axiom("OO"))], axiom("W2"), FAST)
@@ -225,6 +242,34 @@ class TestLimits:
     def test_both_depth_bounds(self):
         premises = [axiom("I7"), axiom("I8"), axiom("ODO")]
         self._fails_at(premises, axiom("I6"), SearchConfig(0, 1, 20000), ("max_depth", "max_term_depth"))
+
+
+class TestNesting:
+    """A formula the search or its refutations would build past the node
+    bound ends the call as budget-exceeded, limit nesting; prove never
+    raises NestingError."""
+
+    def test_derived_formula_too_tall(self):
+        # instances of the 200-level premise at [rev ...] terms are 199 and
+        # 200 levels, and the search indexes the negation of each
+        sig = GEOMETRY.extended({"P": 1})
+        premise = Forall("x", functools.reduce(lambda f, _: Not(f), range(197), Atom("P", (Var("x"),))))
+        assert premise.height == 200
+        r = prove([premise], parse_formula("(Ax)P [rev x]", sig), SearchConfig(max_term_depth=3))
+        assert (r.status, r.limits, r.countermodel) == ("budget-exceeded", ("nesting",), None)
+
+    def test_refutation_of_the_tallest_goal(self):
+        # the refutation checks build ~goal, 201 levels
+        goal = functools.reduce(lambda f, _: Forall("x", f), range(198), parse_formula("UNDIR x x"))
+        r = prove([], goal)
+        assert (r.status, r.limits, r.countermodel) == ("budget-exceeded", ("nesting",), None)
+
+    def test_goal_at_the_text_bound(self):
+        goal = parse_formula("~" * 97 + "(Ax)UNDIR x x")
+        assert goal.height == 100
+        assert find_countermodel([], goal, 2).size == 1
+        r = prove([], goal)
+        assert r.status == "refuted" and r.countermodel.size == 1
 
 
 class TestUninterpreted:
@@ -437,10 +482,11 @@ class TestPool:
             for s in subterms(t)
             if term_vars(s) <= branch
         }
-        base = {t for t in occurring if _term_depth(t) <= d} | {Var(v) for v in branch}
-        pruned = any(_term_depth(t) > d for t in occurring)
-        pool = base | {App("rev", (t,)) for t in base if _term_depth(t) < d}
-        pruned = pruned or any(_term_depth(t) == d for t in base)
+        # A term's height is its rev-nesting plus one, for the variable.
+        base = {t for t in occurring if t.height <= d + 1} | {Var(v) for v in branch}
+        pruned = any(t.height > d + 1 for t in occurring)
+        pool = base | {App("rev", (t,)) for t in base if t.height < d + 1}
+        pruned = pruned or any(t.height == d + 1 for t in base)
         return sorted(pool, key=_term_sort_key), pruned
 
     @staticmethod
@@ -456,7 +502,7 @@ class TestPool:
         for i, f in enumerate(premises + assumptions):
             ctx.add(_Node(f, Rule.PREMISE, seq=i), wl)
         if saturate:
-            ctx.saturate(set(), d, wl)
+            ctx.saturate(None, d, wl)
         return ctx
 
     @staticmethod
@@ -464,7 +510,7 @@ class TestPool:
         """Add the case assumption and saturate the branch."""
         wl = []
         ctx.add(ctx.engine.node(parse_formula(case), Rule.CASE1, (ctx.order[0],)), wl)
-        ctx.saturate(set(), d, wl)
+        ctx.saturate(None, d, wl)
 
     @staticmethod
     def _state(ctx):

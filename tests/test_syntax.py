@@ -4,13 +4,15 @@ import hashlib
 import pickle
 import random
 from dataclasses import FrozenInstanceError
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dirgeo.corpus import corpus_ids, load
-from dirgeo.geometry import axiom, axiom_names
-from dirgeo.models import equivalent_on_all
+from dirgeo.geometry import axiom, axiom_names, expand_defs
+from dirgeo.kernel import Justification, Proof, ProofLine, Rule, check_proof
+from dirgeo.models import direction_circle, equivalent_on_all, eval_formula
 from dirgeo.syntax import (
     And,
     App,
@@ -19,6 +21,7 @@ from dirgeo.syntax import (
     Forall,
     GEOMETRY,
     Implies,
+    NestingError,
     Not,
     Or,
     ParseError,
@@ -30,7 +33,11 @@ from dirgeo.syntax import (
     _subst,
     _subst_one,
     alpha_eq,
+    bound_vars,
+    build_or,
     canonical_key,
+    contradiction_keys,
+    de_morgan,
     flatten_and,
     flatten_or,
     free_vars,
@@ -548,6 +555,87 @@ class TestRuleEq:
     @pytest.mark.parametrize("cached", [free_vars, canonical_key], ids=["free_vars", "canonical_key"])
     def test_caches_are_bounded(self, cached):
         assert cached.cache_info().maxsize is not None
+
+    def test_de_morgan_of_a_negated_disjunction(self):
+        f = parse_formula("~[~UNDIR x x | UNDIR x y]")
+        assert de_morgan(f) == parse_formula("UNDIR x x & ~UNDIR x y")
+
+    def test_triple_negation_contradicts_its_atom(self):
+        t = parse_formula("UNDIR x y")
+        assert contradiction_keys(Not(Not(Not(t)))) == (
+            canonical_key(Not(Not(Not(Not(t))))), canonical_key(Not(Not(t))), canonical_key(t)
+        )
+
+
+# Six shapes of the node bound's height, 200 levels: a variable is one level
+# and each term, atom, connective and quantifier adds one.
+_A = U(x, x)
+_TALLEST = {
+    "or-chain": build_or([_A] * 199),
+    "and-chain": reduce(And, [_A] * 199),
+    "not-prefix": reduce(lambda f, _: Not(f), range(198), _A),
+    "forall-prefix": reduce(lambda f, _: Forall("x", f), range(198), _A),
+    "arrow-chain": reduce(lambda f, _: Implies(_A, f), range(198), _A),
+    "rev-term": U(x, reduce(lambda t, _: App("rev", (t,)), range(198), x)),
+}
+
+_WALKERS = {
+    "print_formula": print_formula,
+    "canonical_key": canonical_key,
+    "free_vars": free_vars,
+    "bound_vars": bound_vars,
+    "substitute": lambda f: substitute(f, {"x": y}),
+    "alpha_eq": lambda f: alpha_eq(f, f),
+    "expand_defs": expand_defs,
+    "eval_formula": lambda f: eval_formula(direction_circle(), f, {"x": 0}),
+    "check_proof": lambda f: check_proof(Proof([f], [ProofLine(1, f, Justification(Rule.PREMISE))])),
+}
+
+
+class TestNesting:
+    """One nesting bound, the height every node stores: text may nest 100
+    levels, a node 200."""
+
+    def test_heights(self):
+        assert (x.height, App("rev", (x,)).height, _A.height, Not(_A).height) == (1, 2, 2, 3)
+        assert Implies(Not(_A), _A).height == Forall("x", Not(_A)).height == 4
+        assert parse_formula("[[[UNDIR x x]]]").height == 2  # brackets add none
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_text_chain_bound(self, op):
+        assert parse_formula(f" {op} ".join(["UNDIR x x"] * 99)).height == 100
+        with pytest.raises(ParseError, match="formula nested too deeply") as err:
+            parse_formula(f" {op} ".join(["UNDIR x x"] * 100))
+        assert err.value.offset == 1186  # the 99th operator
+
+    def test_text_chain_bound_counts_the_levels_above(self):
+        # under a quantifier and a bracket, a chain has two levels fewer
+        assert parse_formula("(Ax)[" + " & ".join(["UNDIR x x"] * 97) + "]").height == 99
+        with pytest.raises(ParseError, match="formula nested too deeply") as err:
+            parse_formula("(Ax)[" + " & ".join(["UNDIR x x"] * 98) + "]")
+        assert err.value.offset == 1167  # the 97th &
+
+    def test_text_prefix_bound(self):
+        assert parse_formula("~" * 98 + "UNDIR x x").height == 100
+        with pytest.raises(ParseError, match="formula nested too deeply") as err:
+            parse_formula("~" * 99 + "UNDIR x x")
+        assert err.value.offset == 105  # the first term
+
+    def test_node_bound(self):
+        with pytest.raises(NestingError, match="^formula nested too deeply$"):
+            build_or([_A] * 2000)
+        assert issubclass(NestingError, ValueError)
+        with pytest.raises(NestingError):
+            Not(_TALLEST["not-prefix"])
+        with pytest.raises(NestingError):
+            U(x, App("rev", (_TALLEST["rev-term"].args[1],)))
+
+    @pytest.mark.parametrize("walker", _WALKERS)
+    @pytest.mark.parametrize("shape", _TALLEST)
+    def test_walkers_take_the_tallest_nodes(self, shape, walker):
+        f = _TALLEST[shape]
+        assert f.height == 200
+        _WALKERS[walker](f)
 
 
 class TestHashConsing:
