@@ -269,7 +269,7 @@ def _lex(src: str) -> tuple[list[str], list[str]]:
 # it at _MAX_DEPTH, which bounds the parser's own recursion (at most 4
 # frames per level).  A chain of & or | is parsed by a loop but nests to the
 # left, so each operator sinks the chain read so far one level deeper: read
-# at depth, its deepest node sits at depth + height - 1, one more once sunk.
+# at depth, its lowest node sits at depth + height - 1, one more once sunk.
 # A bracket group adds a level to depth but none to height.  So parsed text
 # is at most _MAX_DEPTH + 1 levels tall (the left of -> sits at its depth).
 
