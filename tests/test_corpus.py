@@ -3,7 +3,7 @@ import pytest
 from dirgeo.corpus import ENTRIES, I5_NEG_EXISTS, corpus_ids, load, script_text
 from dirgeo.geometry import axiom
 from dirgeo.kernel import check_proof
-from dirgeo.syntax import rule_eq
+from dirgeo.syntax import And, Implies, rule_eq
 
 
 EXPECTED_LINES = {"A": 17, "B1": 16, "B2": 29, "C": 44, "D": 17, "E": 52}
@@ -27,6 +27,25 @@ class TestEntries:
         assert len(rep.premises) == len(declared)
         assert all(rule_eq(a, b) for a, b in zip(rep.premises, declared))
         assert rule_eq(rep.conclusion, entry.declared_conclusion())
+
+    @pytest.mark.parametrize("cid", sorted(EXPECTED_LINES))
+    def test_declared_sequent_is_the_written_out_node(self, cid):
+        # The sequents spelt out by hand, compared by identity: nodes are
+        # hash-consed, so `is` pins the exact shape, not just rule_eq.
+        i5, i6, i7, i8, odo, oo = (axiom(n) for n in ("I5", "I6", "I7", "I8", "ODO", "OO"))
+        sequents = {
+            "A": ([], Implies(i6, axiom("W1"))),
+            "B1": ([odo, I5_NEG_EXISTS], oo),
+            "B2": ([], Implies(And(And(i5, oo), i6), axiom("W2"))),
+            "C": ([], Implies(And(And(i5, i6), odo), axiom("W3"))),
+            "D": ([], Implies(i6, axiom("W4"))),
+            "E": ([], Implies(And(And(i8, odo), i7), i6)),
+        }
+        premises, conclusion = sequents[cid]
+        declared = ENTRIES[cid].declared_premises()
+        assert len(declared) == len(premises)
+        assert all(a is b for a, b in zip(declared, premises))
+        assert ENTRIES[cid].declared_conclusion() is conclusion
 
     def test_b1_premise_is_negated_existential_spelling(self):
         proof, _ = load("B1")
