@@ -139,10 +139,7 @@ def cmd_prove(args) -> RunReport:
         return report.error(goal_name, str(exc))
     result = prove([f for _, f in premises], goal, search_cfg)
     stats = result.stats
-    detail = (
-        f"generated={stats.lines_generated} "
-        f"instantiations={stats.instantiations_tried} wall={stats.wall_time:.2f}s"
-    )
+    detail = f"generated={stats.lines_generated} instantiations={stats.instantiations_tried}"
     if result.proved:
         script = print_proof_script(
             result.proof, header=f"proved {','.join(n for n, _ in premises)} |- {goal_name}"

@@ -2,10 +2,10 @@
 
 Six entries: A (I6 implies W1), B1 (the OO lemma from I5 and ODO), B2 (W2
 from I5, OO, I6), C (W3 from I5, I6, ODO), D (I6 implies W4), and E (I6
-from I8, ODO, I7).  Entries B2, C and E bundle their premises into a single
-assumed conjunction that the final line discharges, so their certified
-sequents are |- (premise conjunction -> goal); A and D likewise assume I6
-directly.  B1 uses separate PREMISE lines.
+from I8, ODO, I7).  Every entry but B1 assumes its premises as one
+conjunction, nested left in the listed order, that the final line
+discharges, so its certified sequent is |- (premises -> goal).  B1 uses
+separate PREMISE lines.
 
 The corpus directory can be overridden with the DIRGEO_CORPUS_DIR
 environment variable (files named <id>.prf).
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
 from pathlib import Path
 
@@ -45,16 +46,9 @@ class CorpusEntry:
     def declared_conclusion(self) -> Formula:
         """Conclusion formula of the checked sequent."""
         goal = axiom(self.goal_name)
-        if self.id in ("A", "D"):
-            return Implies(axiom("I6"), goal)
-        if self.id == "B1":
+        if self.declared_premises():
             return goal
-        bundles = {
-            "B2": And(And(axiom("I5"), axiom("OO")), axiom("I6")),
-            "C": And(And(axiom("I5"), axiom("I6")), axiom("ODO")),
-            "E": And(And(axiom("I8"), axiom("ODO")), axiom("I7")),
-        }
-        return Implies(bundles[self.id], goal)
+        return Implies(reduce(And, map(axiom, self.premise_names)), goal)
 
 
 ENTRIES: dict[str, CorpusEntry] = {

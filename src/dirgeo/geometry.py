@@ -1,9 +1,11 @@
 """The axiom catalog and the definitional layer (CON, DIR, OPP, INOPP).
 
-Axioms live in data/catalog.txt as source text in the module grammar; the
-defined relations rewrite between the UNDIR-only core the kernel uses and
-the human-readable forms.  Library callers expand with expand_defs; the
-CLI expands every axiom name it resolves.
+Axioms live in data/catalog.txt as source text in the module grammar,
+parsed once per process under GEOMETRY_WITH_DEFS.  _DEFS states each
+defined relation once: its arity, from which that signature is built, and
+its UNDIR body, into which expand_defs rewrites it, so the kernel only
+ever sees the UNDIR-only core.  Library callers expand with expand_defs;
+the CLI expands every axiom name it resolves.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    GEOMETRY_WITH_DEFS,
+    GEOMETRY,
     Implies,
     Not,
     Or,
@@ -26,7 +28,7 @@ from .syntax import (
     parse_formula,
 )
 
-# name -> (parameter names, body builder over the parameter terms)
+# name -> (arity, body builder over the argument terms)
 _DEFS: dict[str, tuple[int, object]] = {
     "CON": (2, lambda a, b: And(Atom("UNDIR", (a, b)), Atom("UNDIR", (a, App("rev", (b,)))))),
     "DIR": (2, lambda a, b: Not(Atom("UNDIR", (a, b)))),
@@ -34,12 +36,17 @@ _DEFS: dict[str, tuple[int, object]] = {
     "INOPP": (2, lambda a, b: Atom("UNDIR", (a, App("rev", (b,))))),
 }
 
+# The defined relations parse as ordinary atoms under this signature.
+GEOMETRY_WITH_DEFS = GEOMETRY.extended({name: arity for name, (arity, _) in _DEFS.items()})
+
 
 class UnknownAxiom(KeyError):
     pass
 
 
+@lru_cache(maxsize=1)
 def _load_catalog() -> tuple[dict[str, Formula], dict[str, Formula]]:
+    """(axioms, defined forms) by name; raises ValueError on an open axiom."""
     text = resources.files("dirgeo").joinpath("data/catalog.txt").read_text()
     main: dict[str, Formula] = {}
     defined: dict[str, Formula] = {}
@@ -53,46 +60,35 @@ def _load_catalog() -> tuple[dict[str, Formula], dict[str, Formula]]:
             continue
         name, _, src = line.partition(":")
         current[name.strip()] = parse_formula(src.strip(), GEOMETRY_WITH_DEFS)
-    return main, defined
-
-
-@lru_cache(maxsize=1)
-def _catalog() -> dict[str, Formula]:
-    main, _ = _load_catalog()
     for name, f in main.items():
         if free_vars(f):
             raise ValueError(f"catalog entry {name} is not closed")
-    return main
-
-
-@lru_cache(maxsize=1)
-def _defined_forms() -> dict[str, Formula]:
-    return _load_catalog()[1]
+    return main, defined
 
 
 def axiom(name: str) -> Formula:
     """The closed catalog formula for `name` (I5, I6, I7, I7conv, I8, ODO,
     W1..W4, OO)."""
     try:
-        return _catalog()[name]
+        return _load_catalog()[0][name]
     except KeyError:
         raise UnknownAxiom(name) from None
 
 
 def axiom_names() -> tuple[str, ...]:
-    return tuple(_catalog())
+    return tuple(_load_catalog()[0])
 
 
 def defined_form(name: str) -> Formula:
     """The CON/DIR/OPP rewriting of `name` (I7, ODO, W1..W4)."""
     try:
-        return _defined_forms()[name]
+        return _load_catalog()[1][name]
     except KeyError:
         raise UnknownAxiom(name) from None
 
 
 def defined_form_names() -> tuple[str, ...]:
-    return tuple(_defined_forms())
+    return tuple(_load_catalog()[1])
 
 
 def expand_defs(f: Formula) -> Formula:

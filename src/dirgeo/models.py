@@ -7,7 +7,7 @@ over the undir table read row-major with False < True.  find_countermodel
 reports the first structure in that order satisfying every premise and
 falsifying the goal; countermodel_at_size does the same for one size.
 Sizes 1..MAX_SIZE are covered; a larger size raises ValueError, and so
-does a formula whose negation or plan would nest too deeply (NestingError).
+does a formula whose plan would nest too deeply (NestingError).
 
 The scan visits only rev_representatives(n), the rev tables least in their
 class under relabelling (1, 3, 7 and 19 of n^n for n = 1..4), yet finds the
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
@@ -46,8 +46,6 @@ from .syntax import (
     Term,
     Var,
     atoms,
-    build_and,
-    build_or,
     flatten_and,
     flatten_or,
     formula_terms,
@@ -238,21 +236,22 @@ def _plan(f: Formula, positive: bool) -> Formula:
 def _scope(q, var: str, body: Formula) -> Formula:
     """q var. body miniscoped: ∀ distributes over & and ∃ over |, and each
     quantifier keeps only the disjuncts (∀) or conjuncts (∃) in which var
-    is free.  A vacuous quantifier is dropped: domains are non-empty."""
+    is free.  A vacuous quantifier is dropped: domains are non-empty.  The
+    parts are rejoined in their order, nested left as the parser nests a
+    chain."""
     spread = And if q is Forall else Or
     if type(body) is spread:
         return spread(_scope(q, var, body.left), _scope(q, var, body.right))
     junction = _DUAL[spread]
     parts = (flatten_and if junction is And else flatten_or)(body)
-    join = build_and if junction is And else build_or
     inside = [p for p in parts if var in free_vars(p)]
     if not inside:
         return body
     if len(inside) == 1 and type(inside[0]) is spread:
         scoped = _scope(q, var, inside[0])
     else:
-        scoped = q(var, join(inside))
-    return join([p for p in parts if var not in free_vars(p)] + [scoped])
+        scoped = q(var, reduce(junction, inside))
+    return reduce(junction, [p for p in parts if var not in free_vars(p)] + [scoped])
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -375,9 +374,9 @@ def _require(formulas: Sequence[Formula], open_message: str) -> None:
 
 def _first_countermodel(premises: Sequence[Formula], goal: Formula, scan) -> Structure | None:
     _require(list(premises) + [goal], "premises and goal must be closed")
-    refuted = Not(goal)
+    refuted = _plan(goal, False)  # ~goal's plan, without a ~goal node past the bound
     for n, rev, value in scan:
-        mask = value(refuted)
+        mask = value.value(refuted)
         for p in premises:
             if not mask:
                 break

@@ -40,7 +40,6 @@ prove never raises that error.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass, fields
 
@@ -72,6 +71,7 @@ from .syntax import (
     distributions,
     flatten_or,
     free_vars,
+    fresh_name,
     imp_result,
     neg,
     print_term,
@@ -97,7 +97,6 @@ class SearchConfig:
 class SearchStats:
     lines_generated: int = 0
     instantiations_tried: int = 0
-    wall_time: float = 0.0
 
 
 @dataclass
@@ -376,22 +375,14 @@ class _Step:
 def _decompose(goal: Formula, taken: set[str]) -> tuple[list[_Step], list[Formula], Formula]:
     steps: list[_Step] = []
     assumptions: list[Formula] = []
-    counter = itertools.count(1)
-
-    def fresh() -> str:
-        while True:
-            name = f"v{next(counter)}"
-            if name not in taken:
-                taken.add(name)
-                return name
-
     g = goal
     while True:
         if isinstance(g, Forall):
             steps.append(_Step("ug", quantified=g))
             sub: dict[str, Term] = {}
             while isinstance(g, Forall):
-                sub[g.var] = Var(fresh())
+                sub[g.var] = Var(fresh_name("v", taken))
+                taken.add(sub[g.var].name)
                 g = g.body
             g = substitute(g, sub)
             continue
@@ -469,7 +460,6 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
     countermodel of size <= 2 refutes the sequent first; after a failed
     search, look for one of size 3."""
     cfg = cfg or SearchConfig()
-    started = time.monotonic()
     for f in list(premises) + [goal]:
         if free_vars(f):
             raise ValueError("premises and goal must be closed")
@@ -482,7 +472,7 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
     else:
         interpreted = interprets(list(premises) + [goal])
         proof, stats = None, SearchStats()
-        try:  # the refutations build ~goal, a level taller than the goal
+        try:  # a plan or a derived formula may pass the node bound
             if interpreted:
                 countermodel = find_countermodel(premises, goal, 2)
             if countermodel is None:
@@ -500,7 +490,6 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
                 f"internal error: search produced an invalid proof "
                 f"(line {report.line}: {report.message})"
             )
-    stats.wall_time = time.monotonic() - started
     return SearchResult(status, proof, stats, countermodel, limits)
 
 
@@ -606,7 +595,6 @@ def prove_with_lemmas(
     """
     cfg = cfg or SearchConfig()
     stats = SearchStats()
-    started = time.monotonic()
     lemma_proofs: list[Proof] = []
     lemma_goals: list[Formula] = []
     for lemma_premises, lemma_goal in lemmas:
@@ -617,14 +605,12 @@ def prove_with_lemmas(
         _merge_stats(stats, r.stats)
         if not r.proved:
             r.stats = stats
-            stats.wall_time = time.monotonic() - started
             return r
         lemma_proofs.append(r.proof)
         lemma_goals.append(lemma_goal)
 
     r = prove(list(premises) + lemma_goals, goal, cfg)
     _merge_stats(stats, r.stats)
-    stats.wall_time = time.monotonic() - started
     if not r.proved:
         r.stats = stats
         return r

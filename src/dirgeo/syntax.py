@@ -220,12 +220,6 @@ class Signature:
 
 GEOMETRY = Signature(predicates={"UNDIR": 2}, functions={"rev": 1})
 
-# Defined relations parse as ordinary atoms under this signature; the
-# geometry kernel itself only ever sees UNDIR (see geometry.expand_defs).
-GEOMETRY_WITH_DEFS = GEOMETRY.extended(
-    predicates={"CON": 2, "DIR": 2, "OPP": 2, "INOPP": 2}
-)
-
 
 # ---------------------------------------------------------------------------
 # Lexer.  _lex returns two flat lists, kinds and texts, that end in one "eof"

@@ -191,6 +191,16 @@ class TestProve:
             assert (record["status"], record["limit"]) == ("budget-exceeded", ["max_lines"])
             assert "countermodel" not in record
 
+    def test_records_are_deterministic(self, capsys):
+        runs = []
+        for _ in range(2):
+            assert main(["prove", "--from", "I6", "--goal", "W1", "--format", "records"]) == EXIT_OK
+            *items, summary = map(json.loads, capsys.readouterr().err.splitlines())
+            assert summary["item"] is None and "elapsed" in summary
+            runs.append(items)
+        assert runs[0] == runs[1] and len(runs[0]) == 1
+        assert runs[0][0]["status"] == "proved" and "wall=" not in runs[0][0]["detail"]
+
     def test_unknown_name_exits_2(self):
         assert main(["prove", "--from", "I6", "--goal", "NOPE"]) == EXIT_PARSE_ERROR
 

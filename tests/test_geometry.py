@@ -1,6 +1,7 @@
 import pytest
 
 from dirgeo.geometry import (
+    GEOMETRY_WITH_DEFS,
     UnknownAxiom,
     axiom,
     axiom_names,
@@ -11,7 +12,6 @@ from dirgeo.geometry import (
 )
 from dirgeo.models import direction_circle, equivalent_on_all, eval_formula
 from dirgeo.syntax import (
-    GEOMETRY_WITH_DEFS,
     Atom,
     Var,
     alpha_eq,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dirgeo.geometry import axiom, defined_form, expand_defs, w_decomposition
+from dirgeo.geometry import GEOMETRY_WITH_DEFS, axiom, defined_form, expand_defs, w_decomposition
 from dirgeo.models import (
     MAX_SIZE,
     Structure,
@@ -22,7 +22,7 @@ from dirgeo.models import (
     rev_representatives,
     structure_count,
 )
-from dirgeo.syntax import GEOMETRY, GEOMETRY_WITH_DEFS, Not, build_and, parse_formula
+from dirgeo.syntax import GEOMETRY, Not, build_and, parse_formula
 from helpers import closed_up, random_formula
 
 
@@ -167,7 +167,6 @@ class TestCountermodels:
 
     def test_uninterpreted_predicate_rejected_by_both_evaluators(self):
         from dirgeo.geometry import axiom
-        from dirgeo.syntax import GEOMETRY_WITH_DEFS
 
         con = parse_formula("(Ax)(Ay)[CON x y -> CON x y]", GEOMETRY_WITH_DEFS)
         with pytest.raises(ValueError):

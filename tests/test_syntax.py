@@ -306,7 +306,7 @@ class TestPrintFormula:
 
 
 def _defsig():
-    from dirgeo.syntax import GEOMETRY_WITH_DEFS
+    from dirgeo.geometry import GEOMETRY_WITH_DEFS
 
     return GEOMETRY_WITH_DEFS
 
