@@ -166,8 +166,6 @@ class TestCountermodels:
             find_countermodel([], parse_formula("UNDIR x y"), 2)
 
     def test_uninterpreted_predicate_rejected_by_both_evaluators(self):
-        from dirgeo.geometry import axiom
-
         con = parse_formula("(Ax)(Ay)[CON x y -> CON x y]", GEOMETRY_WITH_DEFS)
         with pytest.raises(ValueError):
             eval_formula(INEQ2, con)
