@@ -161,14 +161,19 @@ def interprets(formulas: Iterable[Formula]) -> bool:
 
 
 def _uninterpreted(formulas: Iterable[Formula]) -> str | None:
-    """Why the structures do not interpret some formula, or None."""
-    for f in formulas:
-        for atom in atoms(f):
-            if atom.pred != "UNDIR" or len(atom.args) != 2:
-                return f"structure does not interpret predicate {atom.pred!r}/{len(atom.args)}"
-            for t in formula_terms(atom):
-                if isinstance(t, App) and (t.fn != "rev" or len(t.args) != 1):
-                    return f"structure does not interpret function {t.fn!r}/{len(t.args)}"
+    """Why the structures do not interpret the first formula they miss, or None."""
+    return next(filter(None, map(_why_uninterpreted, formulas)), None)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _why_uninterpreted(f: Formula) -> str | None:
+    """Why the structures do not interpret f, or None: worked out once per node."""
+    for atom in atoms(f):
+        if atom.pred != "UNDIR" or len(atom.args) != 2:
+            return f"structure does not interpret predicate {atom.pred!r}/{len(atom.args)}"
+        for t in formula_terms(atom):
+            if isinstance(t, App) and (t.fn != "rev" or len(t.args) != 1):
+                return f"structure does not interpret function {t.fn!r}/{len(t.args)}"
     return None
 
 

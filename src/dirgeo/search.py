@@ -24,17 +24,17 @@ kernel before being returned; the prover never self-certifies.
 
 Around the search, the finite-model finder refutes what it can, as the
 semantic filter of Gelernter's geometry machine does.  Before searching,
-prove looks for a countermodel of size <= 2, which takes well under a
-millisecond; after a failed search it looks again at size 3.  A hit ends
-the call with status "refuted" and the structure on the result.  This
-cannot turn a provable sequent into a refuted one while the kernel is
-sound, since a proof makes the goal true in every model of the premises.
-The check runs only on sequents the structures interpret (models.interprets):
-one with a defined atom or a symbol of a custom signature is searched as
-it is.  A search that fails names the bounds that cut it, in
-SearchResult.limits: max_lines, max_depth or max_term_depth, or nesting
-when a formula it built would pass the node bound of syntax.NestingError;
-prove never raises that error.
+prove looks for a countermodel of size <= 3, which takes at most a few
+milliseconds.  A hit ends the call with status "refuted" and the structure
+on the result, before any search line, so with empty SearchStats and no
+limits.  This cannot turn a provable sequent into a refuted one while the
+kernel is sound, since a proof makes the goal true in every model of the
+premises.  The check runs only on sequents the structures interpret
+(models.interprets): one with a defined atom or a symbol of a custom
+signature is searched as it is.  A search that fails names the bounds that
+cut it, in SearchResult.limits: max_lines, max_depth or max_term_depth, or
+nesting when a formula it built would pass the node bound of
+syntax.NestingError; prove never raises that error.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .kernel import (
     Rule,
     check_proof,
 )
-from .models import Structure, countermodel_at_size, find_countermodel, interprets
+from .models import Structure, find_countermodel, interprets
 from .syntax import (
     And,
     App,
@@ -457,8 +457,7 @@ def _search_target(
 
 def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = None) -> SearchResult:
     """Search for a kernel-valid proof of goal from the premises, unless a
-    countermodel of size <= 2 refutes the sequent first; after a failed
-    search, look for one of size 3."""
+    countermodel of size <= 3 refutes the sequent first."""
     cfg = cfg or SearchConfig()
     for f in list(premises) + [goal]:
         if free_vars(f):
@@ -470,19 +469,16 @@ def prove(premises: list[Formula], goal: Formula, cfg: SearchConfig | None = Non
         status, stats = "proved", SearchStats()
         proof = Proof(list(premises), [ProofLine(1, given, Justification(Rule.PREMISE))], show=goal)
     else:
-        interpreted = interprets(list(premises) + [goal])
         proof, stats = None, SearchStats()
         try:  # a plan or a derived formula may pass the node bound
-            if interpreted:
-                countermodel = find_countermodel(premises, goal, 2)
+            if interprets(list(premises) + [goal]):
+                countermodel = find_countermodel(premises, goal, 3)
             if countermodel is None:
                 status, proof, stats, limits = _search(premises, goal, cfg)
-                if proof is None and interpreted:
-                    countermodel = countermodel_at_size(premises, goal, 3)
+            else:
+                status = "refuted"
         except NestingError:
             status, limits = "budget-exceeded", ("nesting",)
-        if countermodel is not None:
-            status = "refuted"
     if proof is not None:
         report = check_proof(proof)
         if not report.valid:

@@ -178,6 +178,15 @@ class TestProve:
         cm = Structure.from_record(record["countermodel"])
         assert eval_formula(cm, axiom("I6")) and not eval_formula(cm, axiom("W2"))
 
+    def test_refuted_at_size_3_before_any_search(self, capsys):
+        """W1 |- W3 has no countermodel of size <= 2 and fails the default
+        search; the size-3 scan refutes it before any line is generated."""
+        code = main(["prove", "--from", "W1", "--goal", "W3", "--format", "records"])
+        assert code == EXIT_SEARCH_FAILED
+        record = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert (record["status"], record["countermodel"]["size"]) == ("refuted", 3)
+        assert "limit" not in record and " generated=0 " in record["detail"]
+
     @pytest.mark.parametrize("fmt", ["text", "records"])
     def test_failure_names_the_bound(self, capsys, fmt):
         code = main(["prove", "--from", "I7,I8,ODO", "--goal", "I6", "--max-lines", "100",

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from dirgeo import search
 from dirgeo.geometry import axiom, axiom_names
 from dirgeo.kernel import Rule, check_proof, parse_proof_script, print_proof_script
 from dirgeo.models import eval_formula, find_countermodel
 from dirgeo.search import (
     SearchConfig,
+    SearchStats,
     _Context,
     _decompose,
     _Engine,
@@ -177,15 +179,21 @@ class TestNegative:
         _assert_refutes(r, [], axiom("I5"))
         assert r.countermodel.size == 1 and r.stats.lines_generated == 0
 
-    def test_refuted_at_size_3_after_a_failed_search(self):
-        """No countermodel of size <= 2: the search runs, fails, and its
-        counters and bounds stay on the refuted result."""
+    def test_refuted_at_size_3_before_any_search(self):
+        """No countermodel of size <= 2, and the search would fail: the
+        size-3 scan refutes the sequent before any search line."""
         assert find_countermodel([axiom("I8")], axiom("W2"), 2) is None
         r = _prove_names(["I8"], "W2", SearchConfig(1, 1, 250))
         _assert_refutes(r, [axiom("I8")], axiom("W2"))
         assert r.countermodel.size == 3
-        assert (r.stats.lines_generated, r.stats.instantiations_tried) == (76, 42)
-        assert r.limits == ("max_depth", "max_term_depth")
+        assert (r.stats.lines_generated, r.stats.instantiations_tried, r.limits) == (0, 0, ())
+
+    def test_refuted_at_size_3_at_the_default_bounds(self):
+        """W1 |- W3 would run the default search to its 50,000 lines."""
+        r = prove([axiom("W1")], axiom("W3"), SearchConfig())
+        _assert_refutes(r, [axiom("W1")], axiom("W3"))
+        assert r.countermodel.size == 3
+        assert (r.stats.lines_generated, r.stats.instantiations_tried, r.limits) == (0, 0, ())
 
     def test_staged_goal_refuted(self):
         """The lemma is proved, then I5, ODO, OO |- I6 is refuted."""
@@ -318,6 +326,33 @@ class TestUninterpreted:
         assert r.countermodel is None
 
 
+class TestUninterpretedReasons:
+    """prove works out once per formula why the structures do not interpret
+    it; a later scan still names the first offender of its own sequent."""
+
+    SIG = GEOMETRY.extended({"Q": 2}, {"g": 2})
+
+    def test_same_message_before_and_after_prove(self):
+        q = parse_formula("(Ax)(Ay)Q x [rev y]", self.SIG)
+        g = parse_formula("(Ax)UNDIR x [g x x]", self.SIG)
+
+        def messages():
+            out = []
+            for premises, goal in [([axiom("I5"), q], g), ([axiom("I5"), g], q)]:
+                with pytest.raises(ValueError) as caught:
+                    find_countermodel(premises, goal, 3)
+                out.append(str(caught.value))
+            return out
+
+        before = messages()
+        assert before == [
+            "structure does not interpret predicate 'Q'/2",
+            "structure does not interpret function 'g'/2",
+        ]
+        assert prove([axiom("I5"), q], g, SearchConfig(1, 1, 250)).countermodel is None
+        assert messages() == before
+
+
 class TestDeterminism:
     def test_identical_runs_identical_results(self):
         cfg = SearchConfig(max_depth=2, max_term_depth=3)
@@ -370,7 +405,8 @@ class TestDeterminism:
         """Every 0/1-premise catalog sequent whose goal is not a premise, at
         the fuzz config, as (result, row): the row is status, counters and
         script, then the bounds that cut a failed search and the countermodel
-        of a refuted one.  A refutation is re-checked here."""
+        of a refuted one.  A refutation is re-checked here, and carries no
+        search counters or bounds: it comes before any search."""
         names = list(axiom_names())
         cfg = SearchConfig(1, 1, 250)
         for premises in [[]] + [[p] for p in names]:
@@ -387,6 +423,7 @@ class TestDeterminism:
                     row += f" limit={','.join(r.limits)}"
                 if r.status == "refuted":
                     _assert_refutes(r, [axiom(p) for p in premises], axiom(goal))
+                    assert (r.stats, r.limits) == (SearchStats(), ()), row
                     row += f" {r.countermodel.describe()}"
                 yield r, row + "\n"
 
@@ -400,7 +437,20 @@ class TestDeterminism:
             ("refuted", 1): 20, ("refuted", 2): 64, ("refuted", 3): 9, ("proved", None): 6,
             ("budget-exceeded", None): 21, ("exhausted", None): 1,
         }
-        assert digest.hexdigest()[:16] == "1b51add5fa4a0ef6"
+        assert digest.hexdigest()[:16] == "5d7578df2336340a"
+
+    def test_refutations_need_no_search(self, monkeypatch):
+        """Every refuted fuzz row comes out refuted when searching raises."""
+        refuted = [row for r, row in self._fuzz_rows() if r.status == "refuted"]
+
+        def no_search(*args):
+            raise AssertionError("searched a sequent with a countermodel")
+
+        monkeypatch.setattr(search, "_search", no_search)
+        for row in refuted:
+            premises, goal = row.split(" ")[:2]
+            r = _prove_names([p for p in premises.split(",") if p], goal, SearchConfig(1, 1, 250))
+            assert r.status == "refuted", row
 
     def test_fuzz_proved_rows(self):
         """The proved rows of the fuzz fingerprint alone."""
