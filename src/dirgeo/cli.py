@@ -6,10 +6,10 @@ failure, 2 parse error, 3 not proved (refuted, exhausted or over budget),
 error outranks a failed check.  Axiom names resolve with their defined
 relations (CON, DIR, OPP, INOPP) expanded.  Reports print as
 human-readable text or as JSON records (--format records) for CI diffing;
-a countermodel travels in the record's `countermodel` field.  Proof scripts
-themselves go to stdout (or --out) so `dirgeo prove ... | dirgeo check -`
-round-trips.  Each setting has one flag; the search bounds default to
-SearchConfig's and obey its rule (non-negative integers).
+a countermodel travels in the record's `countermodel` field.  prove writes
+the proof script to stdout, its report to stderr, so `dirgeo prove ... |
+dirgeo check -` round-trips.  Each setting has one flag; the search bounds
+default to SearchConfig's and obey its rule (non-negative integers).
 """
 
 from __future__ import annotations
@@ -119,8 +119,6 @@ def cmd_check(args) -> RunReport:
         )
         if checked:
             report.add(path, "valid", checked[1].sequent())
-        elif not args.keep_going:
-            break
     return report
 
 
@@ -141,13 +139,8 @@ def cmd_prove(args) -> RunReport:
     stats = result.stats
     detail = f"generated={stats.lines_generated} instantiations={stats.instantiations_tried}"
     if result.proved:
-        script = print_proof_script(
-            result.proof, header=f"proved {','.join(n for n, _ in premises)} |- {goal_name}"
-        )
-        if args.out:
-            Path(args.out).write_text(script)
-        else:
-            sys.stdout.write(script)
+        header = f"proved {','.join(n for n, _ in premises)} |- {goal_name}"
+        sys.stdout.write(print_proof_script(result.proof, header=header))
         report.add(goal_name, "proved", f"{len(result.proof.lines)} lines, {detail}")
         return report
     extra = {}
@@ -247,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify proof scripts", parents=[_FORMAT])
     p_check.add_argument("paths", nargs="+", help="script files ('-' for stdin)")
-    p_check.add_argument("--keep-going", action="store_true", help="continue past failures")
     p_check.set_defaults(func=cmd_check)
 
     p_prove = sub.add_parser("prove", help="search for a derivation", parents=[_FORMAT, sequent])
@@ -260,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prove.add_argument(
         "--max-lines", type=int, default=SearchConfig.max_lines, help="derived-formula budget"
     )
-    p_prove.add_argument("--out", help="write the proof script here instead of stdout")
     p_prove.set_defaults(func=cmd_prove)
 
     p_models = sub.add_parser(

@@ -667,13 +667,11 @@ class ScriptError(ValueError):
 
 
 def _number(text: str, what: str) -> int:
-    """int(text), or a one-line error for digits too many to convert."""
+    """int(text) of decimal digits, or a one-line error for too many to convert."""
     try:
         return int(text)
     except ValueError:
-        if text.isdecimal():
-            raise ValueError(f"{what} of {len(text)} digits is too long") from None
-        raise
+        raise ValueError(f"{what} of {len(text)} digits is too long") from None
 
 
 def _split_justification(text: str) -> tuple[str, str, list[str], list[int]]:
@@ -723,8 +721,10 @@ def _records(text: str) -> list[tuple[str, int]]:
         if not line.strip():
             continue
         stripped = line.strip()
-        if _RECORD_START.match(stripped) or not out:
+        if _RECORD_START.match(stripped):
             out.append((stripped, i))
+        elif not out:
+            raise ScriptError("expected a line number, PREMISE: or SHOW:", i)
         else:
             prev, start = out[-1]
             out[-1] = (prev + " " + stripped, start)

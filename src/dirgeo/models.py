@@ -19,17 +19,17 @@ hence is r*.
 Two evaluators exist on purpose: eval_formula is the plain recursive
 Tarskian definition, the reference; the scan values all 2^(n*n) undir
 tables for one rev table at once, as a Python int bitset with one bit per
-table, over a plan of the formula (see _plan).  Within one scan, a
-quantified subformula with no rev term is valued once per size and
-assignment of its free variables, and shared by every rev table.  The two
-evaluators' agreement is property-tested.
+table, over a plan of the formula (see _plan), valuing every part of it.
+Within one scan, a quantified subformula with no rev term is valued once
+per size and assignment of its free variables, and shared by every rev
+table.  The two evaluators' agreement is property-tested.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
@@ -242,8 +242,8 @@ def _scope(q, var: str, body: Formula) -> Formula:
     """q var. body miniscoped: ∀ distributes over & and ∃ over |, and each
     quantifier keeps only the disjuncts (∀) or conjuncts (∃) in which var
     is free.  A vacuous quantifier is dropped: domains are non-empty.  The
-    parts are rejoined in their order, nested left as the parser nests a
-    chain."""
+    parts are rejoined in their order, as short as that order allows (see
+    _joined)."""
     spread = And if q is Forall else Or
     if type(body) is spread:
         return spread(_scope(q, var, body.left), _scope(q, var, body.right))
@@ -255,8 +255,23 @@ def _scope(q, var: str, body: Formula) -> Formula:
     if len(inside) == 1 and type(inside[0]) is spread:
         scoped = _scope(q, var, inside[0])
     else:
-        scoped = q(var, reduce(junction, inside))
-    return reduce(junction, [p for p in parts if var not in free_vars(p)] + [scoped])
+        scoped = q(var, _joined(junction, inside))
+    return _joined(junction, [p for p in parts if var not in free_vars(p)] + [scoped])
+
+
+def _joined(junction, parts: list[Formula]) -> Formula:
+    """The parts, in order, joined by junction into a tree as short as any
+    that keeps their order: the top two of the stack are joined while the
+    lower is no taller than the top or the next part.  A bitset does not
+    depend on the grouping."""
+    stack: list[Formula] = []
+    for p in parts:
+        while len(stack) > 1 and stack[-2].height <= max(stack[-1].height, p.height):
+            stack[-2:] = [junction(stack[-2], stack[-1])]
+        stack.append(p)
+    while len(stack) > 1:
+        stack[-2:] = [junction(stack[-2], stack[-1])]
+    return stack[0]
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -269,12 +284,12 @@ def _memo_key(f: Formula) -> tuple[bool, tuple[str, ...]]:
 
 class _Evaluator:
     """evaluator(f): the bitset of the undir tables of size n in which the
-    closed, interpreted formula f holds for this rev table.  & and | stop
-    early at all-false and all-true.  A quantified plan node is valued once
-    per assignment of its free variables, memoised in `shared`, valid for
-    every rev table of size n, if it is rev-free, and in the evaluator's
-    own memo if not.  No reference cycle holds the memos: they go when the
-    scan drops the evaluator."""
+    closed, interpreted formula f holds for this rev table, every part of
+    its plan valued.  A quantified plan node is valued once per assignment
+    of its free variables, memoised in `shared`, valid for every rev table
+    of size n, if it is rev-free, and in the evaluator's own memo if not.
+    No reference cycle holds the memos: they go when the scan drops the
+    evaluator."""
 
     def __init__(self, n: int, rev: Sequence[int], shared: dict):
         self.n, self.rev, self.shared, self.own = n, rev, shared, {}
@@ -296,27 +311,22 @@ class _Evaluator:
             j = a[y.name] if type(y) is Var else self.term(y)
             return self.atoms[i][j] if cls is Atom else self.negated[i][j]
         if cls is And:
-            v = self.value(g.left)
-            return v & self.value(g.right) if v else 0
-        full = self.full
+            return self.value(g.left) & self.value(g.right)
         if cls is Or:
-            v = self.value(g.left)
-            return v | self.value(g.right) if v != full else full
+            return self.value(g.left) | self.value(g.right)
         rev_free, free = _memo_key(g)
         memo = self.shared if rev_free else self.own
         key = (g, *[a[v] for v in free])
         acc = memo.get(key)
         if acc is not None:
             return acc
-        # Bind g.var in `a` itself, restored below; stop once acc is settled.
+        # Bind g.var in `a` itself, restored below.
         var, body, every = g.var, g.body, cls is Forall
         had, saved = var in a, a.get(var)
-        acc, settled = (full, 0) if every else (0, full)
+        acc = self.full if every else 0
         for d in range(self.n):
             a[var] = d
             acc = acc & self.value(body) if every else acc | self.value(body)
-            if acc == settled:
-                break
         if had:
             a[var] = saved
         else:

@@ -201,9 +201,6 @@ class _Context:
         index.setdefault(key, []).append(node)
         self.trail.append((index, key))
 
-    def has(self, key) -> bool:
-        return key in self.nodes
-
     def add(self, node: _Node, worklist) -> _Node:
         key = canonical_key(node.formula)
         if key in self.nodes:
@@ -398,8 +395,7 @@ def _decompose(goal: Formula, taken: set[str]) -> tuple[list[_Step], list[Formul
                 steps.append(_Step("cp_imp", assumption=a))
                 assumptions.append(a)
             g = parts[-1]
-            if isinstance(g, (Forall, Implies, Or)):
-                continue
+            continue
         return steps, assumptions, g
 
 
@@ -427,7 +423,7 @@ def _search_target(
         dkey = canonical_key(f)
         if dkey in ctx.split_disjunctions:
             continue
-        if ctx.has(canonical_key(f.left)) or ctx.has(canonical_key(f.right)):
+        if canonical_key(f.left) in ctx.nodes or canonical_key(f.right) in ctx.nodes:
             continue  # not stuck: one side already holds
         ctx.split_disjunctions[dkey] = None
         eng = ctx.engine

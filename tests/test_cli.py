@@ -79,7 +79,7 @@ class TestCheck:
         bad.write_bytes(b"\xff")
         files = [corpus_files[0]]
         files.insert(position - 1, str(bad))
-        code = main(["check", *files, "--keep-going"])
+        code = main(["check", *files])
         assert code == EXIT_PARSE_ERROR
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 3 and out[position - 1].startswith(f"parse-error {bad}  ")
@@ -115,18 +115,13 @@ class TestCheck:
         good.write_text(script_text("D"))
         return [str(bad), str(good)]
 
-    def test_keep_going(self, bad_then_good, capsys):
-        code = main(["check", *bad_then_good, "--keep-going"])
-        out = capsys.readouterr().out
-        assert code == EXIT_CHECK_FAILED
-        assert "invalid" in out and "valid" in out
-
-    def test_stops_at_first_failure(self, bad_then_good, capsys):
+    def test_reports_every_script(self, bad_then_good, capsys):
         assert main(["check", *bad_then_good]) == EXIT_CHECK_FAILED
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 2
+        assert len(out) == 3
         assert out[0].startswith(f"invalid  {bad_then_good[0]}  line 8")
-        assert out[1].startswith("check: fail (exit 1)")
+        assert out[1].startswith(f"valid    {bad_then_good[1]}  ")
+        assert out[2].startswith("check: fail (exit 1)")
 
     def test_records_format(self, corpus_files, capsys):
         assert main(["check", corpus_files[0], "--format", "records"]) == EXIT_OK
@@ -139,8 +134,8 @@ class TestCheck:
 class TestProve:
     def test_prove_pipes_into_check(self, tmp_path, capsys):
         out = tmp_path / "w1.prf"
-        assert main(["prove", "--from", "I6", "--goal", "W1", "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
+        assert main(["prove", "--from", "I6", "--goal", "W1"]) == EXIT_OK
+        out.write_text(capsys.readouterr().out)
         assert main(["check", str(out)]) == EXIT_OK
 
     def test_defined_relations_round_trip(self, monkeypatch, capsys):
@@ -233,10 +228,9 @@ class TestProve:
 
     def test_theorem2_search(self, tmp_path, capsys):
         out = tmp_path / "i6.prf"
-        code = main(["prove", "--from", "I7,I8,ODO", "--goal", "I6",
-                     "--max-term-depth", "3", "--out", str(out)])
+        code = main(["prove", "--from", "I7,I8,ODO", "--goal", "I6", "--max-term-depth", "3"])
         assert code == EXIT_OK
-        capsys.readouterr()
+        out.write_text(capsys.readouterr().out)
         assert main(["check", str(out)]) == EXIT_OK
 
 
@@ -333,7 +327,7 @@ class TestCorpusCommand:
         statuses = [line.split()[0] for line in capsys.readouterr().out.splitlines()[:-1]]
         assert statuses == ["parse-error", "valid", "valid", "valid", "valid", "invalid"]
         paths = [str(tmp_path / f"{cid}.prf") for cid in ("A", "E")]
-        assert main(["check", "--keep-going", *paths]) == EXIT_PARSE_ERROR
+        assert main(["check", *paths]) == EXIT_PARSE_ERROR
 
     @pytest.mark.parametrize(
         "cid, text, problem",
@@ -407,9 +401,9 @@ class TestSurface:
     """Each setting has one way in: a new option has to be added here."""
 
     OPTIONS = {
-        "check": {"--format", "--keep-going"},
+        "check": {"--format"},
         "prove": {"--format", "--from", "--goal", "--max-depth", "--max-term-depth",
-                  "--max-lines", "--out"},
+                  "--max-lines"},
         "models": {"--format", "--from", "--goal", "--max-size", "--jobs", "--expect-none",
                    "--expect-counter"},
         "corpus": {"--format"},
@@ -429,8 +423,10 @@ class TestSurface:
          (["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--staged"], "--staged"),
          (["prove", "--from", "I5,I6,ODO", "--goal", "W2", "--direct"], "--direct"),
          (["models", "--from", "I5,I6", "--goal", "W2", "--record"], "--record"),
-         (["models", "--from", "I7conv", "--goal", "I7", "--expand-defs"], "--expand-defs")],
-        ids=["config", "staged", "direct", "record", "expand-defs"],
+         (["models", "--from", "I7conv", "--goal", "I7", "--expand-defs"], "--expand-defs"),
+         (["prove", "--from", "I6", "--goal", "W1", "--out", "w1.prf"], "--out w1.prf"),
+         (["check", "--keep-going", "-"], "--keep-going")],
+        ids=["config", "staged", "direct", "record", "expand-defs", "out", "keep-going"],
     )
     def test_removed_option_is_a_usage_error(self, capsys, argv, option):
         with pytest.raises(SystemExit) as exc:

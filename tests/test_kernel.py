@@ -480,6 +480,59 @@ class TestCases:
         assert not rep.valid and "CASES" in rep.message
 
 
+# Scripts for rule branches no other test reaches: (script, (line, kind,
+# message)) of the first failure, or None if the script is valid.
+_VERDICTS = {
+    "cases-already-closed": (
+        "PREMISE: UNDIR x y | UNDIR y x\nPREMISE: UNDIR z z\n"
+        "1. UNDIR x y | UNDIR y x  PREMISE\n2. UNDIR z z  PREMISE\n"
+        "3. UNDIR x y  CASE1 1\n4. UNDIR y x  CASE2 1\n"
+        "5. UNDIR z z  CASES 1 2 2\n6. UNDIR z z  CASES 1 2 2\n",
+        (6, "scope", "CASES: already closed"),
+    ),
+    "cases-both-assumptions": (
+        "PREMISE: UNDIR x y | UNDIR y x\nPREMISE: UNDIR x y -> [UNDIR y x -> UNDIR z z]\n"
+        "1. UNDIR x y | UNDIR y x  PREMISE\n2. UNDIR x y -> [UNDIR y x -> UNDIR z z]  PREMISE\n"
+        "3. UNDIR x y  CASE1 1\n4. UNDIR y x  CASE2 1\n"
+        "5. UNDIR y x -> UNDIR z z  MP 2 3\n6. UNDIR z z  MP 5 4\n7. UNDIR z z  CASES 1 6 6\n",
+        (7, "rule", "CASES: a branch conclusion depends on both case assumptions"),
+    ),
+    "case-unclosed": (
+        "PREMISE: UNDIR x y | UNDIR y x\n1. UNDIR x y | UNDIR y x  PREMISE\n"
+        "2. UNDIR x y  CASE1 1\n3. UNDIR x y | UNDIR y x  SAME 1\n",
+        (3, "structure", "unclosed case branch(es) at line(s) [2]"),
+    ),
+    "ug-annotation-not-a-prefix": (
+        "PREMISE: (Ax)(Ay)UNDIR x y\n1. (Ax)(Ay)UNDIR x y  PREMISE\n"
+        "2. (Ay)UNDIR v y  US (v x) 1\n3. UNDIR v w  US (w y) 2\n"
+        "4. (Ax)(Ay)UNDIR x y  UG (w y) 3\n",
+        (4, "rule", "UG: annotated variables must form the quantifier prefix"),
+    ),
+    "ug-vacuous": (
+        "PREMISE: (Ax)UNDIR x x\n1. (Ax)UNDIR x x  PREMISE\n2. UNDIR v v  US 1\n"
+        "3. (Ax)(Ay)UNDIR x x  UG 2\n",
+        None,
+    ),
+    "ee-annotation-not-a-variable": (
+        "PREMISE: (Ex)UNDIR x x\n1. (Ex)UNDIR x x  PREMISE\n"
+        "2. UNDIR [rev w] [rev w]  EE ([rev w] x) 1\n",
+        (2, "rule", "EE: annotation must name a fresh variable"),
+    ),
+    "ee-wrong-instance": (
+        "PREMISE: (Ex)UNDIR x x\n1. (Ex)UNDIR x x  PREMISE\n2. UNDIR w x  EE (w x) 1\n",
+        (2, "rule", "EE: expected UNDIR w w, found UNDIR w x"),
+    ),
+}
+
+
+class TestRuleBranches:
+    @pytest.mark.parametrize("name", _VERDICTS)
+    def test_verdict(self, name):
+        text, want = _VERDICTS[name]
+        rep = check_proof(parse_proof_script(text))
+        assert (None if rep.valid else (rep.line, rep.kind, rep.message)) == want
+
+
 class TestMutationExample:
     def test_corrupted_lds_line_fails_there(self):
         proof, _ = load("A")
@@ -569,6 +622,17 @@ SHOW: (Az)[~UNDIR v4 [rev v5] & ~UNDIR v4 z -> ~UNDIR v5 [rev z]]
         with pytest.raises(ScriptError) as err:
             parse_proof_script(text)
         assert str(err.value) == f"{what} of 5000 digits is too long (script line 1)"
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("UNDIR x y  PREMISE\n", 1),
+        ("SHOW UNDIR x y\n", 1),
+        ("1 UNDIR x y  PREMISE\n", 1),
+        ("# c\n\n+1. UNDIR x y  PREMISE\n", 3),
+    ], ids=["no-number", "misspelt-header", "no-dot", "signed-number"])
+    def test_first_record_without_a_line_number(self, text, lineno):
+        with pytest.raises(ScriptError) as err:
+            parse_proof_script(text)
+        assert str(err.value) == f"expected a line number, PREMISE: or SHOW: (script line {lineno})"
 
     def test_instance_that_would_capture_cannot_be_inferred(self):
         # x := y would be captured by (Ay): no term fits, and the line says so.

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -11,6 +12,7 @@ from dirgeo.models import (
     UnassignedVariable,
     _atom_tables,
     _Evaluator,
+    _joined,
     _structure_from_index,
     countermodel_at_size,
     direction_circle,
@@ -22,7 +24,7 @@ from dirgeo.models import (
     rev_representatives,
     structure_count,
 )
-from dirgeo.syntax import GEOMETRY, Not, build_and, parse_formula
+from dirgeo.syntax import GEOMETRY, Not, Or, build_and, flatten_or, parse_formula
 from helpers import closed_up, random_formula
 
 
@@ -113,6 +115,25 @@ class TestEnumeration:
             for i in range(n):
                 for j in range(n):
                     assert bool(atoms[i][j] >> k & 1) == s.undir[i][j], (k, i, j)
+
+    def test_chain_rejoined_in_order_as_short_as_it_can_be(self):
+        # against the least height of any tree over the parts in their
+        # order, by interval dynamic programming
+        rng = random.Random(11)
+        atom = parse_formula("UNDIR x x")
+        for _ in range(300):
+            heights = [rng.choice([2, 2, rng.randint(2, 30)]) for _ in range(rng.randint(1, 12))]
+            parts = [functools.reduce(lambda f, _: Not(f), range(h - 2), atom) for h in heights]
+
+            @functools.lru_cache(maxsize=None)
+            def least(i, j):
+                if i == j:
+                    return heights[i]
+                return 1 + min(max(least(i, k), least(k + 1, j)) for k in range(i, j))
+
+            joined = _joined(Or, parts)
+            assert flatten_or(joined) == parts
+            assert joined.height == least(0, len(parts) - 1), heights
 
 
 def _assert_scan_agrees(f):

@@ -28,7 +28,9 @@ from dirgeo.syntax import (
     GEOMETRY,
     App,
     Atom,
+    Exists,
     Forall,
+    Implies,
     Not,
     Or,
     Var,
@@ -277,8 +279,8 @@ class TestNesting:
 
     def test_refutation_of_a_tall_left_nested_premise(self):
         # (Ax)[UNDIR x x | ... | UNDIR x x | UNDIR x [rev^100 x]], nested
-        # left, 123 levels: its plan keeps that shape, where a right-nested
-        # rebuild of the chain would be 222 levels
+        # left, 123 levels: its plan rejoins the chain no taller, where a
+        # right-nested rebuild of the chain would be 222 levels
         far = functools.reduce(lambda t, _: App("rev", (t,)), range(100), Var("x"))
         short = parse_formula("UNDIR x x")
         f = Forall("x", functools.reduce(Or, [short] * 120 + [Atom("UNDIR", (Var("x"), far))]))
@@ -287,6 +289,37 @@ class TestNesting:
         assert find_countermodel([f], goal, 2) is not None
         r = prove([f], goal)
         assert r.status == "refuted" and r.limits == ()
+
+    def test_refutation_of_a_premise_with_a_long_balanced_chain(self):
+        # (Ax)[B | UNDIR x x], B a balanced | of 256 closed parts
+        # (Ey_k)UNDIR y_k y_k, is 13 levels; miniscoping takes B's parts
+        # out of the (Ax), and rejoined nested to one side they would be
+        # 257 levels
+        def balanced(parts):
+            half = len(parts) // 2
+            return parts[0] if half == 0 else Or(balanced(parts[:half]), balanced(parts[half:]))
+
+        parts = [Exists(f"y{k}", Atom("UNDIR", (Var(f"y{k}"),) * 2)) for k in range(256)]
+        premise = Forall("x", Or(balanced(parts), parse_formula("UNDIR x x")))
+        assert premise.height == 13
+        goal = parse_formula("(Ax)UNDIR x x")
+        assert find_countermodel([premise], goal, 2).describe() == "size=2 rev=[0 0] undir={(1,1)}"
+        r = prove([premise], goal)
+        assert (r.status, r.limits, r.countermodel.size) == ("refuted", (), 2)
+
+    def test_negative_plan_past_the_bound(self):
+        # G = (Ax0)[UNDIR x0 x0 | (Ax1)[UNDIR x1 x0 | ...]] is 199 levels and
+        # (Az)UNDIR z z -> G 200; the refutation's plan of its negation,
+        # (Az)UNDIR z z & (Ex0)[~UNDIR x0 x0 & ...], would be 201
+        g = parse_formula("(Ax98)UNDIR x98 x97")
+        for k in range(97, -1, -1):
+            g = Forall(f"x{k}", Or(Atom("UNDIR", (Var(f"x{k}"), Var(f"x{max(k - 1, 0)}"))), g))
+        assert g.height == 199
+        r = prove([], Implies(parse_formula("(Az)UNDIR z z"), g))
+        assert (r.status, r.limits, r.proof, r.countermodel) == (
+            "budget-exceeded", ("nesting",), None, None
+        )
+        assert r.stats.lines_generated == 0
 
     def test_goal_at_the_text_bound(self):
         goal = parse_formula("~" * 97 + "(Ax)UNDIR x x")
