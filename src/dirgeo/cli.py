@@ -24,7 +24,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from .geometry import UnknownAxiom, axiom, expand_defs
 from .kernel import ScriptError, check_proof, parse_proof_script, print_proof_script
-from .models import MAX_SIZE, find_countermodel
+from .models import MAX_SIZE, eval_formula, find_countermodel
 from .search import SearchConfig, prove
 from .syntax import ParseError, rule_eq
 
@@ -88,6 +88,13 @@ def _resolve_sequent(args):
     return sequent[:-1], sequent[-1]
 
 
+def _certified(cm, premises, goal):
+    """cm, once the reference evaluator confirms it: the scan is untrusted."""
+    if cm is not None and (eval_formula(cm, goal) or not all(eval_formula(cm, p) for p in premises)):
+        raise RuntimeError(f"internal error: {cm.describe()} is not a countermodel")
+    return cm
+
+
 # -- check -------------------------------------------------------------------
 
 # What reading, parsing or checking a script raises on bad input.
@@ -147,7 +154,7 @@ def cmd_prove(args) -> RunReport:
     if result.limits:
         detail += f" limit={','.join(result.limits)}"
         extra["limit"] = list(result.limits)
-    if result.countermodel is not None:
+    if _certified(result.countermodel, [f for _, f in premises], goal) is not None:
         detail = f"{result.countermodel.describe()}, {detail}"
         extra["countermodel"] = result.countermodel.to_record()
     report.add(goal_name, result.status, detail, **extra)
@@ -169,7 +176,7 @@ def cmd_models(args) -> RunReport:
     if not 1 <= args.max_size <= MAX_SIZE:
         return report.error(label, f"--max-size must be in 1..{MAX_SIZE}, got {args.max_size}")
 
-    cm = find_countermodel(premise_formulas, goal, args.max_size)
+    cm = _certified(find_countermodel(premise_formulas, goal, args.max_size), premise_formulas, goal)
     if cm is None:
         report.add(label, "no-countermodel", f"up to size {args.max_size}")
         if args.expect == "counter":
@@ -274,10 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except _UsageError as exc:
         _usage_error(*exc.args, argv)
+    if extra:  # reported by the subcommand, so that its --format holds
+        _usage_error(f"unrecognized arguments: {' '.join(extra)}", f"{parser.prog} {args.command}", argv)
     report = args.func(args)
     report.emit(args.format)
     return report.exit_code

@@ -19,7 +19,8 @@ hence is r*.
 Two evaluators exist on purpose: eval_formula is the plain recursive
 Tarskian definition, the reference; the scan values all 2^(n*n) undir
 tables for one rev table at once, as a Python int bitset with one bit per
-table, over a plan of the formula (see _plan), valuing every part of it.
+table, by a plan of the formula (see _plan) compiled to Python (_compiled)
+that values every part of it.
 Within one scan, a quantified subformula with no rev term is valued once
 per size and assignment of its free variables, and shared by every rev
 table.  The two evaluators' agreement is property-tested.
@@ -28,9 +29,10 @@ table.  The two evaluators' agreement is property-tested.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
     _CACHE_SIZE,
@@ -274,65 +276,114 @@ def _joined(junction, parts: list[Formula]) -> Formula:
     return stack[0]
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _memo_key(f: Formula) -> tuple[bool, tuple[str, ...]]:
-    """Whether a quantified plan node is rev-free, and its free variables
-    in order: its value depends only on them, the size and, unless it is
-    rev-free, the rev table."""
-    return not any(isinstance(t, App) for t in formula_terms(f)), tuple(sorted(free_vars(f)))
+# CPython allows 20 nested loops, 100 indents and 200 nested brackets, so a
+# generated function nests at most _LOOPS loops (a deeper quantifier is a function
+# of its own) and _BRACKETS + 1 brackets (a deeper part goes to a temporary).
+_LOOPS, _BRACKETS = 12, 40
+
+
+@lru_cache(maxsize=1024)  # each entry holds a function and its code
+def _compiled(g: Formula) -> Callable[..., int]:
+    """The plan node g as a Python function of (R, A, N, F, S, D, then the
+    values of g's free variables in sorted order): rev table, atom tables,
+    negated tables, all-true bitset, the size's rev-free memo, range(n).
+    Each quantifier is a `for` loop over D, each loop body one &/|
+    expression.  A quantified part is memoised in S if it is rev-free, else
+    for the call where a hit can happen: it occurs twice, or a loop around
+    it binds a variable it does not use.  The source holds generated names
+    and integers only; plan nodes and functions reach it by its namespace."""
+    return _Compiler(g).function
+
+
+class _Compiler:
+    def __init__(self, g: Formula):
+        self.names, self.ns, self.lines, self.memos, self.blocks = itertools.count(), {}, [], {}, {}
+        self.reached, stack = Counter(), [g]
+        while stack:  # each junction and quantifier entered once: linear in g's DAG
+            h = stack.pop()
+            self.reached[h] += 1
+            if self.reached[h] == 1 and type(h) in _DUAL:
+                stack += [h.left, h.right] if type(h) in (And, Or) else [h.body]
+        params = {v: self.name("v") for v in sorted(free_vars(g))}
+        result = self.expr(g, params, [], 1)[0]
+        head = [f"def f(R, A, N, F, S, D, {', '.join(params.values())}):"]
+        head += [f" {m} = {{}}" for m in self.memos.values()]
+        exec("\n".join(head + self.lines + [f" return {result}"]), self.ns)
+        self.function = self.ns["f"]
+
+    def name(self, stem: str, value=None) -> str:
+        name = f"{stem}{next(self.names)}"
+        if value is not None:
+            self.ns[name] = value
+        return name
+
+    def emit(self, depth: int, *lines: str) -> None:
+        # a line closes every deeper block, and the values of repeated parts kept in it
+        self.blocks = {d: kept for d, kept in self.blocks.items() if d <= depth}
+        self.lines += [" " * depth + line for line in lines]
+
+    def spill(self, text: str, brackets: int, depth: int) -> tuple[str, int]:
+        if brackets <= _BRACKETS:
+            return text, brackets
+        self.emit(depth, f"{(t := self.name('t'))} = {text}")
+        return t, 0
+
+    def term(self, t: Term, env: dict, depth: int) -> tuple[str, int]:
+        if type(t) is Var:
+            return env[t.name], 0
+        inner, brackets = self.term(t.args[0], env, depth)
+        return self.spill(f"R[{inner}]", brackets + 1, depth)
+
+    def expr(self, g: Formula, env: dict, loops: list, depth: int) -> tuple[str, int]:
+        """g's value as an expression and its bracket depth, after its statements."""
+        cls, free = type(g), [env[v] for v in sorted(free_vars(g))]
+        known = [b[(g, *free)] for d, b in self.blocks.items() if d <= depth and (g, *free) in b]
+        if known:
+            return known[0], 0
+        if cls is Atom or cls is Not:
+            x, y = g.args if cls is Atom else g.body.args
+            (i, bi), (j, bj) = self.term(x, env, depth), self.term(y, env, depth)
+            return f"{'A' if cls is Atom else 'N'}[{i}][{j}]", 1 + max(bi, bj)
+        if cls is And or cls is Or:
+            left, bl = self.spill(*self.expr(g.left, env, loops, depth), depth)
+            right, br = self.spill(*self.expr(g.right, env, loops, depth), depth)
+            text = f"({left} {'&' if cls is And else '|'} {right})"
+            if self.reached[g] == 1:
+                return text, 1 + max(bl, br)
+            self.emit(depth, f"{(q := self.name('t'))} = {text}")
+            self.blocks.setdefault(depth, {})[(g, *free)] = q
+            return q, 0
+        q, key, memo, at = self.name("q"), "".join(v + ", " for v in free), None, depth
+        if not any(type(t) is App for t in formula_terms(g)):
+            memo, key = "S", f"({self.name('k', g)}, {key})"
+        elif self.reached[g] > 1 or not set(loops) <= set(free):
+            memo, key = self.memos.setdefault(g, self.name("m")), f"({key})"
+        if memo:
+            self.emit(at, f"{q} = {memo}.get({key})", f"if {q} is None:")
+            at += 1
+        if len(loops) >= _LOOPS:
+            self.emit(at, f"{q} = {self.name('k', _compiled(g))}(R, A, N, F, S, D, {', '.join(free)})")
+        else:
+            v, every = self.name("v"), cls is Forall
+            self.emit(at, f"{q} = {'F' if every else '0'}", f"for {v} in D:")
+            body = self.spill(*self.expr(g.body, {**env, g.var: v}, loops + [v], at + 1), at + 1)
+            self.emit(at + 1, f"{q} {'&' if every else '|'}= {body[0]}")
+        if memo:
+            self.emit(at, f"{memo}[{key}] = {q}")
+        self.blocks.setdefault(depth, {})[(g, *free)] = q
+        return q, 0
 
 
 class _Evaluator:
-    """evaluator(f): the bitset of the undir tables of size n in which the
-    closed, interpreted formula f holds for this rev table, every part of
-    its plan valued.  A quantified plan node is valued once per assignment
-    of its free variables, memoised in `shared`, valid for every rev table
-    of size n, if it is rev-free, and in the evaluator's own memo if not.
-    No reference cycle holds the memos: they go when the scan drops the
-    evaluator."""
+    """evaluator(f), evaluator(f, False): the bitset of the undir tables of
+    size n in which the closed, interpreted f holds, fails, for this rev
+    table.  `shared` memoises rev-free parts for every rev table of size n."""
 
     def __init__(self, n: int, rev: Sequence[int], shared: dict):
-        self.n, self.rev, self.shared, self.own = n, rev, shared, {}
-        self.atoms, self.negated = _atom_tables(n), _negated_tables(n)
-        self.full = (1 << (1 << (n * n))) - 1
-        self.a: dict[str, int] = {}
+        self.tables = (rev, _atom_tables(n), _negated_tables(n), (1 << 2 ** n ** 2) - 1, shared, range(n))
 
-    def __call__(self, f: Formula) -> int:
-        return self.value(_plan(f, True))
-
-    def term(self, t: Term) -> int:
-        return self.a[t.name] if type(t) is Var else self.rev[self.term(t.args[0])]
-
-    def value(self, g: Formula) -> int:
-        cls, a = type(g), self.a
-        if cls is Atom or cls is Not:
-            x, y = g.args if cls is Atom else g.body.args
-            i = a[x.name] if type(x) is Var else self.term(x)
-            j = a[y.name] if type(y) is Var else self.term(y)
-            return self.atoms[i][j] if cls is Atom else self.negated[i][j]
-        if cls is And:
-            return self.value(g.left) & self.value(g.right)
-        if cls is Or:
-            return self.value(g.left) | self.value(g.right)
-        rev_free, free = _memo_key(g)
-        memo = self.shared if rev_free else self.own
-        key = (g, *[a[v] for v in free])
-        acc = memo.get(key)
-        if acc is not None:
-            return acc
-        # Bind g.var in `a` itself, restored below.
-        var, body, every = g.var, g.body, cls is Forall
-        had, saved = var in a, a.get(var)
-        acc = self.full if every else 0
-        for d in range(self.n):
-            a[var] = d
-            acc = acc & self.value(body) if every else acc | self.value(body)
-        if had:
-            a[var] = saved
-        else:
-            del a[var]
-        memo[key] = acc
-        return acc
+    def __call__(self, f: Formula, positive: bool = True) -> int:
+        return _compiled(_plan(f, positive))(*self.tables)
 
 
 def _structure_from_index(n: int, rev: Sequence[int], index: int) -> Structure:
@@ -389,9 +440,8 @@ def _require(formulas: Sequence[Formula], open_message: str) -> None:
 
 def _first_countermodel(premises: Sequence[Formula], goal: Formula, scan) -> Structure | None:
     _require(list(premises) + [goal], "premises and goal must be closed")
-    refuted = _plan(goal, False)  # ~goal's plan, without a ~goal node past the bound
     for n, rev, value in scan:
-        mask = value.value(refuted)
+        mask = value(goal, False)  # ~goal's plan, without a ~goal node past the bound
         for p in premises:
             if not mask:
                 break

@@ -2,9 +2,11 @@ import argparse
 import io
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
+from dirgeo import cli
 from dirgeo.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EXPECTATION,
@@ -284,6 +286,19 @@ class TestModels:
         error = capsys.readouterr().out.splitlines()[0]
         assert "1..4" in error and "expand-defs" not in error
 
+    @pytest.mark.parametrize("command", ["models", "prove"])
+    def test_reported_countermodel_is_certified(self, monkeypatch, command):
+        # I5,I6 |= W2 has a countermodel; the structure with every cell set
+        # satisfies W2, so it refutes nothing
+        wrong = Structure(2, ((True, True), (True, True)), (0, 0))
+        if command == "models":
+            monkeypatch.setattr(cli, "find_countermodel", lambda premises, goal, n: wrong)
+        else:
+            real = cli.prove
+            monkeypatch.setattr(cli, "prove", lambda *a: replace(real(*a), countermodel=wrong))
+        with pytest.raises(RuntimeError, match=r"^internal error: size=2 .* is not a countermodel"):
+            main([command, "--from", "I5,I6", "--goal", "W2"])
+
     def test_expand_defs_resolution(self):
         # names always resolve expanded: I7conv is I7 with CON written out
         assert main(["models", "--from", "I7conv", "--goal", "I7", "--max-size", "2",
@@ -433,6 +448,18 @@ class TestSurface:
             main(argv)
         assert exc.value.code == EXIT_PARSE_ERROR
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err.splitlines()[-1]
+
+    @pytest.mark.parametrize("command", ["models", "prove"])
+    def test_unknown_option_under_records(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--from", "I6", "--goal", "W1", "--out", "x", "--format", "records"])
+        assert exc.value.code == EXIT_PARSE_ERROR
+        out, err = capsys.readouterr()
+        report, other = (err, out) if command == "prove" else (out, err)
+        records = [json.loads(line) for line in report.splitlines()]
+        assert other == "" and [r["status"] for r in records] == ["error", "fail"]
+        assert records[0] == {"command": command, "item": "usage", "status": "error",
+                              "detail": "unrecognized arguments: --out x"}
 
     def test_usage_error_is_one_line(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,8 +11,10 @@ from dirgeo.models import (
     Structure,
     UnassignedVariable,
     _atom_tables,
+    _compiled,
     _Evaluator,
     _joined,
+    _plan,
     _structure_from_index,
     countermodel_at_size,
     direction_circle,
@@ -24,7 +26,20 @@ from dirgeo.models import (
     rev_representatives,
     structure_count,
 )
-from dirgeo.syntax import GEOMETRY, Not, Or, build_and, flatten_or, parse_formula
+from dirgeo.syntax import (
+    GEOMETRY,
+    And,
+    App,
+    Atom,
+    Exists,
+    Forall,
+    Not,
+    Or,
+    Var,
+    build_and,
+    flatten_or,
+    parse_formula,
+)
 from helpers import closed_up, random_formula
 
 
@@ -136,13 +151,13 @@ class TestEnumeration:
             assert joined.height == least(0, len(parts) - 1), heights
 
 
-def _assert_scan_agrees(f):
-    """The scan's evaluator agrees with eval_formula at sizes 1..3, for
+def _assert_scan_agrees(f, sizes=(1, 2, 3)):
+    """The scan's evaluator agrees with eval_formula at each size, for
     every rev table, with one memo shared by all rev tables of a size as in
     a scan, and with ~f valued first to fill it.  Every undir table is
     compared at sizes 1 and 2, a seeded sample of 64 at size 3."""
     rng = random.Random(7)
-    for n in (1, 2, 3):
+    for n in sizes:
         shared = {}
         for rev in itertools.product(range(n), repeat=n):
             value = _Evaluator(n, rev, shared)
@@ -152,6 +167,110 @@ def _assert_scan_agrees(f):
             for idx in indices if n < 3 else rng.sample(indices, 64):
                 s = _structure_from_index(n, rev, idx)
                 assert bool(got >> idx & 1) == eval_formula(s, f), (n, rev, idx)
+
+
+def _first_by_eval(premises, goal, max_n):
+    """find_countermodel by eval_formula over every structure in order."""
+    structures = itertools.chain.from_iterable(map(enumerate_structures, range(1, max_n + 1)))
+    return next((s for s in structures if all(eval_formula(s, p) for p in premises)
+                 and not eval_formula(s, goal)), None)
+
+
+def _x(i):
+    return Var(f"x{i}")
+
+
+def _rev(t, times=1):
+    return functools.reduce(lambda t, _: App("rev", (t,)), range(times), t)
+
+
+def _alternation(k):
+    """(Ax0)(Ex1)(Ax2)...: k + 1 quantifiers, nested in the plan too, since
+    each body mentions its variable and the one bound just outside; the
+    innermost atom has a rev term."""
+    f = Atom("UNDIR", (_x(k - 1), _rev(_x(k))))
+    for i in range(k, 0, -1):
+        cls, junction = (Forall, Or) if i % 2 == 0 else (Exists, And)
+        f = cls(f"x{i}", f if i == k else junction(Atom("UNDIR", (_x(i - 1), _x(i))), f))
+    return Forall("x0", f)
+
+
+def _junctions(k, leaf):
+    """(Ax0) over k nested &/| alternating, leaf and UNDIR x0 x0 beside them."""
+    f = leaf
+    for i in range(k):
+        f = (And if i % 2 else Or)(leaf if i % 3 else Atom("UNDIR", (_x(0), _x(0))), f)
+    return Forall("x0", f)
+
+
+def _renamed(f, names):
+    """f with every variable, bound or free, renamed through names."""
+    cls = type(f)
+    if cls is Var:
+        return Var(names[f.name])
+    if cls is App or cls is Atom:
+        return cls(f.fn if cls is App else f.pred, tuple(_renamed(a, names) for a in f.args))
+    if cls is Forall or cls is Exists:
+        return cls(names[f.var], _renamed(f.body, names))
+    if cls is Not:
+        return Not(_renamed(f.body, names))
+    return cls(_renamed(f.left, names), _renamed(f.right, names))
+
+
+class TestCompiledPlans:
+    """The scan runs each plan as generated Python source (models._compiled)."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [_alternation(24), _alternation(59), _junctions(195, Atom("UNDIR", (_x(0), _rev(_x(0))))),
+         Forall("x0", Atom("UNDIR", (_x(0), _rev(_x(0), 196)))),
+         _junctions(100, Atom("UNDIR", (_x(0), _rev(_x(0), 96))))],
+        ids=["25-quantifiers", "60-quantifiers", "195-junctions", "rev196", "100-junctions-rev96"],
+    )
+    def test_past_the_interpreter_nesting_limits(self, f):
+        # eval_formula takes seconds on the deep alternations at size 3
+        _assert_scan_agrees(f, sizes=(1, 2))
+        for premises, goal in (([], f), ([f], parse_formula("(Ax)UNDIR x x"))):
+            assert find_countermodel(premises, goal, 2) == _first_by_eval(premises, goal, 2)
+
+    HOSTILE = {"x": "x'); import os #", "y": "y\n", "z": "z]"}  # sorted as x, y, z
+
+    def test_hostile_variable_names(self):
+        sequent = [axiom("I5"), axiom("I6"), axiom("W3")]
+        hostile = [_renamed(f, self.HOSTILE) for f in sequent]
+        assert find_countermodel(hostile[:2], hostile[2], 3) == find_countermodel(sequent[:2], sequent[2], 3)
+
+    def test_variable_names_never_reach_the_source(self):
+        for f in (axiom("I5"), axiom("I6"), axiom("W3")):
+            g = _renamed(f, self.HOSTILE)
+            plain, code = _compiled(_plan(f, True)).__code__, _compiled(_plan(g, True)).__code__
+            assert (code.co_code, code.co_names, code.co_varnames, code.co_consts) == (
+                plain.co_code, plain.co_names, plain.co_varnames, plain.co_consts)
+
+    def test_a_shared_part_is_compiled_once(self):
+        # 150 levels of And(f, f): 2^150 atoms as a tree, 152 nodes as shared
+        atom = Atom("UNDIR", (_x(0), _rev(_x(0))))
+        f = functools.reduce(lambda f, _: And(f, f), range(150), atom)
+        value = _Evaluator(3, (1, 2, 0), {})
+        assert _compiled(Forall("x0", f))(*value.tables) == value(Forall("x0", atom))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(Ax)[[(Ay)UNDIR x [rev y] | (Ez)~UNDIR z [rev x]] & [~UNDIR x x | (Ez)~UNDIR z [rev x]]]",
+         "(Ex)(Ay)UNDIR x [rev y] & (Ex)(Ay)UNDIR x [rev y]",
+         # the first (Ew) is valued inside the rev-free (Az), which the
+         # second rev table finds in the shared memo and does not run
+         "(Ax)[(Az)[UNDIR z z | (Ew)[UNDIR x w & UNDIR w w] & UNDIR x z]"
+         " | (Ay)[UNDIR y [rev y] | (Au)[UNDIR u [rev y] | (Ew)[UNDIR x w & UNDIR w w] & UNDIR x u]]"
+         " | UNDIR x [rev x]]"],
+        ids=["under-a-loop", "closed", "inside-a-memoised-part"],
+    )
+    def test_a_part_that_occurs_twice(self, text):
+        f = parse_formula(text)
+        _assert_scan_agrees(f)
+        goal = parse_formula("(Ax)UNDIR x [rev x]")
+        for premises, goal in (([], f), ([f], goal)):
+            assert find_countermodel(premises, goal, 2) == _first_by_eval(premises, goal, 2)
 
 
 class TestCountermodels:
