@@ -6,7 +6,8 @@ when every line checks and the last line depends on nothing but premises.
 Lexical closed-region tracking is layered on top so a cite into a
 discharged subproof is reported as a scope violation at the citing line.
 
-Checker has one rejection path.  Each rule has a _rule_* handler that
+Checker has one rejection path.  Each rule has a _rule_* handler (MP, MT,
+LDS and RDS share one, which reads TWO_LINE_RULES as the search does) that
 returns the new line's dependency set or raises _Reject(message, kind);
 Checker.add_line is the only place that turns a _Reject into a Verdict, and
 it records the dependencies of an accepted line; a rule that would build a
@@ -30,7 +31,7 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .syntax import (
     Exists,
@@ -108,6 +109,39 @@ _CITE_COUNTS = {
 }
 
 
+class TwoLineRule(NamedTuple):
+    """A rule that concludes from a major line with connective `major` and a
+    minor line whose canonical key is among keys(part(major)): the part's
+    own (MP), or those of the formulas that contradict it (MT, LDS, RDS)."""
+
+    rule: Rule
+    major: type
+    part: Callable[[Formula], Formula]
+    keys: Callable[[Formula], tuple]  # the search indexes a major line by them
+    conclusion: Callable[[Formula], Formula]
+    rejection: str  # the message when no cite order fits
+
+    def fits(self, minor: Formula, g: Formula) -> bool:
+        """The kernel's test, in one cite order; a contradiction may also run from minor to part."""
+        part = self.part(g)
+        return canonical_key(minor) in self.keys(part) or (
+            self.keys is contradiction_keys and canonical_key(part) in contradiction_keys(minor))
+
+
+# The two-line rules, in the order the search derives them.
+TWO_LINE_RULES = (
+    TwoLineRule(Rule.MP, Implies, lambda g: g.left, lambda part: (canonical_key(part),), lambda g: g.right,
+                "MP: antecedent mismatch"),
+    TwoLineRule(Rule.MT, Implies, lambda g: g.right, contradiction_keys, lambda g: Not(g.left),
+                "MT: no cited implication whose consequent is contradicted"),
+    TwoLineRule(Rule.LDS, Or, lambda g: g.left, contradiction_keys, lambda g: g.right,
+                "LDS: no cited disjunction whose left disjunct is contradicted"),
+    TwoLineRule(Rule.RDS, Or, lambda g: g.right, contradiction_keys, lambda g: g.left,
+                "RDS: no cited disjunction whose right disjunct is contradicted"),
+)
+_TWO_LINE = {row.rule: row for row in TWO_LINE_RULES}
+
+
 _RULES_BY_NAME = {r.value: r for r in Rule} | _RULE_ALIASES
 
 
@@ -159,12 +193,6 @@ class CheckReport:
         left = ", ".join(print_formula(p) for p in self.premises)
         right = print_formula(self.conclusion) if self.conclusion is not None else "?"
         return f"{left} |- {right}" if left else f"|- {right}"
-
-
-def _contradicts(f: Formula, g: Formula) -> bool:
-    """One is, up to rule_eq, the negation of the other, or the body of the
-    other's ~ or ~~~: the test the search indexes by."""
-    return canonical_key(g) in contradiction_keys(f) or canonical_key(f) in contradiction_keys(g)
 
 
 def _instance_term(rule: Rule, annot: tuple, g: Forall | Exists, f: Formula) -> Term | None:
@@ -301,23 +329,18 @@ class Checker:
             raise _mismatch(Rule.SAME, c.formula, f)
         return self._union_deps(cited)
 
-    def _rule_mp(self, n, f, just, cited):
-        for impl, minor in (cited, cited[::-1]):
-            g = impl.formula
-            if isinstance(g, Implies) and rule_eq(minor.formula, g.left):
-                if not rule_eq(f, g.right):
-                    raise _mismatch(Rule.MP, g.right, f)
+    def _rule_two_line(self, n, f, just, cited):
+        row = _TWO_LINE[just.rule]
+        for major, minor in (cited, cited[::-1]):
+            g = major.formula
+            if isinstance(g, row.major) and row.fits(minor.formula, g):
+                expected = row.conclusion(g)
+                if not rule_eq(f, expected):
+                    raise _mismatch(row.rule, expected, f)
                 return self._union_deps(cited)
-        raise _Reject("MP: antecedent mismatch")
+        raise _Reject(row.rejection)
 
-    def _rule_mt(self, n, f, just, cited):
-        for impl, minor in (cited, cited[::-1]):
-            g = impl.formula
-            if isinstance(g, Implies) and _contradicts(minor.formula, g.right):
-                if not rule_eq(f, Not(g.left)):
-                    raise _mismatch(Rule.MT, Not(g.left), f)
-                return self._union_deps(cited)
-        raise _Reject("MT: no cited implication whose consequent is contradicted")
+    _rule_mp = _rule_mt = _rule_lds = _rule_rds = _rule_two_line
 
     def _rule_imp(self, n, f, just, cited):
         (c,) = cited
@@ -327,28 +350,6 @@ class Checker:
         if not rule_eq(f, expected):
             raise _mismatch(Rule.IMP, expected, f)
         return self._union_deps(cited)
-
-    def _rule_lds(self, n, f, just, cited):
-        return self._disjunctive_syllogism(f, cited, left_side=True)
-
-    def _rule_rds(self, n, f, just, cited):
-        return self._disjunctive_syllogism(f, cited, left_side=False)
-
-    def _disjunctive_syllogism(self, f, cited, left_side: bool):
-        rule = Rule.LDS if left_side else Rule.RDS
-        for disj, unit in (cited, cited[::-1]):
-            g = disj.formula
-            if not isinstance(g, Or):
-                continue
-            cancelled, kept = (g.left, g.right) if left_side else (g.right, g.left)
-            if _contradicts(unit.formula, cancelled):
-                if not rule_eq(f, kept):
-                    raise _mismatch(rule, kept, f)
-                return self._union_deps(cited)
-        raise _Reject(
-            f"{rule.value}: no cited disjunction whose "
-            f"{'left' if left_side else 'right'} disjunct is contradicted"
-        )
 
     def _rule_cp(self, n, f, just, cited):
         (c,) = cited

@@ -48,8 +48,6 @@ from .syntax import (
     Term,
     Var,
     atoms,
-    flatten_and,
-    flatten_or,
     formula_terms,
     free_vars,
 )
@@ -240,17 +238,18 @@ def _plan(f: Formula, positive: bool) -> Formula:
     return (junction if positive else _DUAL[junction])(left, _plan(f.right, positive))
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _scope(q, var: str, body: Formula) -> Formula:
     """q var. body miniscoped: ∀ distributes over & and ∃ over |, and each
     quantifier keeps only the disjuncts (∀) or conjuncts (∃) in which var
     is free.  A vacuous quantifier is dropped: domains are non-empty.  The
     parts are rejoined in their order, as short as that order allows (see
-    _joined)."""
+    _joined).  Worked out once per node."""
     spread = And if q is Forall else Or
     if type(body) is spread:
         return spread(_scope(q, var, body.left), _scope(q, var, body.right))
     junction = _DUAL[spread]
-    parts = (flatten_and if junction is And else flatten_or)(body)
+    parts = _members(junction, body)
     inside = [p for p in parts if var in free_vars(p)]
     if not inside:
         return body
@@ -259,6 +258,22 @@ def _scope(q, var: str, body: Formula) -> Formula:
     else:
         scoped = q(var, _joined(junction, inside))
     return _joined(junction, [p for p in parts if var not in free_vars(p)] + [scoped])
+
+
+def _members(junction, f: Formula) -> list[Formula]:
+    """The distinct parts of f's chain of junction, left to right, with each
+    node visited once: a repeated part goes, as & and | are idempotent."""
+    seen, parts, stack = set(), [], [f]
+    while stack:
+        g = stack.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        if type(g) is junction:
+            stack += (g.right, g.left)
+        else:
+            parts.append(g)
+    return parts
 
 
 def _joined(junction, parts: list[Formula]) -> Formula:
@@ -277,9 +292,10 @@ def _joined(junction, parts: list[Formula]) -> Formula:
 
 
 # CPython allows 20 nested loops, 100 indents and 200 nested brackets, so a
-# generated function nests at most _LOOPS loops (a deeper quantifier is a function
-# of its own) and _BRACKETS + 1 brackets (a deeper part goes to a temporary).
-_LOOPS, _BRACKETS = 12, 40
+# generated function nests at most _LOOPS loops (a deeper quantifier is a
+# function of its own).  An expression nests fewer brackets than its plan
+# node's height, which the node bound keeps at 200 or less.
+_LOOPS = 12
 
 
 @lru_cache(maxsize=1024)  # each entry holds a function and its code
@@ -305,7 +321,7 @@ class _Compiler:
             if self.reached[h] == 1 and type(h) in _DUAL:
                 stack += [h.left, h.right] if type(h) in (And, Or) else [h.body]
         params = {v: self.name("v") for v in sorted(free_vars(g))}
-        result = self.expr(g, params, [], 1)[0]
+        result = self.expr(g, params, [], 1)
         head = [f"def f(R, A, N, F, S, D, {', '.join(params.values())}):"]
         head += [f" {m} = {{}}" for m in self.memos.values()]
         exec("\n".join(head + self.lines + [f" return {result}"]), self.ns)
@@ -322,37 +338,26 @@ class _Compiler:
         self.blocks = {d: kept for d, kept in self.blocks.items() if d <= depth}
         self.lines += [" " * depth + line for line in lines]
 
-    def spill(self, text: str, brackets: int, depth: int) -> tuple[str, int]:
-        if brackets <= _BRACKETS:
-            return text, brackets
-        self.emit(depth, f"{(t := self.name('t'))} = {text}")
-        return t, 0
+    def term(self, t: Term, env: dict) -> str:
+        return env[t.name] if type(t) is Var else f"R[{self.term(t.args[0], env)}]"
 
-    def term(self, t: Term, env: dict, depth: int) -> tuple[str, int]:
-        if type(t) is Var:
-            return env[t.name], 0
-        inner, brackets = self.term(t.args[0], env, depth)
-        return self.spill(f"R[{inner}]", brackets + 1, depth)
-
-    def expr(self, g: Formula, env: dict, loops: list, depth: int) -> tuple[str, int]:
-        """g's value as an expression and its bracket depth, after its statements."""
+    def expr(self, g: Formula, env: dict, loops: list, depth: int) -> str:
+        """g's value as an expression, after its statements."""
         cls, free = type(g), [env[v] for v in sorted(free_vars(g))]
         known = [b[(g, *free)] for d, b in self.blocks.items() if d <= depth and (g, *free) in b]
         if known:
-            return known[0], 0
+            return known[0]
         if cls is Atom or cls is Not:
             x, y = g.args if cls is Atom else g.body.args
-            (i, bi), (j, bj) = self.term(x, env, depth), self.term(y, env, depth)
-            return f"{'A' if cls is Atom else 'N'}[{i}][{j}]", 1 + max(bi, bj)
+            return f"{'A' if cls is Atom else 'N'}[{self.term(x, env)}][{self.term(y, env)}]"
         if cls is And or cls is Or:
-            left, bl = self.spill(*self.expr(g.left, env, loops, depth), depth)
-            right, br = self.spill(*self.expr(g.right, env, loops, depth), depth)
+            left, right = self.expr(g.left, env, loops, depth), self.expr(g.right, env, loops, depth)
             text = f"({left} {'&' if cls is And else '|'} {right})"
             if self.reached[g] == 1:
-                return text, 1 + max(bl, br)
+                return text
             self.emit(depth, f"{(q := self.name('t'))} = {text}")
             self.blocks.setdefault(depth, {})[(g, *free)] = q
-            return q, 0
+            return q
         q, key, memo, at = self.name("q"), "".join(v + ", " for v in free), None, depth
         if not any(type(t) is App for t in formula_terms(g)):
             memo, key = "S", f"({self.name('k', g)}, {key})"
@@ -366,12 +371,12 @@ class _Compiler:
         else:
             v, every = self.name("v"), cls is Forall
             self.emit(at, f"{q} = {'F' if every else '0'}", f"for {v} in D:")
-            body = self.spill(*self.expr(g.body, {**env, g.var: v}, loops + [v], at + 1), at + 1)
-            self.emit(at + 1, f"{q} {'&' if every else '|'}= {body[0]}")
+            body = self.expr(g.body, {**env, g.var: v}, loops + [v], at + 1)
+            self.emit(at + 1, f"{q} {'&' if every else '|'}= {body}")
         if memo:
             self.emit(at, f"{memo}[{key}] = {q}")
         self.blocks.setdefault(depth, {})[(g, *free)] = q
-        return q, 0
+        return q
 
 
 class _Evaluator:

@@ -48,6 +48,7 @@ from .kernel import (
     Proof,
     ProofLine,
     Rule,
+    TWO_LINE_RULES,
     check_proof,
 )
 from .models import Structure, find_countermodel, interprets
@@ -58,7 +59,6 @@ from .syntax import (
     Formula,
     Implies,
     NestingError,
-    Not,
     Or,
     Term,
     Var,
@@ -66,7 +66,6 @@ from .syntax import (
     bound_vars,
     canonical_key,
     conjunct_members,
-    contradiction_keys,
     de_morgan,
     distributions,
     flatten_or,
@@ -118,6 +117,8 @@ class _Budget(Exception):
 
 # The bounds a failed search names, in the order it reports them (nesting: NestingError).
 _LIMITS = ("max_lines", "max_depth", "max_term_depth", "nesting")
+# The rows of TWO_LINE_RULES, with their index, by their major line's connective.
+_ROWS = {c: [(i, row) for i, row in enumerate(TWO_LINE_RULES) if row.major is c] for c in (Implies, Or)}
 
 
 @dataclass
@@ -148,18 +149,16 @@ class _Engine:
 
 
 class _Context:
-    """The branch being searched: canonical key -> node, with combination
-    indexes.  A case split does not copy it: it takes a mark(), adds its
-    case and searches on, and undo() puts the context back to the mark."""
+    """The branch being searched: canonical key -> node, and the major lines
+    of kernel.TWO_LINE_RULES by the key of a minor line that fits.  A case
+    split does not copy it: it takes a mark(), adds its case and searches
+    on, and undo() puts the context back to the mark."""
 
     def __init__(self, engine: _Engine):
         self.engine = engine
         self.nodes: dict = {}  # canonical key -> _Node, in the order of self.order
         self.order: list[_Node] = []
-        self.by_antecedent: dict = {}  # key(A) -> [Implies nodes]
-        self.mt_index: dict = {}  # contradiction key of consequent -> [Implies nodes]
-        self.lds_index: dict = {}  # contradiction key of left disjunct -> [Or nodes]
-        self.rds_index: dict = {}  # contradiction key of right disjunct -> [Or nodes]
+        self.majors: dict = {}  # minor key -> [major nodes] for each row of TWO_LINE_RULES
         self.universals: list[_Node] = []
         self.split_disjunctions: dict = {}  # keys already case-split -> None
         # Base instantiation terms of self.order[:scanned], plus the
@@ -170,7 +169,7 @@ class _Context:
         self.pool: tuple[int, list[Term]] = (-1, [])  # (len(pool_terms) it was built from, pool)
         # universals[:crossed[0]] have been instantiated at every term of crossed[1]
         self.crossed: tuple[int, list[Term]] = (0, [])
-        self.trail: list = []  # (index, key) of every index append, oldest first
+        self.trail: list = []  # (key, row index) of every append to majors, oldest first
 
     def mark(self) -> tuple:
         """A restore point for undo(): the length of each store that only
@@ -191,15 +190,11 @@ class _Context:
             self.pool_terms.popitem()
         trail = self.trail
         for _ in range(len(trail) - n_trail):
-            index, key = trail.pop()
-            entries = index[key]
-            entries.pop()
-            if not entries:
-                del index[key]
-
-    def _index(self, index: dict, key, node: _Node) -> None:
-        index.setdefault(key, []).append(node)
-        self.trail.append((index, key))
+            key, i = trail.pop()
+            by_row = self.majors[key]
+            by_row[i].pop()
+            if not any(by_row):
+                del self.majors[key]
 
     def add(self, node: _Node, worklist) -> _Node:
         key = canonical_key(node.formula)
@@ -228,35 +223,23 @@ class _Context:
     def _combine(self, node: _Node, worklist) -> None:
         eng = self.engine
         f = node.formula
-        key = canonical_key(f)
 
         if isinstance(f, Forall):
             self.universals.append(node)
         if isinstance(f, Implies):
-            self._index(self.by_antecedent, canonical_key(f.left), node)
-            for ck in contradiction_keys(f.right):
-                self._index(self.mt_index, ck, node)
-            # IMP normalization
             self.add(eng.node(imp_result(f), Rule.IMP, (node,)), worklist)
-            # MP / MT against already-derived lines
-            minor = self.nodes.get(canonical_key(f.left))
-            if minor is not None:
-                self.add(eng.node(f.right, Rule.MP, (node, minor)), worklist)
-            for ck in contradiction_keys(f.right):
-                other = self.nodes.get(ck)
-                if other is not None:
-                    self.add(eng.node(Not(f.left), Rule.MT, (node, other)), worklist)
+        # this node as major line: index it, and use the minor lines already derived
+        for i, row in _ROWS.get(type(f), ()):
+            for key in row.keys(row.part(f)):
+                by_row = self.majors.get(key)
+                if by_row is None:
+                    by_row = self.majors[key] = [[] for _ in TWO_LINE_RULES]
+                by_row[i].append(node)
+                self.trail.append((key, i))
+                minor = self.nodes.get(key)
+                if minor is not None:
+                    self.add(eng.node(row.conclusion(f), row.rule, (node, minor)), worklist)
         if isinstance(f, Or):
-            for ck in contradiction_keys(f.left):
-                self._index(self.lds_index, ck, node)
-                unit = self.nodes.get(ck)
-                if unit is not None:
-                    self.add(eng.node(f.right, Rule.LDS, (node, unit)), worklist)
-            for ck in contradiction_keys(f.right):
-                self._index(self.rds_index, ck, node)
-                unit = self.nodes.get(ck)
-                if unit is not None:
-                    self.add(eng.node(f.left, Rule.RDS, (node, unit)), worklist)
             for dist in distributions(f):
                 self.add(eng.node(dist, Rule.DISTRIBUTIVE_LAW, (node,)), worklist)
         if isinstance(f, And):
@@ -266,16 +249,12 @@ class _Context:
         if dm is not None:
             self.add(eng.node(dm, Rule.DE_MORGAN, (node,)), worklist)
 
-        # this node as MP minor / MT refuter / LDS-RDS unit for existing lines
-        for impl in self.by_antecedent.get(key, ()):
-            self.add(eng.node(impl.formula.right, Rule.MP, (impl, node)), worklist)
-        for impl in self.mt_index.get(key, ()):
-            self.add(eng.node(Not(impl.formula.left), Rule.MT, (impl, node)), worklist)
-        for disj in self.lds_index.get(key, ()):
-            self.add(eng.node(disj.formula.right, Rule.LDS, (disj, node)), worklist)
-        for disj in self.rds_index.get(key, ()):
-            self.add(eng.node(disj.formula.left, Rule.RDS, (disj, node)), worklist)
-        return None
+        # this node as minor line of the major lines already derived
+        by_row = self.majors.get(canonical_key(f))
+        if by_row:
+            for row, majors in zip(TWO_LINE_RULES, by_row):
+                for major in majors:
+                    self.add(eng.node(row.conclusion(major.formula), row.rule, (major, node)), worklist)
 
     def _pool(self, term_depth: int) -> list[Term]:
         """Instantiation terms of the branch, in _term_sort_key order.

@@ -552,20 +552,23 @@ def subterms(t: Term) -> Iterator[Term]:
 
 
 def atoms(f: Formula) -> Iterator[Atom]:
-    """Atom occurrences of f, left to right."""
-    stack = [f]
+    """Atom occurrences of f, left to right, but each &, | or -> node is
+    entered once: a repeated one is skipped, so a formula with shared parts
+    costs its number of nodes, not its size as a tree."""
+    seen, stack = set(), [f]
     while stack:
         g = stack.pop()
         if isinstance(g, Atom):
             yield g
         elif isinstance(g, (Not, Forall, Exists)):
             stack.append(g.body)
-        else:
+        elif g not in seen:
+            seen.add(g)
             stack.extend((g.right, g.left))
 
 
 def formula_terms(f: Formula) -> Iterator[Term]:
-    """All term occurrences in atoms, outermost first."""
+    """The term occurrences in atoms(f), outermost first."""
     for atom in atoms(f):
         for a in atom.args:
             yield from subterms(a)

@@ -14,6 +14,7 @@ from dirgeo.kernel import (
     ProofLine,
     Rule,
     ScriptError,
+    Verdict,
     check_line,
     check_proof,
     parse_proof_script,
@@ -22,7 +23,7 @@ from dirgeo.kernel import (
 )
 from dirgeo.models import find_countermodel
 from dirgeo.search import SearchConfig, prove, prove_with_lemmas
-from dirgeo.syntax import App, Var, canonical_key, parse_formula, rule_eq
+from dirgeo.syntax import App, Var, canonical_key, parse_formula, print_formula, rule_eq
 from helpers import closed_up
 
 F = parse_formula
@@ -191,6 +192,54 @@ class TestCheckLine:
         prefix = _proof([], [_assume(1, "UNDIR v2 v3")])
         assert check_line(prefix, _line(2, "UNDIR v2 v3", Rule.SAME, 1)).ok
         assert not check_line(prefix, _line(2, "UNDIR v3 v2", Rule.SAME, 1)).ok
+
+
+_B, _K = "UNDIR v1 v2", "UNDIR v3 [rev v4]"
+# Each two-line rule: its major line around the part {p}, its conclusion and its rejection text.
+_TWO_LINE = {
+    Rule.MP: ("{p} -> " + _K, _K, "MP: antecedent mismatch"),
+    Rule.MT: (_K + " -> {p}", "~" + _K, "MT: no cited implication whose consequent is contradicted"),
+    Rule.LDS: ("{p} | " + _K, _K, "LDS: no cited disjunction whose left disjunct is contradicted"),
+    Rule.RDS: (_K + " | {p}", _K, "RDS: no cited disjunction whose right disjunct is contradicted"),
+}
+# (part, minor): each way a minor contradicts the part, B against ~B and ~~~B against B
+_CONTRADICTIONS = [(_B, "~" + _B), ("~" + _B, _B), (_B, "~~~" + _B), ("~~~" + _B, _B)]
+
+
+def _two_line_cases():
+    for rule, (major, conclusion, rejection) in _TWO_LINE.items():
+        for part, minor in [(_B, _B)] if rule is Rule.MP else _CONTRADICTIONS:
+            yield pytest.param(rule, major.format(p=part), minor, conclusion, rejection,
+                               id=f"{rule.value}-{minor}-vs-{part}")
+
+
+@pytest.mark.parametrize("rule, major, minor, conclusion, rejection", list(_two_line_cases()))
+class TestTwoLineRules:
+    @staticmethod
+    def _check(rule, major, minor, conclusion, cites):
+        prefix = _proof([], [_assume(1, major), _assume(2, minor)])
+        return check_line(prefix, _line(3, conclusion, rule, *cites))
+
+    def test_accepted_in_both_cite_orders(self, rule, major, minor, conclusion, rejection):
+        for cites in ((1, 2), (2, 1)):
+            assert self._check(rule, major, minor, conclusion, cites) == Verdict(True)
+
+    def test_rejection_text_when_no_minor_fits(self, rule, major, minor, conclusion, rejection):
+        for cites in ((1, 2), (2, 1)):
+            v = self._check(rule, major, "UNDIR v5 v6", conclusion, cites)
+            assert v == Verdict(False, "rule", rejection)
+
+    def test_wrong_conclusion_names_the_expected_one(self, rule, major, minor, conclusion, rejection):
+        expected = f"{rule.value}: expected {print_formula(F(conclusion))}, found UNDIR v5 v6"
+        for cites in ((1, 2), (2, 1)):
+            v = self._check(rule, major, minor, "UNDIR v5 v6", cites)
+            assert v == Verdict(False, "rule", expected)
+
+
+def test_mp_minor_that_contradicts_the_antecedent_does_not_fit():
+    major, conclusion, rejection = _TWO_LINE[Rule.MP]
+    v = TestTwoLineRules._check(Rule.MP, major.format(p=_B), "~" + _B, conclusion, (1, 2))
+    assert v == Verdict(False, "rule", rejection)
 
 
 class TestAssumptionDischarge:

@@ -2,9 +2,11 @@ import functools
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
+from dirgeo import models
 from dirgeo.geometry import GEOMETRY_WITH_DEFS, axiom, defined_form, expand_defs, w_decomposition
 from dirgeo.models import (
     MAX_SIZE,
@@ -12,6 +14,7 @@ from dirgeo.models import (
     UnassignedVariable,
     _atom_tables,
     _compiled,
+    _Compiler,
     _Evaluator,
     _joined,
     _plan,
@@ -271,6 +274,53 @@ class TestCompiledPlans:
         goal = parse_formula("(Ax)UNDIR x [rev x]")
         for premises, goal in (([], f), ([f], goal)):
             assert find_countermodel(premises, goal, 2) == _first_by_eval(premises, goal, 2)
+
+    def test_brackets_at_the_node_bound(self, monkeypatch):
+        # (Ax0) over 196 &/| junctions, | on top so that the quantifier
+        # stays above them in the plan: height 200, the most a node may
+        # have, so its loop body nests 198 brackets, all the bound allows.
+        f = Atom("UNDIR", (_x(0), _rev(_x(0))))
+        for i in range(196):
+            f = (Or if i % 2 else And)(Atom("UNDIR", (_x(0), _x(0))), f)
+        f = Forall("x0", f)
+        assert f.height == 200 and _plan(f, True) is f
+        sources = []
+        monkeypatch.setattr(models, "exec", lambda source, ns: (sources.append(source), exec(source, ns)),
+                            raising=False)
+        _Compiler(f)
+        depths = itertools.accumulate((c in "([") - (c in ")]") for c in sources[0])
+        assert max(depths) == 198
+        monkeypatch.undo()
+        # as _assert_scan_agrees, but f's negative plan is past the bound (~ on each atom)
+        for n in (1, 2):
+            for rev in itertools.product(range(n), repeat=n):
+                got = _Evaluator(n, rev, {})(f)
+                for idx in range(2 ** (n * n)):
+                    assert bool(got >> idx & 1) == eval_formula(_structure_from_index(n, rev, idx), f)
+        goal = parse_formula("(Ax)UNDIR x x")
+        assert find_countermodel([f], goal, 2) == _first_by_eval([f], goal, 2)
+
+    @pytest.mark.parametrize("k", [16, 40])
+    @pytest.mark.parametrize("q", [Forall, Exists])
+    @pytest.mark.parametrize("shape", ["doubled", "interleaved"])
+    def test_shared_parts_are_walked_once(self, shape, q, k):
+        # doubled: X(j+1) = X(j) & X(j), which the plan folds to its atom;
+        # interleaved: X(j+1) = X(j) | Y(j) and Y(j+1) = X(j) & Y(j), whose
+        # plan keeps q above a shared part with no rev term, which the
+        # compiler's rev test walks.  Both are 2^k atoms as a tree.
+        atom, other = Atom("UNDIR", (_x(0), _rev(_x(0)))), Atom("UNDIR", (_x(0), _x(0)))
+        if shape == "doubled":
+            f, same = functools.reduce(lambda f, _: And(f, f), range(k), atom), atom
+        else:
+            f, y = other, Not(other)
+            for _ in range(k):
+                f, y = Or(f, y), And(f, y)
+            same = Or(other, Not(other))  # what X(k) is equivalent to
+        f, same, goal = q("x0", f), q("x0", same), q("x0", Not(atom))
+        start = time.perf_counter()
+        got = [find_countermodel([], f, 2), find_countermodel([f], goal, 2)]
+        assert time.perf_counter() - start < 1
+        assert got == [find_countermodel([], same, 2), find_countermodel([same], goal, 2)]
 
 
 class TestCountermodels:

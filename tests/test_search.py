@@ -612,11 +612,10 @@ class TestPool:
 
     @staticmethod
     def _state(ctx):
-        indexes = (ctx.by_antecedent, ctx.mt_index, ctx.lds_index, ctx.rds_index)
         return (
             list(ctx.nodes.items()),
             list(ctx.order),
-            [{k: list(v) for k, v in index.items()} for index in indexes],
+            {k: [list(v) for v in by_row] for k, by_row in ctx.majors.items()},
             list(ctx.universals),
             list(ctx.split_disjunctions),
             list(ctx.pool_terms),
