@@ -242,6 +242,66 @@ def test_mp_minor_that_contradicts_the_antecedent_does_not_fit():
     assert v == Verdict(False, "rule", rejection)
 
 
+# Each rewrite rule on a cited line: every line it accepts (the first is the
+# one its mismatch message expects), its text for a cited line of another
+# connective, and what it says of UNDIR v7 v7 in place of a result.
+_REWRITES = [
+    (Rule.IMP, "UNDIR v1 v2 & UNDIR v3 v4 -> UNDIR v5 v5",
+     ["~UNDIR v1 v2 | [~UNDIR v3 v4 | UNDIR v5 v5]", "[~UNDIR v1 v2 | ~UNDIR v3 v4] | UNDIR v5 v5"],
+     "IMP: cited line is not an implication",
+     "IMP: expected ~UNDIR v1 v2 | [~UNDIR v3 v4 | UNDIR v5 v5], found UNDIR v7 v7"),
+    (Rule.SIMP, "[UNDIR v1 v2 & UNDIR v3 v4] & UNDIR v5 v5",
+     ["UNDIR v1 v2 & UNDIR v3 v4", "UNDIR v5 v5", "UNDIR v1 v2", "UNDIR v3 v4", "UNDIR v3 v4 & UNDIR v1 v2"],
+     "SIMP: cited line is not a conjunction",
+     "SIMP: UNDIR v7 v7 is not a conjunct of the cited line"),
+    (Rule.DE_MORGAN, "~[UNDIR v1 v2 & ~UNDIR v3 v4]",
+     ["~UNDIR v1 v2 | UNDIR v3 v4"],
+     "DE.MORGAN: cited line is not a negated & or |",
+     "DE.MORGAN: expected ~UNDIR v1 v2 | UNDIR v3 v4, found UNDIR v7 v7"),
+    (Rule.DE_MORGAN, "~[~UNDIR v1 v2 | UNDIR v3 v4]",
+     ["UNDIR v1 v2 & ~UNDIR v3 v4"],
+     "DE.MORGAN: cited line is not a negated & or |",
+     "DE.MORGAN: expected UNDIR v1 v2 & ~UNDIR v3 v4, found UNDIR v7 v7"),
+    (Rule.DISTRIBUTIVE_LAW, "UNDIR v1 v2 & UNDIR v3 v4 | UNDIR v5 v5 & UNDIR v6 v6",
+     ["[UNDIR v1 v2 | UNDIR v5 v5 & UNDIR v6 v6] & [UNDIR v3 v4 | UNDIR v5 v5 & UNDIR v6 v6]",
+      "[UNDIR v1 v2 & UNDIR v3 v4 | UNDIR v5 v5] & [UNDIR v1 v2 & UNDIR v3 v4 | UNDIR v6 v6]"],
+     "DISTRIBUTIVE-LAW: cited line is not a disjunction",
+     "DISTRIBUTIVE-LAW: expected [UNDIR v1 v2 | UNDIR v5 v5 & UNDIR v6 v6]"
+     " & [UNDIR v3 v4 | UNDIR v5 v5 & UNDIR v6 v6], found UNDIR v7 v7"),
+]
+
+
+@pytest.mark.parametrize("rule, cited, results, wrong, mismatch", _REWRITES,
+                         ids=["IMP", "SIMP", "DE.MORGAN-and", "DE.MORGAN-or", "DISTRIBUTIVE-LAW"])
+class TestRewriteRules:
+    @staticmethod
+    def _check(rule, cited, conclusion):
+        return check_line(_proof([], [_assume(1, cited)]), _line(2, conclusion, rule, 1))
+
+    def test_accepts_each_result(self, rule, cited, results, wrong, mismatch):
+        for result in results:
+            assert self._check(rule, cited, result) == Verdict(True)
+
+    def test_cited_line_of_another_connective(self, rule, cited, results, wrong, mismatch):
+        for other in ("UNDIR v1 v2", "~[UNDIR v1 v2 -> UNDIR v3 v4]" if rule is Rule.DE_MORGAN
+                      else "~[UNDIR v1 v2 & UNDIR v3 v4]"):
+            assert self._check(rule, other, results[0]) == Verdict(False, "rule", wrong)
+
+    def test_mismatch(self, rule, cited, results, wrong, mismatch):
+        assert self._check(rule, cited, "UNDIR v7 v7") == Verdict(False, "rule", mismatch)
+
+
+@pytest.mark.parametrize("rule, cited, message", [
+    (Rule.DISTRIBUTIVE_LAW, "UNDIR v1 v2 | ~[UNDIR v3 v4 & UNDIR v5 v5]",
+     "DISTRIBUTIVE-LAW: no conjunction to distribute over"),
+    (Rule.DE_MORGAN, "~UNDIR v1 v2", "DE.MORGAN: cited line is not a negated & or |"),
+    (Rule.DE_MORGAN, "~~[UNDIR v1 v2 & UNDIR v3 v4]", "DE.MORGAN: cited line is not a negated & or |"),
+], ids=["disjunction-without-a-conjunct", "negated-atom", "double-negation"])
+def test_rewrite_with_no_result(rule, cited, message):
+    v = TestRewriteRules._check(rule, cited, "UNDIR v1 v2")
+    assert v == Verdict(False, "rule", message)
+
+
 class TestAssumptionDischarge:
     def test_vacuous_cp(self):
         # an antecedent that was never assumed: plain weakening

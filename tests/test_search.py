@@ -38,6 +38,7 @@ from dirgeo.syntax import (
     bound_vars,
     canonical_key,
     parse_formula,
+    print_formula,
     rule_eq,
     subterms,
     term_vars,
@@ -664,6 +665,54 @@ class TestPool:
             assert was != now
         ctx.undo(mark)
         assert self._state(ctx) == before
+
+
+class TestDerivationOrder:
+    """_combine derives from a line in a fixed order: IMP, MP, MT from an
+    implication, LDS, RDS, DISTRIBUTIVE-LAW from a disjunction, and from a
+    line that fits major lines already derived, their rules in the order
+    MP, MT, LDS, RDS.  The emitted scripts depend on that order."""
+
+    @staticmethod
+    def _context(lines, combined):
+        """A context holding lines, with the first `combined` of them combined."""
+        ctx, wl = _Context(_Engine(SearchConfig(), frozenset())), []
+        for i, line in enumerate(lines):
+            node = ctx.add(_Node(parse_formula(line), Rule.PREMISE, seq=i), wl)
+            if i < combined:
+                ctx._combine(node, wl)
+        return ctx, node
+
+    @pytest.mark.parametrize("minors, line, derived", [
+        (["UNDIR a b"], "UNDIR a b -> UNDIR c d",
+         [(Rule.IMP, "~UNDIR a b | UNDIR c d"), (Rule.MP, "UNDIR c d")]),
+        (["~UNDIR c d"], "UNDIR a b -> UNDIR c d",
+         [(Rule.IMP, "~UNDIR a b | UNDIR c d"), (Rule.MT, "~UNDIR a b")]),
+        (["~UNDIR c d", "UNDIR a b"], "UNDIR a b -> UNDIR c d",
+         [(Rule.IMP, "~UNDIR a b | UNDIR c d"), (Rule.MP, "UNDIR c d"), (Rule.MT, "~UNDIR a b")]),
+        (["~UNDIR a b"], "UNDIR a b | UNDIR c c & UNDIR d d",
+         [(Rule.LDS, "UNDIR c c & UNDIR d d"),
+          (Rule.DISTRIBUTIVE_LAW, "[UNDIR a b | UNDIR c c] & [UNDIR a b | UNDIR d d]")]),
+        (["~UNDIR a b"], "UNDIR c c & UNDIR d d | UNDIR a b",
+         [(Rule.RDS, "UNDIR c c & UNDIR d d"),
+          (Rule.DISTRIBUTIVE_LAW, "[UNDIR c c | UNDIR a b] & [UNDIR d d | UNDIR a b]")]),
+        (["~UNDIR c c", "~UNDIR a b"], "UNDIR a b | UNDIR c c",
+         [(Rule.LDS, "UNDIR c c"), (Rule.RDS, "UNDIR a b")]),
+    ], ids=["IMP-MP", "IMP-MT", "IMP-MP-MT", "LDS-DISTRIBUTIVE-LAW", "RDS-DISTRIBUTIVE-LAW", "LDS-RDS"])
+    def test_order_of_the_lines_derived(self, minors, line, derived):
+        ctx, node = self._context(minors + [line], 0)
+        ctx._combine(node, [])
+        assert [(n.rule, print_formula(n.formula)) for n in ctx.order[len(minors) + 1:]] == derived
+
+    def test_order_of_the_major_lines_a_line_fits(self):
+        # the major lines come in the reverse of the rows' order
+        majors = ["UNDIR g g | ~UNDIR a b", "~UNDIR a b | UNDIR f f", "UNDIR e e -> ~UNDIR a b",
+                  "UNDIR a b -> UNDIR c d"]
+        ctx, node = self._context(majors + ["UNDIR a b"], len(majors))
+        before = len(ctx.order)
+        ctx._combine(node, [])
+        assert [(n.rule, print_formula(n.formula)) for n in ctx.order[before:]] == [
+            (Rule.MP, "UNDIR c d"), (Rule.MT, "~UNDIR e e"), (Rule.LDS, "UNDIR f f"), (Rule.RDS, "UNDIR g g")]
 
 
 class TestSoundnessFuzz:
