@@ -6,8 +6,12 @@ when every line checks and the last line depends on nothing but premises.
 Lexical closed-region tracking is layered on top so a cite into a
 discharged subproof is reported as a scope violation at the citing line.
 
-Checker has one rejection path.  Each rule has a _rule_* handler (MP, MT,
-LDS and RDS share one, which reads TWO_LINE_RULES as the search does) that
+Each Rule member states its rule once: its script name and aliases (read
+by rule_from_name), its cite count and its Checker handler (read by
+add_line).  The eight rules that read the cited line's connective have a
+row in RULE_ROWS, which the search reads too; one handler serves the four
+rewrites (IMP, SIMP, DE.MORGAN, DISTRIBUTIVE-LAW), one the four two-line
+rules (MP, MT, LDS, RDS).  Checker has one rejection path: a handler
 returns the new line's dependency set or raises _Reject(message, kind);
 Checker.add_line is the only place that turns a _Reject into a Verdict, and
 it records the dependencies of an accepted line; a rule that would build a
@@ -31,9 +35,10 @@ import re
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .syntax import (
+    And,
     Exists,
     Forall,
     Formula,
@@ -67,55 +72,58 @@ from .syntax import (
 
 
 class Rule(Enum):
-    PREMISE = "PREMISE"
-    ASSUMED_PREMISE = "ASSUMED-PREMISE"
-    MP = "MP"
-    MT = "MT"
-    IMP = "IMP"
-    LDS = "LDS"
-    RDS = "RDS"
-    CP = "CP"
-    SIMP = "SIMP"
-    CASE1 = "CASE1"
-    CASE2 = "CASE2"
-    CASES = "CASES"
-    DE_MORGAN = "DE.MORGAN"
-    DISTRIBUTIVE_LAW = "DISTRIBUTIVE-LAW"
-    SAME = "SAME"
-    US = "US"
-    UG = "UG"
-    EG = "EG"
-    EE = "EE"
-    SUB = "SUB"
+    """A kernel rule: its script name (the value), how many lines it cites
+    and the other names a script may give it.  check is its Checker handler,
+    and row (set for the rules of RULE_ROWS) its row there."""
+
+    def __new__(cls, name: str, cites: int, *aliases: str):
+        rule = object.__new__(cls)
+        rule._value_, rule.cites, rule.aliases = name, cites, aliases
+        return rule
+
+    PREMISE = "PREMISE", 0
+    ASSUMED_PREMISE = "ASSUMED-PREMISE", 0, "ASSUMED_PREMISE"
+    MP = "MP", 2
+    MT = "MT", 2
+    IMP = "IMP", 1
+    LDS = "LDS", 2
+    RDS = "RDS", 2
+    CP = "CP", 1
+    SIMP = "SIMP", 1
+    CASE1 = "CASE1", 1
+    CASE2 = "CASE2", 1
+    CASES = "CASES", 3
+    DE_MORGAN = "DE.MORGAN", 1, "DE_MORGAN", "DE-MORGAN", "DEMORGAN"
+    DISTRIBUTIVE_LAW = "DISTRIBUTIVE-LAW", 1, "DISTRIBUTIVE_LAW", "DISTRIBUTIVE.LAW"
+    SAME = "SAME", 1
+    US = "US", 1
+    UG = "UG", 1
+    EG = "EG", 1
+    EE = "EE", 1
+    SUB = "SUB", 1
 
 
-_RULE_ALIASES = {
-    "ASSUMED_PREMISE": Rule.ASSUMED_PREMISE,
-    "DE_MORGAN": Rule.DE_MORGAN,
-    "DE-MORGAN": Rule.DE_MORGAN,
-    "DEMORGAN": Rule.DE_MORGAN,
-    "DISTRIBUTIVE_LAW": Rule.DISTRIBUTIVE_LAW,
-    "DISTRIBUTIVE.LAW": Rule.DISTRIBUTIVE_LAW,
-}
-
-
-# How many lines each rule cites.
-_CITE_COUNTS = {
-    Rule.PREMISE: 0, Rule.ASSUMED_PREMISE: 0, Rule.MP: 2, Rule.MT: 2,
-    Rule.IMP: 1, Rule.LDS: 2, Rule.RDS: 2, Rule.CP: 1, Rule.SIMP: 1,
-    Rule.CASE1: 1, Rule.CASE2: 1, Rule.CASES: 3, Rule.DE_MORGAN: 1,
-    Rule.DISTRIBUTIVE_LAW: 1, Rule.SAME: 1, Rule.US: 1, Rule.UG: 1,
-    Rule.EG: 1, Rule.EE: 1, Rule.SUB: 1,
-}
-
-
-class TwoLineRule(NamedTuple):
-    """A rule that concludes from a major line with connective `major` and a
-    minor line whose canonical key is among keys(part(major)): the part's
-    own (MP), or those of the formulas that contradict it (MT, LDS, RDS)."""
+@dataclass(frozen=True, eq=False)
+class Rewrite:
+    """A rule that rewrites a cited line with connective `connective` into
+    one of results(line)."""
 
     rule: Rule
-    major: type
+    connective: type
+    results: Callable[[Formula], list[Formula]]
+    wrong: str  # the message for a cited line of another connective
+    no_result: str | None = None  # ... for one that has no result, if not wrong
+    mismatch: str | None = None  # the text after a line that is no result, if not "expected <the first>"
+
+
+@dataclass(frozen=True, eq=False)
+class TwoLineRule:
+    """A rule that concludes from a major line with connective `connective`
+    and a minor line whose canonical key is among keys(part(major)): the
+    part's own (MP), or those of the formulas that contradict it (MT, LDS, RDS)."""
+
+    rule: Rule
+    connective: type
     part: Callable[[Formula], Formula]
     keys: Callable[[Formula], tuple]  # the search indexes a major line by them
     conclusion: Callable[[Formula], Formula]
@@ -128,8 +136,11 @@ class TwoLineRule(NamedTuple):
             self.keys is contradiction_keys and canonical_key(part) in contradiction_keys(minor))
 
 
-# The two-line rules, in the order the search derives them.
-TWO_LINE_RULES = (
+# The rules of one cited line's connective (a two-line rule's major line), in
+# the order the search derives them: IMP, MP and MT from ->; LDS, RDS and
+# DISTRIBUTIVE-LAW from |; SIMP from &; DE.MORGAN from ~.
+RULE_ROWS = (
+    Rewrite(Rule.IMP, Implies, lambda g: [imp_result(g)], "IMP: cited line is not an implication"),
     TwoLineRule(Rule.MP, Implies, lambda g: g.left, lambda part: (canonical_key(part),), lambda g: g.right,
                 "MP: antecedent mismatch"),
     TwoLineRule(Rule.MT, Implies, lambda g: g.right, contradiction_keys, lambda g: Not(g.left),
@@ -138,11 +149,20 @@ TWO_LINE_RULES = (
                 "LDS: no cited disjunction whose left disjunct is contradicted"),
     TwoLineRule(Rule.RDS, Or, lambda g: g.right, contradiction_keys, lambda g: g.left,
                 "RDS: no cited disjunction whose right disjunct is contradicted"),
+    Rewrite(Rule.DISTRIBUTIVE_LAW, Or, distributions, "DISTRIBUTIVE-LAW: cited line is not a disjunction",
+            no_result="DISTRIBUTIVE-LAW: no conjunction to distribute over"),
+    Rewrite(Rule.SIMP, And, conjunct_members, "SIMP: cited line is not a conjunction",
+            mismatch="is not a conjunct of the cited line"),
+    Rewrite(Rule.DE_MORGAN, Not, lambda g: [] if (d := de_morgan(g)) is None else [d],
+            "DE.MORGAN: cited line is not a negated & or |"),
 )
-_TWO_LINE = {row.rule: row for row in TWO_LINE_RULES}
+TWO_LINE_RULES = tuple(row for row in RULE_ROWS if isinstance(row, TwoLineRule))
+ROWS_BY_CONNECTIVE: dict[type, list] = {}
+for _row in RULE_ROWS:
+    _row.rule.row = _row
+    ROWS_BY_CONNECTIVE.setdefault(_row.connective, []).append(_row)
 
-
-_RULES_BY_NAME = {r.value: r for r in Rule} | _RULE_ALIASES
+_RULES_BY_NAME = {name: rule for rule in Rule for name in (rule.value, *rule.aliases)}
 
 
 def rule_from_name(name: str) -> Rule:
@@ -297,12 +317,10 @@ class Checker:
                     f"line numbers must be consecutive: expected {self.next_number}, got {n}", "structure"
                 )
             cited = [self._cite(n, j) for j in just.cited]
-            expect_cites = _CITE_COUNTS[just.rule]
-            if len(cited) != expect_cites:
-                raise _Reject(
-                    f"{just.rule.value} takes {expect_cites} cited line(s), got {len(cited)}", "structure"
-                )
-            deps = _HANDLERS[just.rule](self, n, line.formula, just, cited)
+            rule = just.rule
+            if len(cited) != rule.cites:
+                raise _Reject(f"{rule.value} takes {rule.cites} cited line(s), got {len(cited)}", "structure")
+            deps = rule.check(self, n, line.formula, just, cited)
         except _Reject as exc:
             return Verdict(False, exc.kind, str(exc))
         except NestingError as exc:  # the rule built a formula too tall to exist
@@ -330,10 +348,10 @@ class Checker:
         return self._union_deps(cited)
 
     def _rule_two_line(self, n, f, just, cited):
-        row = _TWO_LINE[just.rule]
+        row = just.rule.row
         for major, minor in (cited, cited[::-1]):
             g = major.formula
-            if isinstance(g, row.major) and row.fits(minor.formula, g):
+            if isinstance(g, row.connective) and row.fits(minor.formula, g):
                 expected = row.conclusion(g)
                 if not rule_eq(f, expected):
                     raise _mismatch(row.rule, expected, f)
@@ -342,14 +360,21 @@ class Checker:
 
     _rule_mp = _rule_mt = _rule_lds = _rule_rds = _rule_two_line
 
-    def _rule_imp(self, n, f, just, cited):
-        (c,) = cited
-        if not isinstance(c.formula, Implies):
-            raise _Reject("IMP: cited line is not an implication")
-        expected = imp_result(c.formula)
-        if not rule_eq(f, expected):
-            raise _mismatch(Rule.IMP, expected, f)
+    def _rule_rewrite(self, n, f, just, cited):
+        row = just.rule.row
+        g = cited[0].formula
+        if not isinstance(g, row.connective):
+            raise _Reject(row.wrong)
+        results = row.results(g)
+        if not results:
+            raise _Reject(row.no_result or row.wrong)
+        if not any(rule_eq(f, r) for r in results):
+            if row.mismatch:
+                raise _Reject(f"{row.rule.value}: {print_formula(f)} {row.mismatch}")
+            raise _mismatch(row.rule, results[0], f)
         return self._union_deps(cited)
+
+    _rule_imp = _rule_simp = _rule_de_morgan = _rule_distributive_law = _rule_rewrite
 
     def _rule_cp(self, n, f, just, cited):
         (c,) = cited
@@ -365,42 +390,8 @@ class Checker:
         # otherwise a vacuous discharge: A -> B from B alone.
         return deps
 
-    def _rule_simp(self, n, f, just, cited):
-        (c,) = cited
-        members = conjunct_members(c.formula)
-        if not members:
-            raise _Reject("SIMP: cited line is not a conjunction")
-        if not any(rule_eq(f, m) for m in members):
-            raise _Reject(f"SIMP: {print_formula(f)} is not a conjunct of the cited line")
-        return self._union_deps(cited)
-
-    def _rule_de_morgan(self, n, f, just, cited):
-        (c,) = cited
-        expected = de_morgan(c.formula)
-        if expected is None:
-            raise _Reject("DE.MORGAN: cited line is not a negated & or |")
-        if not rule_eq(f, expected):
-            raise _mismatch(Rule.DE_MORGAN, expected, f)
-        return self._union_deps(cited)
-
-    def _rule_distributive_law(self, n, f, just, cited):
-        (c,) = cited
-        if not isinstance(c.formula, Or):
-            raise _Reject("DISTRIBUTIVE-LAW: cited line is not a disjunction")
-        expected = distributions(c.formula)
-        if not expected:
-            raise _Reject("DISTRIBUTIVE-LAW: no conjunction to distribute over")
-        if not any(rule_eq(f, e) for e in expected):
-            raise _mismatch(Rule.DISTRIBUTIVE_LAW, expected[0], f)
-        return self._union_deps(cited)
-
-    def _rule_case1(self, n, f, just, cited):
-        return self._case_open(n, f, cited, "CASE1")
-
-    def _rule_case2(self, n, f, just, cited):
-        return self._case_open(n, f, cited, "CASE2")
-
-    def _case_open(self, n, f, cited, label: str):
+    def _rule_case(self, n, f, just, cited):
+        label = just.rule.value
         (d,) = cited
         g = d.formula
         if not isinstance(g, Or):
@@ -429,6 +420,8 @@ class Checker:
         pair.opened[label] = (n, side)
         self.open_case_lines[n] = f
         return (n,)
+
+    _rule_case1 = _rule_case2 = _rule_case
 
     def _rule_cases(self, n, f, just, cited):
         d, p, q = cited
@@ -596,8 +589,9 @@ class Checker:
         return self._union_deps(cited)
 
 
-# Each rule's Checker method, looked up once.
-_HANDLERS = {rule: getattr(Checker, "_rule_" + rule.name.lower()) for rule in Rule}
+# Each rule's handler, read through the rule so that add_line hashes none.
+for _rule in Rule:
+    _rule.check = getattr(Checker, "_rule_" + _rule.name.lower())
 
 
 def check_line(proof_so_far: Proof, line: ProofLine) -> Verdict:

@@ -3,10 +3,11 @@
 The strategy mirrors the shape of the bundled derivations: strip the goal's
 quantifier prefix to fresh v-variables, assume antecedents and the negations
 of leading disjuncts (conditional-proof shape), then saturate forward under
-US / MP / MT / IMP / LDS / RDS / SIMP / DE.MORGAN / DISTRIBUTIVE-LAW with
-instantiation terms drawn from the goal's eigenvariables and the subterms of
-active formulas, each also wrapped in one extra rev, iterating the
-rev-nesting bound upward.  When saturation stalls, stuck disjunctions are
+US and the rules of kernel.RULE_ROWS, the kernel's own table, in its order
+(IMP, MP, MT, LDS, RDS, DISTRIBUTIVE-LAW, SIMP, DE.MORGAN), instantiating
+at terms drawn from the goal's eigenvariables and the subterms of active
+formulas, each also wrapped in one extra rev, iterating the rev-nesting
+bound upward.  When saturation stalls, stuck disjunctions are
 case-split up to the nesting bound.  Everything is deterministic: fixed
 iteration orders, no randomness, no wall-clock decisions.  A goal that is
 one of the premises (up to alpha and AC) is cited, not searched for.
@@ -44,16 +45,17 @@ from collections import deque
 from dataclasses import dataclass, fields
 
 from .kernel import (
+    ROWS_BY_CONNECTIVE,
+    TWO_LINE_RULES,
     Justification,
     Proof,
     ProofLine,
+    Rewrite,
     Rule,
-    TWO_LINE_RULES,
     check_proof,
 )
 from .models import Structure, find_countermodel, interprets
 from .syntax import (
-    And,
     App,
     Forall,
     Formula,
@@ -65,9 +67,6 @@ from .syntax import (
     atoms,
     bound_vars,
     canonical_key,
-    conjunct_members,
-    de_morgan,
-    distributions,
     flatten_or,
     free_vars,
     fresh_name,
@@ -117,8 +116,6 @@ class _Budget(Exception):
 
 # The bounds a failed search names, in the order it reports them (nesting: NestingError).
 _LIMITS = ("max_lines", "max_depth", "max_term_depth", "nesting")
-# The rows of TWO_LINE_RULES, with their index, by their major line's connective.
-_ROWS = {c: [(i, row) for i, row in enumerate(TWO_LINE_RULES) if row.major is c] for c in (Implies, Or)}
 
 
 @dataclass
@@ -150,15 +147,17 @@ class _Engine:
 
 class _Context:
     """The branch being searched: canonical key -> node, and the major lines
-    of kernel.TWO_LINE_RULES by the key of a minor line that fits.  A case
-    split does not copy it: it takes a mark(), adds its case and searches
-    on, and undo() puts the context back to the mark."""
+    of kernel.TWO_LINE_RULES by the key of a minor line that fits.  A line
+    is combined by the rows of kernel.ROWS_BY_CONNECTIVE for its connective,
+    in their order.  A case split does not copy the context: it takes a
+    mark(), adds its case and searches on, and undo() puts the context back
+    to the mark."""
 
     def __init__(self, engine: _Engine):
         self.engine = engine
         self.nodes: dict = {}  # canonical key -> _Node, in the order of self.order
         self.order: list[_Node] = []
-        self.majors: dict = {}  # minor key -> [major nodes] for each row of TWO_LINE_RULES
+        self.majors: dict = {}  # minor key -> {row: [major nodes]} over TWO_LINE_RULES, in order
         self.universals: list[_Node] = []
         self.split_disjunctions: dict = {}  # keys already case-split -> None
         # Base instantiation terms of self.order[:scanned], plus the
@@ -169,7 +168,7 @@ class _Context:
         self.pool: tuple[int, list[Term]] = (-1, [])  # (len(pool_terms) it was built from, pool)
         # universals[:crossed[0]] have been instantiated at every term of crossed[1]
         self.crossed: tuple[int, list[Term]] = (0, [])
-        self.trail: list = []  # (key, row index) of every append to majors, oldest first
+        self.trail: list = []  # (key, row) of every append to majors, oldest first
 
     def mark(self) -> tuple:
         """A restore point for undo(): the length of each store that only
@@ -190,10 +189,10 @@ class _Context:
             self.pool_terms.popitem()
         trail = self.trail
         for _ in range(len(trail) - n_trail):
-            key, i = trail.pop()
+            key, row = trail.pop()
             by_row = self.majors[key]
-            by_row[i].pop()
-            if not any(by_row):
+            by_row[row].pop()
+            if not any(by_row.values()):
                 del self.majors[key]
 
     def add(self, node: _Node, worklist) -> _Node:
@@ -226,33 +225,26 @@ class _Context:
 
         if isinstance(f, Forall):
             self.universals.append(node)
-        if isinstance(f, Implies):
-            self.add(eng.node(imp_result(f), Rule.IMP, (node,)), worklist)
-        # this node as major line: index it, and use the minor lines already derived
-        for i, row in _ROWS.get(type(f), ()):
+        for row in ROWS_BY_CONNECTIVE.get(type(f), ()):
+            if isinstance(row, Rewrite):
+                for result in row.results(f):
+                    self.add(eng.node(result, row.rule, (node,)), worklist)
+                continue
+            # this node as major line: index it, and use the minor lines already derived
             for key in row.keys(row.part(f)):
                 by_row = self.majors.get(key)
                 if by_row is None:
-                    by_row = self.majors[key] = [[] for _ in TWO_LINE_RULES]
-                by_row[i].append(node)
-                self.trail.append((key, i))
+                    by_row = self.majors[key] = {r: [] for r in TWO_LINE_RULES}
+                by_row[row].append(node)
+                self.trail.append((key, row))
                 minor = self.nodes.get(key)
                 if minor is not None:
                     self.add(eng.node(row.conclusion(f), row.rule, (node, minor)), worklist)
-        if isinstance(f, Or):
-            for dist in distributions(f):
-                self.add(eng.node(dist, Rule.DISTRIBUTIVE_LAW, (node,)), worklist)
-        if isinstance(f, And):
-            for part in conjunct_members(f):
-                self.add(eng.node(part, Rule.SIMP, (node,)), worklist)
-        dm = de_morgan(f)
-        if dm is not None:
-            self.add(eng.node(dm, Rule.DE_MORGAN, (node,)), worklist)
 
         # this node as minor line of the major lines already derived
         by_row = self.majors.get(canonical_key(f))
         if by_row:
-            for row, majors in zip(TWO_LINE_RULES, by_row):
+            for row, majors in by_row.items():
                 for major in majors:
                     self.add(eng.node(row.conclusion(major.formula), row.rule, (major, node)), worklist)
 
@@ -407,26 +399,17 @@ def _search_target(
         ctx.split_disjunctions[dkey] = None
         eng = ctx.engine
         mark = ctx.mark()
-        left_asm = eng.node(f.left, Rule.CASE1, (disj,))
-        wl: list[_Node] = []
-        ctx.add(left_asm, wl)
-        left_hit = _search_target(ctx, target_key, term_depth, cases_left - 1, wl)
-        ctx.undo(mark)
-        if left_hit is None:
-            continue
-        right_asm = eng.node(f.right, Rule.CASE2, (disj,))
-        wl = []
-        ctx.add(right_asm, wl)
-        right_hit = _search_target(ctx, target_key, term_depth, cases_left - 1, wl)
-        ctx.undo(mark)
-        if right_hit is None:
-            continue
-        return eng.node(
-            left_hit.formula,
-            Rule.CASES,
-            (disj, left_hit, right_hit),
-            extra=(left_asm, right_asm),
-        )
+        asms, hits = [], []  # each case's assumption and the target it reaches
+        for side, rule in ((f.left, Rule.CASE1), (f.right, Rule.CASE2)):
+            asms.append(eng.node(side, rule, (disj,)))
+            wl: list[_Node] = []
+            ctx.add(asms[-1], wl)
+            hits.append(_search_target(ctx, target_key, term_depth, cases_left - 1, wl))
+            ctx.undo(mark)
+            if hits[-1] is None:
+                break
+        else:
+            return eng.node(hits[0].formula, Rule.CASES, (disj, *hits), extra=tuple(asms))
     return None
 
 

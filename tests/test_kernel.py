@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import hashlib
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -47,8 +49,20 @@ class TestRuleNames:
         assert rule_from_name("DE-MORGAN") is Rule.DE_MORGAN
         assert rule_from_name("DISTRIBUTIVE-LAW") is Rule.DISTRIBUTIVE_LAW
         assert rule_from_name("assumed-premise") is Rule.ASSUMED_PREMISE
+        assert rule_from_name("De-Morgan") is Rule.DE_MORGAN
         with pytest.raises(ValueError):
             rule_from_name("XYZZY")
+
+    def test_every_name_in_either_case(self):
+        for rule in Rule:
+            for name in (rule.value, *rule.aliases):
+                assert rule_from_name(name) is rule and rule_from_name(name.lower()) is rule
+
+    def test_grammar_lists_every_name(self):
+        text = (Path(__file__).resolve().parent.parent / "docs" / "grammar.md").read_text()
+        paragraph = text[text.index("\nRules: "):].split("\n\n")[0]
+        listed = re.findall(r"`([^`]+)`", paragraph.split(". ")[0])
+        assert listed == [name for rule in Rule for name in (rule.value, *rule.aliases)]
 
 
 class TestCheckLine:

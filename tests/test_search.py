@@ -616,7 +616,7 @@ class TestPool:
         return (
             list(ctx.nodes.items()),
             list(ctx.order),
-            {k: [list(v) for v in by_row] for k, by_row in ctx.majors.items()},
+            {k: [list(v) for v in by_row.values()] for k, by_row in ctx.majors.items()},
             list(ctx.universals),
             list(ctx.split_disjunctions),
             list(ctx.pool_terms),
