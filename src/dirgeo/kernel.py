@@ -136,9 +136,9 @@ class TwoLineRule:
             self.keys is contradiction_keys and canonical_key(part) in contradiction_keys(minor))
 
 
-# The rules of one cited line's connective (a two-line rule's major line), in
-# the order the search derives them: IMP, MP and MT from ->; LDS, RDS and
-# DISTRIBUTIVE-LAW from |; SIMP from &; DE.MORGAN from ~.
+# The rules that read the connective of a cited line (of the major line, for
+# a two-line rule), in the order the search derives them: IMP, MP and MT
+# from ->; LDS, RDS and DISTRIBUTIVE-LAW from |; SIMP from &; DE.MORGAN from ~.
 RULE_ROWS = (
     Rewrite(Rule.IMP, Implies, lambda g: [imp_result(g)], "IMP: cited line is not an implication"),
     TwoLineRule(Rule.MP, Implies, lambda g: g.left, lambda part: (canonical_key(part),), lambda g: g.right,
