@@ -646,6 +646,12 @@ def check_proof(proof: Proof) -> CheckReport:
 #
 # Records may wrap over several physical lines; continuation lines are
 # joined until the justification at the end of the record is complete.
+#
+# parse_proof_script reads each formula text once per call: a repeat (a SHOW
+# restating the last line, a PREMISE restated as a proof line) gets the node
+# of its first record, keyed on the stripped text.  One name -> Var dict
+# serves every formula and annotation of the call, so a repeated variable
+# skips the constructor.  Neither outlives the call.
 
 _RECORD_START = re.compile(r"^(PREMISE:|SHOW:|\d+\.)")
 # A rule name is the trailing run of _RULE_CHARS from its first letter:
@@ -726,12 +732,12 @@ def _records(text: str) -> list[tuple[str, int]]:
     return out
 
 
-def _parse_annot(body: str, signature: Signature) -> tuple[Term, str]:
-    parts = body.strip().rsplit(" ", 1)
+def _parse_annot(body: str, signature: Signature, variables: dict) -> tuple[Term, str]:
+    parts = body.rsplit(None, 1)
     if len(parts) != 2:
         raise ValueError(f"annotation {body!r} is not '(term var)'")
-    term = parse_annotation_term(parts[0].strip(), signature)
-    var = parts[1].strip()
+    term = parse_annotation_term(parts[0].strip(), signature, variables)
+    var = parts[1]
     if not IDENT_RE.fullmatch(var):
         raise ValueError(f"annotation variable {var!r} is not an identifier")
     return term, var
@@ -741,13 +747,23 @@ def parse_proof_script(text: str, signature: Signature = GEOMETRY) -> Proof:
     premises: list[Formula] = []
     show: Formula | None = None
     lines: list[ProofLine] = []
+    formulas: dict[str, Formula] = {}
+    variables: dict[str, Var] = {}
+
+    def formula_at(src: str) -> Formula:
+        key = src.strip()
+        f = formulas.get(key)
+        if f is None:
+            f = formulas[key] = parse_formula(src, signature, variables)
+        return f
+
     for record, lineno in _records(text):
         try:
             if record.startswith("PREMISE:"):
-                premises.append(parse_formula(record[len("PREMISE:"):], signature))
+                premises.append(formula_at(record[len("PREMISE:"):]))
                 continue
             if record.startswith("SHOW:"):
-                show = parse_formula(record[len("SHOW:"):], signature)
+                show = formula_at(record[len("SHOW:"):])
                 continue
             num_text, _, rest = record.partition(".")
             number = _number(num_text, "line number")
@@ -758,8 +774,8 @@ def parse_proof_script(text: str, signature: Signature = GEOMETRY) -> Proof:
                 raise ScriptError(
                     f"line {number}: unknown rule {rule_name!r}", lineno
                 ) from None
-            annots = tuple(_parse_annot(a, signature) for a in annot_texts)
-            formula = parse_formula(formula_text, signature)
+            annots = tuple(_parse_annot(a, signature, variables) for a in annot_texts)
+            formula = formula_at(formula_text)
             lines.append(ProofLine(number, formula, Justification(rule, tuple(cite_list), annots)))
         except ScriptError:
             raise

@@ -31,7 +31,6 @@ import re
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache, reduce
-from itertools import repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping, Union
 
@@ -222,17 +221,16 @@ GEOMETRY = Signature(predicates={"UNDIR": 2}, functions={"rev": 1})
 
 
 # ---------------------------------------------------------------------------
-# Lexer.  _lex returns two flat lists, kinds and texts, that end in one "eof"
-# entry.  Punctuation and the arrow have themselves as kind and text; a
-# Unicode alias is read as the ASCII token it stands for.  One findall reads
-# the tokens: it skips what starts no token, so the input is well formed iff
-# the tokens, joined, are its non-whitespace characters.  Only a malformed
-# input is matched again, by _LEXED_RE, to find the culprit.  Offsets are
-# found again only when an error needs one (_Parser.offset).
+# Lexer.  _lex returns the token texts as one flat list that ends in "".  A
+# Unicode alias is read as the ASCII token it stands for; the quantifier
+# symbols ∀ and ∃ stay themselves, so they never read as a name.  The parser
+# dispatches on the text: a name is the one token that is alphanumeric.  One
+# findall reads the tokens: it skips what starts no token, so the input is
+# well formed iff the tokens, joined, are its non-whitespace characters.  Only
+# a malformed input is matched again, by _LEXED_RE, to find the culprit.
+# Offsets are found again only when an error needs one (_Parser.offset).
 
 _ALIASES = {"∼": "~", "¬": "~", "∧": "&", "∨": "|", "→": "->", "⟶": "->"}
-_KINDS = {c: c for c in ("->", "(", ")", "[", "]", "~", "&", "|", ",")}
-_KINDS |= _ALIASES | {"∀": "forall", "∃": "exists"}
 
 _SYMBOL = r"->|[()\[\]~&|,∼¬∧∨→⟶∀∃]"
 _TOKEN_RE = re.compile(f"{IDENT_RE.pattern}|{_SYMBOL}")
@@ -242,22 +240,20 @@ _TOKEN_RE = re.compile(f"{IDENT_RE.pattern}|{_SYMBOL}")
 _LEXED_RE = re.compile(rf"(?:\s*(?:{IDENT_RE.pattern}(?![A-Za-z0-9])|{_SYMBOL}))*\s*")
 
 
-def _lex(src: str) -> tuple[list[str], list[str]]:
+def _lex(src: str) -> list[str]:
     texts = _TOKEN_RE.findall(src)
     if "".join(texts) != "".join(src.split()):
         end = _LEXED_RE.match(src).end()
         raise ParseError(f"unexpected character {src[end]!r}", end)
-    kinds = list(map(_KINDS.get, texts, repeat("name")))
     if not src.isascii():
         texts = [_ALIASES.get(text, text) for text in texts]
-    kinds.append("eof")
     texts.append("")
-    return kinds, texts
+    return texts
 
 
 # ---------------------------------------------------------------------------
 # Parser (recursive descent, precedence ~ > & > | > ->, -> right-assoc).
-# self.pos indexes the token lists; no rule reads past the "eof" entry.
+# self.pos indexes the token list; no rule reads past its "" entry.
 #
 # Every rule takes the depth at which its node sits in the tree.  nest() caps
 # it at _MAX_DEPTH, which bounds the parser's own recursion (at most 4
@@ -269,12 +265,14 @@ def _lex(src: str) -> tuple[list[str], list[str]]:
 
 
 class _Parser:
-    def __init__(self, src: str, signature: Signature):
+    def __init__(self, src: str, signature: Signature, variables: dict | None = None):
         self.src = src
-        self.kinds, self.texts = _lex(src)
+        self.texts = _lex(src)
         self.pos = 0
         self.predicates = signature.predicates
         self.functions = signature.functions
+        # name -> Var of the variables read so far; none of them is a function.
+        self.variables = {} if variables is None else variables
 
     def offset(self, i: int) -> int:
         """The character offset of token i in the input."""
@@ -286,24 +284,26 @@ class _Parser:
         if depth > _MAX_DEPTH:
             raise ParseError("formula nested too deeply", self.offset(self.pos))
 
-    def expect(self, kind: str) -> int:
+    def expect(self, token: str) -> int:
+        """Step over `token`, or over any name if it is "name"."""
         i = self.pos
-        if self.kinds[i] != kind:
-            raise ParseError(f"expected {kind!r}, found {self.texts[i]!r}", self.offset(i))
+        text = self.texts[i]
+        if not (text.isalnum() if token == "name" else text == token):
+            raise ParseError(f"expected {token!r}, found {text!r}", self.offset(i))
         self.pos = i + 1
         return i
 
     # formula := implication
     def implication(self, depth: int) -> Formula:
         left = self.disjunction(depth)
-        if self.kinds[self.pos] == "->":
+        if self.texts[self.pos] == "->":
             self.pos += 1
             return Implies(left, self.implication(depth + 1))
         return left
 
     def disjunction(self, depth: int) -> Formula:
         f = self.conjunction(depth)
-        while self.kinds[self.pos] == "|":
+        while self.texts[self.pos] == "|":
             self.nest(depth + f.height)
             self.pos += 1
             f = Or(f, self.conjunction(depth + 1))
@@ -311,26 +311,25 @@ class _Parser:
 
     def conjunction(self, depth: int) -> Formula:
         f = self.unary(depth)
-        while self.kinds[self.pos] == "&":
+        while self.texts[self.pos] == "&":
             self.nest(depth + f.height)
             self.pos += 1
             f = And(f, self.unary(depth + 1))
         return f
 
     def unary(self, depth: int) -> Formula:
-        self.nest(depth)
+        if depth > _MAX_DEPTH:
+            self.nest(depth)
         i = self.pos
-        kind = self.kinds[i]
-        if kind == "name":
-            return self.atom(depth)
-        if kind == "~":
+        text = self.texts[i]
+        if text == "~":
             self.pos = i + 1
             return Not(self.unary(depth + 1))
-        if kind == "(":
+        if text == "(":
             return self.quantified(depth)
-        if kind == "[":
+        if text == "[":
             head = self.texts[i + 1]
-            if self.kinds[i + 1] == "name" and head.lower() in self.functions:
+            if head.isalnum() and head.lower() in self.functions:
                 raise ParseError(
                     f"function term [{head} ...] found where a formula is required",
                     self.offset(i),
@@ -339,18 +338,20 @@ class _Parser:
             inner = self.implication(depth + 1)
             self.expect("]")
             return inner
-        raise ParseError(f"expected a formula, found {self.texts[i]!r}", self.offset(i))
+        if text.isalnum():
+            return self.atom(depth)
+        raise ParseError(f"expected a formula, found {text!r}", self.offset(i))
 
     def quantified(self, depth: int) -> Formula:
-        self.expect("(")
-        i = self.pos
+        """The quantified formula at the current token, a "("."""
+        i = self.pos + 1
         self.pos = i + 1
-        kind, text = self.kinds[i], self.texts[i]
-        if kind == "forall" or kind == "exists":
-            q = "A" if kind == "forall" else "E"
+        text = self.texts[i]
+        if text == "∀" or text == "∃":
+            q = "A" if text == "∀" else "E"
             var = self.texts[self.expect("name")]
-        elif kind == "name":
-            if text[0] not in "AE" or not IDENT_RE.fullmatch(text, 1) or self.kinds[self.pos] != ")":
+        elif text.isalnum():
+            if text[0] not in "AE" or not IDENT_RE.fullmatch(text, 1) or self.texts[self.pos] != ")":
                 raise ParseError(
                     f"expected a quantifier like (Ax) or (Ex), found ({text}", self.offset(i)
                 )
@@ -378,14 +379,12 @@ class _Parser:
         if depth > _MAX_DEPTH:
             self.nest(depth)
         i = self.pos
-        kind = self.kinds[i]
-        if kind == "name":
+        text = self.texts[i]
+        var = self.variables.get(text)
+        if var is not None:
             self.pos = i + 1
-            text = self.texts[i]
-            if text.lower() in self.functions:
-                raise ParseError(f"function symbol {text!r} used without brackets", self.offset(i))
-            return Var(text)
-        if kind == "[":
+            return var
+        if text == "[":
             self.pos = i + 1
             j = self.expect("name")
             fn = self.texts[j]
@@ -395,22 +394,28 @@ class _Parser:
             args = tuple([self.term(depth + 1) for _ in range(arity)])
             self.expect("]")
             return App(fn.lower(), args)
-        raise ParseError(f"expected a term, found {self.texts[i]!r}", self.offset(i))
+        if text.isalnum():
+            self.pos = i + 1
+            if text.lower() in self.functions:
+                raise ParseError(f"function symbol {text!r} used without brackets", self.offset(i))
+            var = self.variables[text] = Var(text)
+            return var
+        raise ParseError(f"expected a term, found {text!r}", self.offset(i))
 
     # Annotation terms additionally allow call syntax: rev(rev(v3)).
     def annot_term(self, depth: int) -> Term:
-        if self.kinds[self.pos] == "[":
+        if self.texts[self.pos] == "[":
             return self.term(depth)
         self.nest(depth)
         i = self.expect("name")
         name = self.texts[i]
-        if self.kinds[self.pos] == "(":
+        if self.texts[self.pos] == "(":
             arity = self.functions.get(name.lower())
             if arity is None:
                 raise ParseError(f"unknown function symbol {name!r}", self.offset(i))
             self.pos += 1
             args = [self.annot_term(depth + 1)]
-            while self.kinds[self.pos] == ",":
+            while self.texts[self.pos] == ",":
                 self.pos += 1
                 args.append(self.annot_term(depth + 1))
             self.expect(")")
@@ -421,17 +426,20 @@ class _Parser:
             return App(name.lower(), tuple(args))
         if name.lower() in self.functions:
             raise ParseError(f"function symbol {name!r} needs arguments", self.offset(i))
-        return Var(name)
+        return self.variables.setdefault(name, Var(name))
 
     def finish(self, value):
         i = self.pos
-        if self.kinds[i] != "eof":
+        if self.texts[i]:
             raise ParseError(f"trailing input {self.texts[i]!r}", self.offset(i))
         return value
 
 
-def parse_formula(src: str, signature: Signature = GEOMETRY) -> Formula:
-    p = _Parser(src, signature)
+def parse_formula(src: str, signature: Signature = GEOMETRY, variables: dict | None = None) -> Formula:
+    """`variables`, if given, is a name -> Var dict that the parse reads and
+    adds to, so that one reader's calls build each variable once.  Share it
+    only under one signature: a variable of one may be a function of another."""
+    p = _Parser(src, signature, variables)
     return p.finish(p.implication(1))
 
 
@@ -440,9 +448,9 @@ def parse_term(src: str, signature: Signature = GEOMETRY) -> Term:
     return p.finish(p.term(1))
 
 
-def parse_annotation_term(src: str, signature: Signature = GEOMETRY) -> Term:
+def parse_annotation_term(src: str, signature: Signature = GEOMETRY, variables: dict | None = None) -> Term:
     """Terms as they appear in rule annotations: bare names, [rev x], rev(x)."""
-    p = _Parser(src, signature)
+    p = _Parser(src, signature, variables)
     return p.finish(p.annot_term(1))
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 import functools
+import gc
 import hashlib
 import random
 import re
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,7 @@ from dirgeo.kernel import (
 )
 from dirgeo.models import find_countermodel
 from dirgeo.search import SearchConfig, prove, prove_with_lemmas
-from dirgeo.syntax import App, Var, canonical_key, parse_formula, print_formula, rule_eq
+from dirgeo.syntax import GEOMETRY, App, Signature, Var, canonical_key, parse_formula, print_formula, rule_eq
 from helpers import closed_up
 
 F = parse_formula
@@ -700,6 +702,30 @@ SHOW: (Az)[~UNDIR v4 [rev v5] & ~UNDIR v4 z -> ~UNDIR v5 [rev z]]
             assert [l.formula for l in again.lines] == [l.formula for l in proof.lines]
             assert [l.just for l in again.lines] == [l.just for l in proof.lines]
             assert again.premises == proof.premises
+
+    def test_annotation_split_on_any_whitespace(self):
+        text = "PREMISE: (Ax)UNDIR x x\n1. (Ax)UNDIR x x  PREMISE\n2. UNDIR v1 v1  US (v1\tx) 1\n"
+        proof = parse_proof_script(text)
+        assert proof.lines[1].just.annot == ((Var("v1"), "x"),)
+        assert check_proof(proof).valid
+
+    @pytest.mark.parametrize("signature, message", [
+        (Signature({"P": 2}, {"rev": 1}), "unknown predicate 'UNDIR' (at offset 1)"),
+        (GEOMETRY.extended(functions={"f": 1}), "function symbol 'f' used without brackets (at offset 7)"),
+    ], ids=["predicate", "function"])
+    def test_reader_keeps_nothing_between_calls(self, signature, message):
+        text = "PREMISE: UNDIR f f\n1. UNDIR f f  PREMISE\n"
+        assert parse_proof_script(text).lines[0].formula is parse_formula("UNDIR f f")
+        with pytest.raises(ScriptError) as err:
+            parse_proof_script(text, signature)
+        assert str(err.value) == f"{message} (script line 1)"
+
+    def test_parsed_nodes_die_with_the_proof(self):
+        proof = parse_proof_script("SHOW: UNDIR diesA diesB\n1. UNDIR diesA diesB  ASSUMED-PREMISE\n")
+        refs = [weakref.ref(proof.show), weakref.ref(proof.lines[0].formula.args[0])]
+        del proof
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_missing_justification(self):
         with pytest.raises(ScriptError):

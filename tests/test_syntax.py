@@ -128,6 +128,23 @@ class TestParseFormula:
         assert parse_formula("(∀x)∼UNDIR x x") == parse_formula("(Ax)~UNDIR x x")
         assert parse_formula("(∃x)UNDIR x x") == parse_formula("(Ex)UNDIR x x")
 
+    @pytest.mark.parametrize("src, names", [("UNDIR forall eof", ("forall", "eof")),
+                                            ("UNDIR name x", ("name", "x"))])
+    def test_token_words_are_plain_variables(self, src, names):
+        assert parse_formula(src) is U(*map(Var, names))
+
+    @pytest.mark.parametrize("word", ["forall", "exists"])
+    def test_quantifier_words_are_not_quantifiers(self, word):
+        with pytest.raises(ParseError) as err:
+            parse_formula(f"({word} x)UNDIR x x")
+        assert str(err.value) == (
+            f"expected a quantifier like (Ax) or (Ex), found ({word} (at offset 1)"
+        )
+
+    @pytest.mark.parametrize("src", ["(∀x)UNDIR x x", "(∀ x)UNDIR x x"])
+    def test_quantifier_symbol_with_or_without_a_space(self, src):
+        assert parse_formula(src) is Forall("x", U(x, x))
+
     def test_case_insensitive_predicates(self):
         assert parse_formula("Undir x y") == parse_formula("UNDIR x y")
 
