@@ -219,14 +219,21 @@ def _negated_tables(n: int) -> tuple[tuple[int, ...], ...]:
 _DUAL = {Forall: Exists, Exists: Forall, And: Or, Or: And}
 
 
+class _NegatedAtom(Atom):
+    """~atom in a plan only, read from the negated atom tables: a node of the
+    atom's own height, where a Not over the atom would be one level taller."""
+
+    __slots__ = ()
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _plan(f: Formula, positive: bool) -> Formula:
     """f, or ~f if not positive, as the scan evaluates it: in negation
-    normal form (no ->, and ~ only on atoms, which read negated atom
-    tables) and miniscoped (see _scope)."""
+    normal form (no ->, and ~ only on atoms, as _NegatedAtom nodes) and
+    miniscoped (see _scope)."""
     cls = type(f)
     if cls is Atom:
-        return f if positive else Not(f)
+        return f if positive else _NegatedAtom(f.pred, f.args)
     if cls is Not:
         return _plan(f.body, not positive)
     if cls is Forall or cls is Exists:
@@ -347,8 +354,8 @@ class _Compiler:
         known = [b[(g, *free)] for d, b in self.blocks.items() if d <= depth and (g, *free) in b]
         if known:
             return known[0]
-        if cls is Atom or cls is Not:
-            x, y = g.args if cls is Atom else g.body.args
+        if cls is Atom or cls is _NegatedAtom:
+            x, y = g.args
             return f"{'A' if cls is Atom else 'N'}[{self.term(x, env)}][{self.term(y, env)}]"
         if cls is And or cls is Or:
             left, right = self.expr(g.left, env, loops, depth), self.expr(g.right, env, loops, depth)

@@ -13,12 +13,16 @@ iteration orders, no randomness, no wall-clock decisions.  A goal that is
 one of the premises (up to alpha and AC) is cited, not searched for.
 
 The bookkeeping costs what is new, not what was there before.  Each branch
-scans a derived line for terms once, and rebuilds its sorted pool only when
-that adds a base term.  A watermark records how many universals have met
-every term of the pool the last instantiation round used, so a round tries
-those universals only at the terms new since then.  A case split does not
-copy the branch: it marks the one context, and an undo trail takes back what
-the case added when it returns, as in DPLL/CDCL solvers.
+scans a line for terms once, and rebuilds its sorted pool only when that
+adds a base term; a line derived by a rule of kernel.RULE_ROWS takes its
+terms from the lines it cites, so only premises, assumptions, US instances
+and case assumptions are scanned.  Lines are indexed by their interned
+canonical keys, so a dict operation on a key costs O(1).  A watermark
+records how many universals have met every term of the pool the last
+instantiation round used, so a round tries those universals only at the
+terms new since then.  A case split does not copy the branch: it marks the
+one context, and an undo trail takes back what the case added when it
+returns, as in DPLL/CDCL solvers.
 
 A proved result is reconstructed into a Proof object and re-checked by the
 kernel before being returned; the prover never self-certifies.
@@ -46,6 +50,7 @@ from dataclasses import dataclass, fields
 
 from .kernel import (
     ROWS_BY_CONNECTIVE,
+    RULE_ROWS,
     TWO_LINE_RULES,
     Justification,
     Proof,
@@ -64,6 +69,7 @@ from .syntax import (
     Or,
     Term,
     Var,
+    _subst_one,
     atoms,
     bound_vars,
     canonical_key,
@@ -117,6 +123,10 @@ class _Budget(Exception):
 # The bounds a failed search names, in the order it reports them (nesting: NestingError).
 _LIMITS = ("max_lines", "max_depth", "max_term_depth", "nesting")
 
+# The rules of kernel.RULE_ROWS only rearrange parts of the lines they cite,
+# so a line they derive has no atom, and so no term, that a cited line lacks.
+_NO_NEW_TERMS = tuple(row.rule for row in RULE_ROWS)
+
 
 @dataclass
 class _Node:
@@ -137,6 +147,7 @@ class _Engine:
         self.seq = itertools.count(1)
         self.branch_vars = branch_vars
         self.limits: set[str] = set()  # bounds that cut the current deepening step
+        self.on_branch: dict[Term, bool] = {}  # term -> term_vars(term) <= branch_vars
 
     def node(self, formula: Formula, rule: Rule, cited=(), annot=(), extra=()) -> _Node:
         self.stats.lines_generated += 1
@@ -251,19 +262,26 @@ class _Context:
     def _pool(self, term_depth: int) -> list[Term]:
         """Instantiation terms of the branch, in _term_sort_key order.
 
-        Only lines added since the last call are scanned, and the last
-        list is returned again when they add no base term.  A context is
-        always pooled at one term_depth (each deepening step builds fresh
-        contexts), and engine.limits is reset only per step, so the result
-        and the max_term_depth cut match a rescan of the whole branch."""
+        Only lines added since the last call are scanned, skipping those
+        of kernel.RULE_ROWS, and the last list is returned again when they
+        add no base term.  A context is always pooled at one term_depth
+        (each deepening step builds fresh contexts), and engine.limits is
+        reset only per step, so the result and the max_term_depth cut
+        match a rescan of the whole branch."""
         eng = self.engine
         seen = self.pool_terms
+        on_branch = eng.on_branch
 
         def visit(t: Term):
             if t in seen:
                 return
-            if not term_vars(t) <= eng.branch_vars:
-                if isinstance(t, App):
+            inside = on_branch.get(t)
+            if inside is None:
+                inside = on_branch[t] = term_vars(t) <= eng.branch_vars
+            if not inside:
+                # an argument of a unary term is off the branch too; one of
+                # several may not be, and undo may have taken it out of seen
+                if isinstance(t, App) and len(t.args) > 1:
                     for a in t.args:
                         visit(a)
                 return
@@ -278,6 +296,8 @@ class _Context:
                     visit(a)
 
         for node in self.order[self.scanned:]:
+            if node.rule in _NO_NEW_TERMS:
+                continue
             for atom in atoms(node.formula):
                 for t in atom.args:
                     visit(t)
@@ -301,7 +321,8 @@ class _Context:
         the universals below the watermark at the terms new since the last
         round, the rest at the whole pool, in list order and pool order.
         A round adds no universal (only _combine does), so the watermark
-        then covers them all."""
+        then covers them all.  With no new term, the round starts at the
+        watermark: most rounds of a case branch try nothing else."""
         eng = self.engine
         crossed, done = self.crossed
         pool = self._pool(term_depth)
@@ -311,15 +332,17 @@ class _Context:
             old = set(done)
             fresh = [t for t in pool if t not in old]
         added = False
-        for i, uni in enumerate(self.universals):
+        universals = self.universals
+        for i in range(0 if fresh else crossed, len(universals)):
+            uni = universals[i]
             body = uni.formula.body
             var = uni.formula.var
             for t in fresh if i < crossed else pool:
                 eng.stats.instantiations_tried += 1
-                inst = substitute(body, {var: t})
+                inst = _subst_one(body, var, t)
                 self.add(eng.node(inst, Rule.US, (uni,), ((t, var),)), worklist)
                 added = True
-        self.crossed = (len(self.universals), pool)
+        self.crossed = (len(universals), pool)
         return added
 
 

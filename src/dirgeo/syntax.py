@@ -16,7 +16,7 @@ Unicode aliases are accepted on input and never emitted.
 
 Terms and formulas are hash-consed: two equal structures are the same
 object, so == is `is` and hashing costs O(1), whatever the size of the
-tree.  Build nodes only through their constructors, with the fields in
+tree.  So are the keys of canonical_key.  Build nodes only through their constructors, with the fields in
 order; unpickling and copying do so too.
 
 Every node stores its height: a variable is one level, and each term,
@@ -694,14 +694,27 @@ def negated_quantifier_view(f: Formula) -> Formula:
     return f
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def canonical_key(f: Formula):
-    """Hashable key identifying formulas up to alpha-renaming, associativity
-    and commutativity of & and |, and the negated-quantifier view.
+class _Key(_Node):
+    """An interned canonical key: the nested tuple of _canon in one node of
+    the hash-consing table, so that equal keys are one object while any of
+    them lives, and hashing one or comparing two costs O(1)."""
 
-    Double negation is deliberately NOT collapsed.
+    __slots__ = _fields = ("canon",)
+    _height = staticmethod(lambda canon: 1)
+    canon: tuple
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def canonical_key(f: Formula) -> _Key:
+    """Key identifying formulas up to alpha-renaming, associativity and
+    commutativity of & and |, and the negated-quantifier view.
+
+    Double negation is deliberately NOT collapsed.  Keys are interned: two
+    formulas have equal keys iff their keys are the same object, so keys
+    compare by identity (`is`), and hash by it too.  Iterate no set of
+    keys: its order would depend on memory addresses.
     """
-    return _canon(f, ())
+    return _Key(_canon(f, ()))
 
 
 def _canon_term(t: Term, env: tuple[str, ...]):
@@ -745,7 +758,7 @@ def _flat(f: Formula, cls) -> Iterator[Formula]:
 
 def rule_eq(f: Formula, g: Formula) -> bool:
     """The proof kernel's formula comparison; see canonical_key."""
-    return f is g or canonical_key(f) == canonical_key(g)
+    return f is g or canonical_key(f) is canonical_key(g)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -783,8 +796,16 @@ def neg(f: Formula) -> Formula:
 
 
 def imp_result(f: Implies) -> Formula:
-    """The IMP rewrite: A1 & ... & Ak -> B becomes ~A1 | ... | ~Ak | B."""
-    return build_or([neg(a) for a in flatten_and(f.left)] + [f.right])
+    """The IMP rewrite: A1 & ... & Ak -> B becomes ~A1 | ... | ~Ak | B,
+    nested to the right, with one double negation removed from each ~Ai."""
+    out, stack = f.right, [f.left]
+    while stack:  # the conjuncts from the last to the first
+        g = stack.pop()
+        if isinstance(g, And):
+            stack += (g.left, g.right)
+        else:
+            out = Or(g.body if isinstance(g, Not) else Not(g), out)
+    return out
 
 
 def de_morgan(f: Formula) -> Formula | None:

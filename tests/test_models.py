@@ -275,14 +275,18 @@ class TestCompiledPlans:
         for premises, goal in (([], f), ([f], goal)):
             assert find_countermodel(premises, goal, 2) == _first_by_eval(premises, goal, 2)
 
-    def test_brackets_at_the_node_bound(self, monkeypatch):
+    @staticmethod
+    def _at_the_node_bound():
         # (Ax0) over 196 &/| junctions, | on top so that the quantifier
-        # stays above them in the plan: height 200, the most a node may
-        # have, so its loop body nests 198 brackets, all the bound allows.
+        # stays above them in the plan: height 200, the most a node may have
         f = Atom("UNDIR", (_x(0), _rev(_x(0))))
         for i in range(196):
             f = (Or if i % 2 else And)(Atom("UNDIR", (_x(0), _x(0))), f)
-        f = Forall("x0", f)
+        return Forall("x0", f)
+
+    def test_brackets_at_the_node_bound(self, monkeypatch):
+        # the loop body nests 198 brackets, all the bound allows
+        f = self._at_the_node_bound()
         assert f.height == 200 and _plan(f, True) is f
         sources = []
         monkeypatch.setattr(models, "exec", lambda source, ns: (sources.append(source), exec(source, ns)),
@@ -291,7 +295,7 @@ class TestCompiledPlans:
         depths = itertools.accumulate((c in "([") - (c in ")]") for c in sources[0])
         assert max(depths) == 198
         monkeypatch.undo()
-        # as _assert_scan_agrees, but f's negative plan is past the bound (~ on each atom)
+        # as _assert_scan_agrees, which would build ~f, a node past the bound
         for n in (1, 2):
             for rev in itertools.product(range(n), repeat=n):
                 got = _Evaluator(n, rev, {})(f)
@@ -299,6 +303,15 @@ class TestCompiledPlans:
                     assert bool(got >> idx & 1) == eval_formula(_structure_from_index(n, rev, idx), f)
         goal = parse_formula("(Ax)UNDIR x x")
         assert find_countermodel([f], goal, 2) == _first_by_eval([f], goal, 2)
+
+    def test_negative_plan_at_the_node_bound(self):
+        # a negated atom of a plan is a node of the atom's height, so the
+        # negative plan is 200 levels too and the formula can be refuted
+        f = self._at_the_node_bound()
+        assert _plan(f, False).height == 200
+        assert find_countermodel([], f, 1) is not None
+        for n in (1, 2):
+            assert find_countermodel([], f, n) == _first_by_eval([], f, n)
 
     @pytest.mark.parametrize("k", [16, 40])
     @pytest.mark.parametrize("q", [Forall, Exists])

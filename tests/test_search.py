@@ -11,7 +11,7 @@ import pytest
 
 from dirgeo import search
 from dirgeo.geometry import axiom, axiom_names
-from dirgeo.kernel import Rule, check_proof, parse_proof_script, print_proof_script
+from dirgeo.kernel import RULE_ROWS, Rule, check_proof, parse_proof_script, print_proof_script
 from dirgeo.models import eval_formula, find_countermodel
 from dirgeo.search import (
     SearchConfig,
@@ -308,19 +308,23 @@ class TestNesting:
         r = prove([premise], goal)
         assert (r.status, r.limits, r.countermodel.size) == ("refuted", (), 2)
 
-    def test_negative_plan_past_the_bound(self):
+    def test_negative_plan_at_the_bound(self):
         # G = (Ax0)[UNDIR x0 x0 | (Ax1)[UNDIR x1 x0 | ...]] is 199 levels and
-        # (Az)UNDIR z z -> G 200; the refutation's plan of its negation,
-        # (Az)UNDIR z z & (Ex0)[~UNDIR x0 x0 & ...], would be 201
+        # A -> G 200; the refutation's plan of its negation, A & (Ex0)[~UNDIR
+        # x0 x0 & ...], reads each ~UNDIR in a node of the atom's height, so
+        # it is 200 levels too
         g = parse_formula("(Ax98)UNDIR x98 x97")
         for k in range(97, -1, -1):
             g = Forall(f"x{k}", Or(Atom("UNDIR", (Var(f"x{k}"), Var(f"x{max(k - 1, 0)}"))), g))
         assert g.height == 199
+        goal = Implies(parse_formula("(Az)UNDIR z [rev z]"), g)
+        r = prove([], goal)
+        _assert_refutes(r, [], goal)
+        assert (r.stats, r.limits, r.countermodel.size) == (SearchStats(), (), 2)
+        # after (Az)UNDIR z z, G holds: no countermodel, so the search runs
         r = prove([], Implies(parse_formula("(Az)UNDIR z z"), g))
-        assert (r.status, r.limits, r.proof, r.countermodel) == (
-            "budget-exceeded", ("nesting",), None, None
-        )
-        assert r.stats.lines_generated == 0
+        assert (r.status, r.limits, r.countermodel) == ("budget-exceeded", ("max_term_depth",), None)
+        assert r.stats.lines_generated > 0
 
     def test_goal_at_the_text_bound(self):
         goal = parse_formula("~" * 97 + "(Ax)UNDIR x x")
@@ -665,6 +669,71 @@ class TestPool:
             assert was != now
         ctx.undo(mark)
         assert self._state(ctx) == before
+
+
+def _atom_terms(f):
+    return {t for atom in atoms(f) for t in atom.args}
+
+
+class TestRowsBringNoTerm:
+    """_Context._pool scans no line derived by a rule of kernel.RULE_ROWS:
+    the atom arguments of such a line are among those of the lines it
+    cites, in every line the search adds and in every proof it emits."""
+
+    ROW_RULES = {row.rule for row in RULE_ROWS}
+    # the search workload's theorems: premises, goal, staged via OO, config
+    THEOREMS = [
+        (["I6"], "W1", False, SearchConfig(max_depth=2, max_term_depth=1)),
+        (["I6"], "W4", False, SearchConfig(max_depth=2, max_term_depth=1)),
+        (["I5", "ODO"], "OO", False, SearchConfig(max_depth=1, max_term_depth=1)),
+        (["I5", "I6", "ODO"], "W2", True, SearchConfig(max_depth=2, max_term_depth=2)),
+        (["I5", "I6", "ODO"], "W3", True, SearchConfig(max_depth=2, max_term_depth=2)),
+        (["I7", "I8", "ODO"], "I6", False, SearchConfig(max_depth=2, max_term_depth=3)),
+    ]
+
+    def _check(self, monkeypatch, runs):
+        """Run each (premises, goal, staged, cfg); check every line added and every proof."""
+        added = []
+        add = _Context.add
+
+        def recording_add(ctx, node, worklist):
+            added.append(node)
+            return add(ctx, node, worklist)
+
+        monkeypatch.setattr(_Context, "add", recording_add)
+        proofs = []
+        for premises, goal, staged, cfg in runs:
+            if staged:
+                lemmas = [([axiom("I5"), axiom("ODO")], axiom("OO"))]
+                r = prove_with_lemmas([axiom(p) for p in premises], lemmas, axiom(goal), cfg)
+            else:
+                r = _prove_names(premises, goal, cfg)
+            if r.proved:
+                proofs.append(r.proof)
+        rows = [n for n in added if n.rule in self.ROW_RULES]
+        for n in rows:
+            assert _atom_terms(n.formula) <= set().union(*map(_atom_terms, (c.formula for c in n.cited)))
+        lines = 0
+        for proof in proofs:
+            by_number = {line.number: line for line in proof.lines}
+            for line in proof.lines:
+                if line.just.rule in self.ROW_RULES:
+                    cited = (by_number[c].formula for c in line.just.cited)
+                    assert _atom_terms(line.formula) <= set().union(*map(_atom_terms, cited)), line
+                    lines += 1
+        return len(rows), len(proofs), lines
+
+    def test_search_workload_theorems(self, monkeypatch):
+        rows, proofs, lines = self._check(monkeypatch, self.THEOREMS)
+        assert proofs == len(self.THEOREMS) and rows > 1000 and lines > 50
+
+    def test_fuzz_sample(self, monkeypatch):
+        rng = random.Random(31)
+        names = [n for n in axiom_names() if n != "I7conv"]
+        cfg = SearchConfig(max_depth=1, max_term_depth=1, max_lines=250)
+        runs = [(rng.sample(names, rng.randrange(0, 3)), rng.choice(names), False, cfg) for _ in range(150)]
+        rows, proofs, lines = self._check(monkeypatch, runs)
+        assert rows > 400 and proofs > 0 and lines > 0
 
 
 class TestDerivationOrder:

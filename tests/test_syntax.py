@@ -3,6 +3,7 @@ import gc
 import hashlib
 import pickle
 import random
+import weakref
 from dataclasses import FrozenInstanceError
 from functools import reduce
 
@@ -30,6 +31,7 @@ from dirgeo.syntax import (
     Var,
     _CACHE_SIZE,
     _NODES,
+    _canon,
     _subst,
     _subst_one,
     alpha_eq,
@@ -718,6 +720,38 @@ def _bracket(rng: random.Random, cls, parts):
         return parts[0]
     k = rng.randrange(1, len(parts))
     return cls(_bracket(rng, cls, parts[:k]), _bracket(rng, cls, parts[k:]))
+
+
+class TestInternedKeys:
+    """canonical_key returns an interned key: equal keys are one object."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_object_iff_equal_canonical_forms(self, seed):
+        rng = random.Random(6000 + seed)
+        f = random_formula(rng, depth=rng.randrange(1, 4))
+        others = [alpha_variant(rng, f), _reorder(rng, f), _reorder(rng, alpha_variant(rng, f)), Not(f)]
+        others += [random_formula(rng, depth=rng.randrange(0, 3)) for _ in range(8)]
+        for g in others:
+            assert (canonical_key(f) is canonical_key(g)) == (_canon(f, ()) == _canon(g, ())), (f, g)
+        assert all(canonical_key(g) is canonical_key(f) for g in others[:3])
+
+    def test_a_key_dies_with_its_formulas(self):
+        gc.collect()
+        before = len(_NODES)
+        f = U(Var("unreferencedKeyA"), Var("unreferencedKeyB"))
+        key = canonical_key(f)
+        assert len(_NODES) == before + 4  # two variables, the atom and its key
+        dead, entry = weakref.ref(key), (type(key), key.canon)
+        canonical_key.cache_clear()  # which drops the other keys it kept, too
+        del f, key
+        gc.collect()
+        assert dead() is None and entry not in _NODES and len(_NODES) <= before
+
+    @pytest.mark.parametrize("roundtrip", [lambda k: pickle.loads(pickle.dumps(k)), copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_are_the_same_key(self, roundtrip):
+        key = canonical_key(parse_formula("(Ax)(Ey)[UNDIR x [rev y] & ~UNDIR y x | UNDIR z z]"))
+        assert roundtrip(key) is key
 
 
 class TestSubstituteAndKeyProperties:
