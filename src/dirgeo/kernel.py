@@ -17,6 +17,12 @@ Checker.add_line is the only place that turns a _Reject into a Verdict, and
 it records the dependencies of an accepted line; a rule that would build a
 formula past the node bound (NestingError) rejects the line as "rule" too.
 
+A line check builds only what the line keeps.  Dependency sets are frozen
+and shared, not copied: a rule that cites one line and discharges nothing
+returns that line's set itself, and only the two-line rules, a discharging
+CP and CASES build a new one.  US, EE and EG put their one term in by
+syntax._subst_one, with no binding dict.
+
 Conventions the checker bakes in (all forced by the transcript corpus):
   - formula comparison is modulo associativity/commutativity of & and |,
     bound-variable renaming, and the view ~(Ex)P == (Ax)~P;
@@ -52,6 +58,7 @@ from .syntax import (
     Signature,
     Term,
     Var,
+    _subst_one,
     canonical_key,
     conjunct_members,
     contradiction_keys,
@@ -301,12 +308,6 @@ class Checker:
                 raise _Reject(f"line {n} cites line {j} inside a closed subproof ({lo}..{hi})", "scope")
         return self.lines[j]
 
-    def _union_deps(self, cited: list[ProofLine]) -> set[int]:
-        out: set[int] = set()
-        for c in cited:
-            out |= self.deps[c.number]
-        return out
-
     # -- the rule engine ---------------------------------------------------
 
     def add_line(self, line: ProofLine) -> Verdict:
@@ -325,27 +326,28 @@ class Checker:
             return Verdict(False, exc.kind, str(exc))
         except NestingError as exc:  # the rule built a formula too tall to exist
             return Verdict(False, "rule", f"{just.rule.value}: {exc}")
-        self.deps[n] = frozenset(deps)
+        self.deps[n] = deps
         self.lines[n] = line
         self.next_number += 1
         return _ACCEPTED
 
-    # Each _rule_* handler returns the line's dependencies or raises _Reject.
+    # Each _rule_* handler returns the line's dependency set, a frozenset,
+    # or raises _Reject.
 
     def _rule_premise(self, n, f, just, cited):
         if not any(rule_eq(f, p) for p in self.premises):
             raise _Reject("PREMISE: formula is not among the declared premises")
-        return ()
+        return frozenset()
 
     def _rule_assumed_premise(self, n, f, just, cited):
         self.assumption_stack.append(_Frame(n, f))
-        return (n,)
+        return frozenset((n,))
 
     def _rule_same(self, n, f, just, cited):
         (c,) = cited
         if not rule_eq(f, c.formula):
             raise _mismatch(Rule.SAME, c.formula, f)
-        return self._union_deps(cited)
+        return self.deps[c.number]
 
     def _rule_two_line(self, n, f, just, cited):
         row = just.rule.row
@@ -355,7 +357,7 @@ class Checker:
                 expected = row.conclusion(g)
                 if not rule_eq(f, expected):
                     raise _mismatch(row.rule, expected, f)
-                return self._union_deps(cited)
+                return self.deps[major.number] | self.deps[minor.number]
         raise _Reject(row.rejection)
 
     _rule_mp = _rule_mt = _rule_lds = _rule_rds = _rule_two_line
@@ -368,11 +370,12 @@ class Checker:
         results = row.results(g)
         if not results:
             raise _Reject(row.no_result or row.wrong)
-        if not any(rule_eq(f, r) for r in results):
-            if row.mismatch:
-                raise _Reject(f"{row.rule.value}: {print_formula(f)} {row.mismatch}")
-            raise _mismatch(row.rule, results[0], f)
-        return self._union_deps(cited)
+        for r in results:
+            if r is f or rule_eq(f, r):
+                return self.deps[cited[0].number]
+        if row.mismatch:
+            raise _Reject(f"{row.rule.value}: {print_formula(f)} {row.mismatch}")
+        raise _mismatch(row.rule, results[0], f)
 
     _rule_imp = _rule_simp = _rule_de_morgan = _rule_distributive_law = _rule_rewrite
 
@@ -382,11 +385,11 @@ class Checker:
             raise _Reject("CP: conclusion is not an implication")
         if not rule_eq(f.right, c.formula):
             raise _mismatch(Rule.CP, Implies(f.left, c.formula), f)
-        deps = self._union_deps(cited)
+        deps = self.deps[c.number]
         if self.assumption_stack and rule_eq(self.assumption_stack[-1].formula, f.left):
             frame = self.assumption_stack.pop()
-            deps.discard(frame.line)
             self.closed_regions.append((frame.line, n - 1))
+            return deps - {frame.line}  # a new set: line c keeps its own
         # otherwise a vacuous discharge: A -> B from B alone.
         return deps
 
@@ -419,7 +422,7 @@ class Checker:
             side = other
         pair.opened[label] = (n, side)
         self.open_case_lines[n] = f
-        return (n,)
+        return frozenset((n,))
 
     _rule_case1 = _rule_case2 = _rule_case
 
@@ -447,9 +450,8 @@ class Checker:
             for c in db:
                 if any(c in dep and m > b.number for m, dep in self.deps.items()):
                     raise _Reject(f"CASES: line {b.number} is not the final line of its case branch")
-        deps = set(self.deps[d.number])
-        deps |= self.deps[p.number] - {c1, c2}
-        deps |= self.deps[q.number] - {c1, c2}
+        case_lines = {c1, c2}
+        deps = self.deps[d.number] | (self.deps[p.number] - case_lines) | (self.deps[q.number] - case_lines)
         pair.closed = True
         for ln in asm_lines:
             self.open_case_lines.pop(ln, None)
@@ -458,16 +460,18 @@ class Checker:
 
     def _rule_us(self, n, f, just, cited):
         (c,) = cited
-        g = negated_quantifier_view(c.formula)
+        g = c.formula
         if not isinstance(g, Forall):
-            raise _Reject("US: cited line is not universal")
+            g = negated_quantifier_view(g)
+            if not isinstance(g, Forall):
+                raise _Reject("US: cited line is not universal")
         t = _instance_term(Rule.US, just.annot, g, f)
         if t is None:
             raise _Reject("US: cannot infer the instantiation term")
-        expected = substitute(g.body, {g.var: t})
+        expected = _subst_one(g.body, g.var, t)
         if not rule_eq(f, expected):
             raise _mismatch(Rule.US, expected, f)
-        return self._union_deps(cited)
+        return self.deps[c.number]
 
     def _rule_ug(self, n, f, just, cited):
         (c,) = cited
@@ -500,7 +504,7 @@ class Checker:
             else:
                 raise _Reject("UG: conclusion does not generalize the cited line")
         self._require_arbitrary(Rule.UG, assigned.values())
-        return self._union_deps(cited)
+        return self.deps[c.number]
 
     @staticmethod
     def _ug_match(qs: list[str], body: Formula, target: Formula, pool: list[str]) -> dict[str, str] | None:
@@ -529,14 +533,14 @@ class Checker:
         (c,) = cited
         if not self._eg_matches(f, c.formula):
             raise _Reject("EG: conclusion does not existentially abstract a disjunct of the cited line")
-        return self._union_deps(cited)
+        return self.deps[c.number]
 
     @staticmethod
     def _eg_abstracts(e: Formula, source: Formula) -> bool:
         if not isinstance(e, Exists):
             return False
         t = _instance_term(Rule.EG, (), e, source)
-        return t is not None and rule_eq(substitute(e.body, {e.var: t}), source)
+        return t is not None and rule_eq(_subst_one(e.body, e.var, t), source)
 
     def _eg_matches(self, f: Formula, g: Formula) -> bool:
         if self._eg_abstracts(f, g):
@@ -567,11 +571,11 @@ class Checker:
             seen |= free_vars(line.formula)
         if witness in seen:
             raise _Reject(f"EE: witness {witness!r} is not fresh")
-        expected = substitute(g.body, {g.var: Var(witness)})
+        expected = _subst_one(g.body, g.var, t)
         if not rule_eq(f, expected):
             raise _mismatch(Rule.EE, expected, f)
         self.ee_witnesses.add(witness)
-        return self._union_deps(cited)
+        return self.deps[c.number]
 
     def _rule_sub(self, n, f, just, cited):
         (c,) = cited
@@ -586,7 +590,7 @@ class Checker:
         if not rule_eq(f, expected):
             raise _mismatch(Rule.SUB, expected, f)
         self._require_arbitrary(Rule.SUB, sigma)
-        return self._union_deps(cited)
+        return self.deps[c.number]
 
 
 # Each rule's handler, read through the rule so that add_line hashes none.
@@ -606,34 +610,38 @@ def check_line(proof_so_far: Proof, line: ProofLine) -> Verdict:
 
 def check_proof(proof: Proof) -> CheckReport:
     """Certify a whole proof; reports the earliest failing line."""
-    checker = Checker(proof.premises)
     premises = tuple(proof.premises)
     conclusion = proof.lines[-1].formula if proof.lines else None
+    fault = _first_fault(proof)
+    if fault is None:
+        return CheckReport(True, None, "ok", "", premises, conclusion)
+    return CheckReport(False, *fault, premises, conclusion)
 
-    def fail(line: int | None, kind: str, message: str) -> CheckReport:
-        return CheckReport(False, line, kind, message, premises, conclusion)
 
+def _first_fault(proof: Proof) -> tuple[int | None, str, str] | None:
+    """(line, kind, message) of the earliest fault of proof; None if it has none."""
     if not proof.lines:
-        return fail(None, "structure", "empty proof")
+        return None, "structure", "empty proof"
+    checker = Checker(proof.premises)
     for line in proof.lines:
         v = checker.add_line(line)
         if not v.ok:
-            return fail(line.number, v.kind, v.message)
+            return line.number, v.kind, v.message
     last = proof.lines[-1].number
     leftover = sorted(checker.deps[last])
     if leftover:
-        return fail(last, "structure", f"conclusion still depends on assumption line(s) {leftover}")
+        return last, "structure", f"conclusion still depends on assumption line(s) {leftover}"
     if checker.assumption_stack:
         open_lines = [fr.line for fr in checker.assumption_stack]
-        return fail(last, "structure", f"undischarged assumption(s) at line(s) {open_lines}")
+        return last, "structure", f"undischarged assumption(s) at line(s) {open_lines}"
     if checker.open_case_lines:
-        return fail(last, "structure", f"unclosed case branch(es) at line(s) {sorted(checker.open_case_lines)}")
+        return last, "structure", f"unclosed case branch(es) at line(s) {sorted(checker.open_case_lines)}"
     witness_leak = checker.ee_witnesses & free_vars(proof.lines[-1].formula)
     if witness_leak:
-        return fail(last, "structure", f"existential witness(es) {sorted(witness_leak)} free in the conclusion")
+        return last, "structure", f"existential witness(es) {sorted(witness_leak)} free in the conclusion"
     if proof.show is not None and not rule_eq(proof.show, proof.lines[-1].formula):
-        return fail(last, "structure", "conclusion differs from the declared SHOW formula")
-    return CheckReport(True, None, "ok", "", premises, conclusion)
+        return last, "structure", "conclusion differs from the declared SHOW formula"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -307,13 +307,15 @@ _LOOPS = 12
 
 @lru_cache(maxsize=1024)  # each entry holds a function and its code
 def _compiled(g: Formula) -> Callable[..., int]:
-    """The plan node g as a Python function of (R, A, N, F, S, D, then the
+    """The plan node g as a Python function of (R, A, N, S, D, then the
     values of g's free variables in sorted order): rev table, atom tables,
-    negated tables, all-true bitset, the size's rev-free memo, range(n).
+    negated tables, the size's rev-free memo, range(n).
     Each quantifier is a `for` loop over D, each loop body one &/|
-    expression.  A quantified part is memoised in S if it is rev-free, else
-    for the call where a hit can happen: it occurs twice, or a loop around
-    it binds a variable it does not use.  The source holds generated names
+    expression; the loop's value starts as the first body value, not as
+    the all-true or the empty bitset, which saves one full-width operation.
+    A quantified part is memoised in S if it is rev-free, else for the call
+    where a hit can happen: it occurs twice, or a loop around it binds a
+    variable it does not use.  The source holds generated names
     and integers only; plan nodes and functions reach it by its namespace."""
     return _Compiler(g).function
 
@@ -329,7 +331,7 @@ class _Compiler:
                 stack += [h.left, h.right] if type(h) in (And, Or) else [h.body]
         params = {v: self.name("v") for v in sorted(free_vars(g))}
         result = self.expr(g, params, [], 1)
-        head = [f"def f(R, A, N, F, S, D, {', '.join(params.values())}):"]
+        head = [f"def f(R, A, N, S, D, {', '.join(params.values())}):"]
         head += [f" {m} = {{}}" for m in self.memos.values()]
         exec("\n".join(head + self.lines + [f" return {result}"]), self.ns)
         self.function = self.ns["f"]
@@ -374,12 +376,12 @@ class _Compiler:
             self.emit(at, f"{q} = {memo}.get({key})", f"if {q} is None:")
             at += 1
         if len(loops) >= _LOOPS:
-            self.emit(at, f"{q} = {self.name('k', _compiled(g))}(R, A, N, F, S, D, {', '.join(free)})")
+            self.emit(at, f"{q} = {self.name('k', _compiled(g))}(R, A, N, S, D, {', '.join(free)})")
         else:
-            v, every = self.name("v"), cls is Forall
-            self.emit(at, f"{q} = {'F' if every else '0'}", f"for {v} in D:")
+            v, x, op = self.name("v"), self.name("x"), "&" if cls is Forall else "|"
+            self.emit(at, f"{q} = None", f"for {v} in D:")
             body = self.expr(g.body, {**env, g.var: v}, loops + [v], at + 1)
-            self.emit(at + 1, f"{q} {'&' if every else '|'}= {body}")
+            self.emit(at + 1, f"{x} = {body}", f"{q} = {x} if {q} is None else {q} {op} {x}")
         if memo:
             self.emit(at, f"{memo}[{key}] = {q}")
         self.blocks.setdefault(depth, {})[(g, *free)] = q
@@ -392,7 +394,7 @@ class _Evaluator:
     table.  `shared` memoises rev-free parts for every rev table of size n."""
 
     def __init__(self, n: int, rev: Sequence[int], shared: dict):
-        self.tables = (rev, _atom_tables(n), _negated_tables(n), (1 << 2 ** n ** 2) - 1, shared, range(n))
+        self.tables = (rev, _atom_tables(n), _negated_tables(n), shared, range(n))
 
     def __call__(self, f: Formula, positive: bool = True) -> int:
         return _compiled(_plan(f, positive))(*self.tables)

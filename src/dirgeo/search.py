@@ -124,8 +124,9 @@ class _Budget(Exception):
 _LIMITS = ("max_lines", "max_depth", "max_term_depth", "nesting")
 
 # The rules of kernel.RULE_ROWS only rearrange parts of the lines they cite,
+# and a case assumption is one side of a disjunction already in the branch,
 # so a line they derive has no atom, and so no term, that a cited line lacks.
-_NO_NEW_TERMS = tuple(row.rule for row in RULE_ROWS)
+_NO_NEW_TERMS = (*(row.rule for row in RULE_ROWS), Rule.CASE1, Rule.CASE2)
 
 
 @dataclass

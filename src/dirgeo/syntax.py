@@ -457,17 +457,27 @@ def parse_annotation_term(src: str, signature: Signature = GEOMETRY, variables: 
 
 # ---------------------------------------------------------------------------
 # Printer.  Minimal brackets; parse(print(f)) is structurally identical to f.
+# A binary node is bracketed when its precedence is below the least its
+# position admits; a unary node (~, a quantifier) never is, since its
+# precedence is the highest any position asks for.
 
 _PREC_IMPLIES = 1
 _PREC_OR = 2
 _PREC_AND = 3
 _PREC_UNARY = 4
 
+# class -> (operator, precedence, least precedence of the left side, of the right)
+_BINARY = {
+    And: (" & ", _PREC_AND, _PREC_AND, _PREC_AND + 1),
+    Or: (" | ", _PREC_OR, _PREC_OR, _PREC_OR + 1),
+    Implies: (" -> ", _PREC_IMPLIES, _PREC_IMPLIES + 1, _PREC_IMPLIES),
+}
+
 
 def print_term(t: Term) -> str:
-    if isinstance(t, Var):
+    if type(t) is Var:
         return t.name
-    return "[" + t.fn + "".join(" " + print_term(a) for a in t.args) + "]"
+    return "[" + t.fn + "".join([" " + (a.name if type(a) is Var else print_term(a)) for a in t.args]) + "]"
 
 
 def print_annotation_term(t: Term) -> str:
@@ -478,31 +488,26 @@ def print_annotation_term(t: Term) -> str:
 
 
 def _print(f: Formula, min_prec: int) -> str:
-    if isinstance(f, Atom):
-        return f.pred + "".join(" " + print_term(a) for a in f.args)
-    if isinstance(f, Not):
-        return _wrap("~" + _print(f.body, _PREC_UNARY), _PREC_UNARY, min_prec)
-    if isinstance(f, Forall):
-        return _wrap(f"(A{f.var})" + _print(f.body, _PREC_UNARY), _PREC_UNARY, min_prec)
-    if isinstance(f, Exists):
-        return _wrap(f"(E{f.var})" + _print(f.body, _PREC_UNARY), _PREC_UNARY, min_prec)
-    if isinstance(f, And):
-        s = _print(f.left, _PREC_AND) + " & " + _print(f.right, _PREC_AND + 1)
-        return _wrap(s, _PREC_AND, min_prec)
-    if isinstance(f, Or):
-        s = _print(f.left, _PREC_OR) + " | " + _print(f.right, _PREC_OR + 1)
-        return _wrap(s, _PREC_OR, min_prec)
-    if isinstance(f, Implies):
-        s = _print(f.left, _PREC_IMPLIES + 1) + " -> " + _print(f.right, _PREC_IMPLIES)
-        return _wrap(s, _PREC_IMPLIES, min_prec)
+    cls = type(f)
+    if cls is Atom:
+        return f.pred + "".join([" " + (a.name if type(a) is Var else print_term(a)) for a in f.args])
+    binary = _BINARY.get(cls)
+    if binary is not None:
+        op, prec, left, right = binary
+        s = _print(f.left, left) + op + _print(f.right, right)
+        return s if prec >= min_prec else "[" + s + "]"
+    if cls is Not:
+        return "~" + _print(f.body, _PREC_UNARY)
+    if cls is Forall:
+        return "(A" + f.var + ")" + _print(f.body, _PREC_UNARY)
+    if cls is Exists:
+        return "(E" + f.var + ")" + _print(f.body, _PREC_UNARY)
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _wrap(s: str, prec: int, min_prec: int) -> str:
-    return s if prec >= min_prec else "[" + s + "]"
-
-
 def print_formula(f: Formula) -> str:
+    """f in the surface syntax.  _print reads the class of each node once,
+    and one table serves the three binary connectives."""
     return _print(f, 0)
 
 
@@ -610,8 +615,9 @@ def substitute(f: Formula, bindings: Mapping[str, Term]) -> Formula:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _subst_one(f: Formula, var: str, t: Term) -> Formula:
-    """f[var := t]: the kernel's US/EE/UG checks and the search's
-    instantiation rounds repeat the same single substitutions."""
+    """f[var := t], the node substitute(f, {var: t}) builds, also when t is
+    Var(var).  The kernel's US, EE and EG checks and the search's
+    instantiation rounds call it directly and repeat the same ones."""
     return _subst(f, {var: t})
 
 

@@ -352,6 +352,47 @@ class TestAssumptionDischarge:
         assert rep2.valid
 
 
+class TestSharedDependencySets:
+    """A line that cites one line and discharges nothing shares that line's
+    dependency set; CP builds a new set when it discharges, so the set of
+    the line it cites stays as it was."""
+
+    SHARING = {rule for rule in Rule if rule.cites == 1} - {Rule.CP, Rule.CASE1, Rule.CASE2}
+
+    def test_same_then_cp(self):
+        from dirgeo.kernel import Checker
+
+        checker = Checker([])
+        for line in (_assume(1, "UNDIR v1 v2"), _line(2, "UNDIR v1 v2", Rule.SAME, 1),
+                     _line(3, "UNDIR v1 v2 -> UNDIR v1 v2", Rule.CP, 2)):
+            assert checker.add_line(line).ok
+        assert checker.deps[2] is checker.deps[1]
+        assert (checker.deps[1], checker.deps[2], checker.deps[3]) == ({1}, {1}, set())
+
+    def test_corpus_and_emitted_proofs(self):
+        from dirgeo.kernel import Checker
+
+        shared = discharges = 0
+        for _, proof in [*_corpus_proofs(), *_emitted_proofs()]:
+            checker = Checker(proof.premises)
+            copies = {}  # line -> a copy of its set as it was added
+            for line in proof.lines:
+                cited = [checker.deps[j] for j in line.just.cited]
+                closed = len(checker.closed_regions)
+                assert checker.add_line(line).ok
+                deps = checker.deps[line.number]
+                if line.just.rule in self.SHARING:
+                    assert deps is cited[0]
+                    shared += 1
+                if line.just.rule is Rule.CP and len(checker.closed_regions) > closed:
+                    assumption = checker.closed_regions[-1][0]
+                    assert deps == cited[0] - {assumption}
+                    discharges += assumption in cited[0]
+                copies[line.number] = set(deps)
+                assert all(checker.deps[n] == copy for n, copy in copies.items())
+        assert shared > 100 and discharges > 10
+
+
 class TestScope:
     def test_cite_into_closed_subproof_is_scope_violation(self):
         lines = [

@@ -11,7 +11,7 @@ import pytest
 
 from dirgeo import search
 from dirgeo.geometry import axiom, axiom_names
-from dirgeo.kernel import RULE_ROWS, Rule, check_proof, parse_proof_script, print_proof_script
+from dirgeo.kernel import Rule, check_proof, parse_proof_script, print_proof_script
 from dirgeo.models import eval_formula, find_countermodel
 from dirgeo.search import (
     SearchConfig,
@@ -610,9 +610,12 @@ class TestPool:
 
     @staticmethod
     def _open_case(ctx, case, d=1):
-        """Add the case assumption and saturate the branch."""
+        """Add the disjunction case | ~case, assume its left side as a case
+        and saturate the branch."""
         wl = []
-        ctx.add(ctx.engine.node(parse_formula(case), Rule.CASE1, (ctx.order[0],)), wl)
+        side = parse_formula(case)
+        disjunction = ctx.add(ctx.engine.node(Or(side, Not(side)), Rule.PREMISE), wl)
+        ctx.add(ctx.engine.node(side, Rule.CASE1, (disjunction,)), wl)
         ctx.saturate(None, d, wl)
 
     @staticmethod
@@ -676,11 +679,12 @@ def _atom_terms(f):
 
 
 class TestRowsBringNoTerm:
-    """_Context._pool scans no line derived by a rule of kernel.RULE_ROWS:
-    the atom arguments of such a line are among those of the lines it
-    cites, in every line the search adds and in every proof it emits."""
+    """_Context._pool scans no line derived by a rule of kernel.RULE_ROWS
+    and no case assumption: the atom arguments of such a line are among
+    those of the lines it cites, in every line the search adds and in every
+    proof it emits."""
 
-    ROW_RULES = {row.rule for row in RULE_ROWS}
+    ROW_RULES = set(search._NO_NEW_TERMS)
     # the search workload's theorems: premises, goal, staged via OO, config
     THEOREMS = [
         (["I6"], "W1", False, SearchConfig(max_depth=2, max_term_depth=1)),

@@ -323,6 +323,18 @@ class TestPrintFormula:
             for line in proof.lines:
                 assert parse_formula(print_formula(line.formula)) == line.formula
 
+    def test_printed_text_pinned(self):
+        # 400 seeded random formulas of depth 1 to 6, every catalog axiom and
+        # every corpus line.  The digest covers each printed text.
+        rng = random.Random(29)
+        formulas = [random_formula(rng, depth=rng.randrange(1, 7)) for _ in range(400)]
+        formulas += [axiom(name) for name in axiom_names()]
+        formulas += [line.formula for cid in corpus_ids() for line in load(cid)[0].lines]
+        digest = hashlib.sha256()
+        for f in formulas:
+            digest.update(print_formula(f).encode() + b"\n")
+        assert (len(formulas), digest.hexdigest()[:16]) == (586, "48366fda05d353c0")
+
 
 def _defsig():
     from dirgeo.geometry import GEOMETRY_WITH_DEFS
@@ -350,6 +362,22 @@ class TestSubstitute:
         got = substitute(f, {"x": z})
         assert isinstance(got, Forall) and got.var != "z"
         assert alpha_eq(got, Forall("w", U(z, Var("w"))))
+
+    def test_single_substitution_is_substitute(self):
+        # The kernel's US, EE and EG checks call _subst_one directly.  Over
+        # seeded bodies and terms, t = Var(v) among them, it builds the
+        # node substitute builds, renaming a bound variable where it must.
+        rng = random.Random(41)
+        renamed = 0
+        for _ in range(200):
+            f = random_formula(rng)
+            for v in VARS:
+                for t in (Var(v), random_term(rng, VARS), random_term(rng, VARS, 3)):
+                    got = _subst_one(f, v, t)
+                    assert got is substitute(f, {v: t})
+                    renamed += not bound_vars(got) <= bound_vars(f)
+        assert _subst_one(Forall("z", U(x, z)), "x", z) is substitute(Forall("z", U(x, z)), {"x": z})
+        assert renamed > 100
 
     @pytest.mark.parametrize("seed", range(40))
     def test_composition(self, seed):
