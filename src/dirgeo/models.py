@@ -21,9 +21,11 @@ Tarskian definition, the reference; the scan values all 2^(n*n) undir
 tables for one rev table at once, as a Python int bitset with one bit per
 table, by a plan of the formula (see _plan) compiled to Python (_compiled)
 that values every part of it.
-Within one scan, a quantified subformula with no rev term is valued once
-per size and assignment of its free variables, and shared by every rev
-table.  The two evaluators' agreement is property-tested.
+Each part is valued once per assignment of what it reads: within one scan,
+a part with no rev term is valued once per size and assignment of its free
+variables, and shared by every rev table; a part with one, once per rev
+table and assignment of its free variables.  The two evaluators' agreement
+is property-tested.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .syntax import (
     Forall,
     Formula,
     Implies,
+    NestingError,
     Not,
     Or,
     Term,
@@ -92,13 +95,20 @@ class Structure:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Structure":
-        n = record["size"]
-        pairs = {tuple(p) for p in record["undir"]}
-        for p in pairs:
-            if len(p) != 2 or not all(type(i) is int and 0 <= i < n for i in p):
-                raise ValueError(f"undir pair {list(p)} is not a pair of elements of [0, {n})")
+        n, rev, undir = record["size"], record["rev"], record["undir"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"size must be a positive integer, got {n!r}")
+        for name, value in (("rev", rev), ("undir", undir)):
+            if type(value) not in (list, tuple):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+        pairs = set()
+        for p in undir:
+            pair = type(p) in (list, tuple) and len(p) == 2
+            if not pair or not all(type(i) is int and 0 <= i < n for i in p):
+                raise ValueError(f"undir entry {p!r} is not a pair of elements of [0, {n})")
+            pairs.add(tuple(p))
         table = tuple(tuple((i, j) in pairs for j in range(n)) for i in range(n))
-        return cls(n, table, tuple(record["rev"]))
+        return cls(n, table, tuple(rev))
 
 
 def eval_term(s: Structure, t: Term, a: Mapping[str, int]) -> int:
@@ -229,20 +239,31 @@ class _NegatedAtom(Atom):
 @lru_cache(maxsize=_CACHE_SIZE)
 def _plan(f: Formula, positive: bool) -> Formula:
     """f, or ~f if not positive, as the scan evaluates it: in negation
-    normal form (no ->, and ~ only on atoms, as _NegatedAtom nodes) and
-    miniscoped (see _scope)."""
+    normal form (no ->, and ~ only on atoms, as _NegatedAtom nodes),
+    miniscoped (see _scope) and grouped (see _grouped), or not grouped if
+    that would take it past the node bound."""
+    plan = _normal(f, positive)
+    try:
+        return _regrouped(plan)
+    except NestingError:
+        return plan
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _normal(f: Formula, positive: bool) -> Formula:
+    """f, or ~f if not positive, in negation normal form and miniscoped."""
     cls = type(f)
     if cls is Atom:
         return f if positive else _NegatedAtom(f.pred, f.args)
     if cls is Not:
-        return _plan(f.body, not positive)
+        return _normal(f.body, not positive)
     if cls is Forall or cls is Exists:
-        return _scope(cls if positive else _DUAL[cls], f.var, _plan(f.body, positive))
+        return _scope(cls if positive else _DUAL[cls], f.var, _normal(f.body, positive))
     if cls is not And and cls is not Or and cls is not Implies:
         raise TypeError(f"not a formula: {f!r}")
     junction = And if cls is And else Or  # A -> B is ~A | B
-    left = _plan(f.left, positive if cls is not Implies else not positive)
-    return (junction if positive else _DUAL[junction])(left, _plan(f.right, positive))
+    left = _normal(f.left, positive if cls is not Implies else not positive)
+    return (junction if positive else _DUAL[junction])(left, _normal(f.right, positive))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -265,6 +286,40 @@ def _scope(q, var: str, body: Formula) -> Formula:
     else:
         scoped = q(var, _joined(junction, inside))
     return _joined(junction, [p for p in parts if var not in free_vars(p)] + [scoped])
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _has_rev(g: Formula) -> bool:
+    """True iff the plan node g has a rev term: its value depends on the rev table."""
+    cls = type(g)
+    if cls is Atom or cls is _NegatedAtom:
+        return any(type(t) is App for t in g.args)
+    if cls is Forall or cls is Exists:
+        return _has_rev(g.body)
+    return _has_rev(g.left) or _has_rev(g.right)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _regrouped(g: Formula) -> Formula:
+    """The plan node g with each of its chains grouped, from the inside out."""
+    cls = type(g)
+    if cls is Forall or cls is Exists:
+        return cls(g.var, _regrouped(g.body))
+    if cls is And or cls is Or:
+        return _grouped(cls(_regrouped(g.left), _regrouped(g.right)))
+    return g
+
+
+def _grouped(g: Formula) -> Formula:
+    """g, or, if g is a chain of & or | with a rev term and two or more
+    rev-free parts, the same chain with those parts joined first into one
+    part, which the compiler values once per size (see _compiled).  The
+    chain can grow one level taller."""
+    parts = _members(type(g), g)
+    free = [p for p in parts if not _has_rev(p)]
+    if len(free) < 2 or len(free) == len(parts):
+        return g
+    return _joined(type(g), [_joined(type(g), free)] + [p for p in parts if _has_rev(p)])
 
 
 def _members(junction, f: Formula) -> list[Formula]:
@@ -313,16 +368,76 @@ def _compiled(g: Formula) -> Callable[..., int]:
     Each quantifier is a `for` loop over D, each loop body one &/|
     expression; the loop's value starts as the first body value, not as
     the all-true or the empty bitset, which saves one full-width operation.
-    A quantified part is memoised in S if it is rev-free, else for the call
-    where a hit can happen: it occurs twice, or a loop around it binds a
-    variable it does not use.  The source holds generated names
-    and integers only; plan nodes and functions reach it by its namespace."""
+    Each part is valued once per assignment of what it reads: its free
+    variables, and the rev table only if it has a rev term.  So a rev-free
+    part whose parent has a rev term (_grouped makes the rev-free members
+    of a chain one part) is a table over its free variables, made once per
+    size in S; and a part under a loop that binds a variable it does not
+    use is a table made once per call, before the loops.  A table is a
+    nested list indexed by loop variables, read by every part of its shape
+    (see _Compiler.shape).
+    The source holds generated names and integers only; plan nodes and
+    functions reach it by its namespace."""
     return _Compiler(g).function
+
+
+class _Block:
+    """Lines of generated source at one indentation.  `lines` is shared with
+    the enclosing blocks of the same run of lines, and may hold lists of
+    lines spliced in later (see _start).  `kept` maps a part to the
+    (pattern, name) of its values that later lines of the block, and the
+    blocks that `scope` leads to, may read; a part is known by its shape
+    (see _Compiler.shape).  The pattern holds the generated name of each
+    free variable, or None where the name is a table index.
+    `loops` are the loop variables around the block, `top` is the block
+    that takes the tables, and `once` says that the lines run once per size."""
+
+    __slots__ = ("lines", "depth", "scope", "loops", "top", "once", "kept")
+
+    def __init__(self, lines: list, depth: int, scope, loops: tuple, top, once: bool):
+        self.lines, self.depth, self.scope, self.loops = lines, depth, scope, loops
+        self.top, self.once, self.kept = top or self, once, {}
+
+    def emit(self, *lines: str) -> None:
+        self.lines += [" " * self.depth + line for line in lines]
+
+    def inner(self, loop: str) -> "_Block":
+        """The body of a loop over D that binds loop."""
+        return _Block(self.lines, self.depth + 1, self, self.loops + (loop,), self.top, self.once)
+
+    def look(self, shape: int, names: list) -> str | None:
+        """A kept value of a part of this shape, for free variables with
+        these names, or None."""
+        block = self
+        while block is not None:
+            for pattern, value in block.kept.get(shape, ()):
+                if all(p is None or p == n for p, n in zip(pattern, names)):
+                    return value + "".join(f"[{n}]" for p, n in zip(pattern, names) if p is None)
+            block = block.scope
+        return None
+
+
+def _start(lines: list, depth: int, scope, once: bool) -> _Block:
+    """A block at the start of a function or of a table made in S, with
+    no loop around it: its tables go to a list of lines at its head, which
+    its other lines follow."""
+    head: list = []
+    lines.append(head)
+    top = _Block(head, depth, scope, (), None, once)
+    return _Block(lines, depth, top, (), top, once)
+
+
+def _flat(lines: list) -> Iterator[str]:
+    for line in lines:
+        if type(line) is list:
+            yield from _flat(line)
+        else:
+            yield line
 
 
 class _Compiler:
     def __init__(self, g: Formula):
-        self.names, self.ns, self.lines, self.memos, self.blocks = itertools.count(), {}, [], {}, {}
+        self.names, self.ns, self.shapes, self.kinds = itertools.count(), {}, {}, {}
         self.reached, stack = Counter(), [g]
         while stack:  # each junction and quantifier entered once: linear in g's DAG
             h = stack.pop()
@@ -330,10 +445,10 @@ class _Compiler:
             if self.reached[h] == 1 and type(h) in _DUAL:
                 stack += [h.left, h.right] if type(h) in (And, Or) else [h.body]
         params = {v: self.name("v") for v in sorted(free_vars(g))}
-        result = self.expr(g, params, [], 1)
-        head = [f"def f(R, A, N, S, D, {', '.join(params.values())}):"]
-        head += [f" {m} = {{}}" for m in self.memos.values()]
-        exec("\n".join(head + self.lines + [f" return {result}"]), self.ns)
+        lines: list = [f"def f(R, A, N, S, D, {', '.join(params.values())}):"]
+        block = _start(lines, 1, None, False)
+        block.emit(f"return {self.expr(g, params, block)}")
+        exec("\n".join(_flat(lines)), self.ns)
         self.function = self.ns["f"]
 
     def name(self, stem: str, value=None) -> str:
@@ -342,50 +457,90 @@ class _Compiler:
             self.ns[name] = value
         return name
 
-    def emit(self, depth: int, *lines: str) -> None:
-        # a line closes every deeper block, and the values of repeated parts kept in it
-        self.blocks = {d: kept for d, kept in self.blocks.items() if d <= depth}
-        self.lines += [" " * depth + line for line in lines]
+    def shape(self, g: Formula) -> int:
+        """A number for g up to the names of its variables: parts of one
+        shape take one value when their free variables, each in sorted
+        order, take the same values."""
+        if g not in self.shapes:
+            cls, free = type(g), sorted(free_vars(g))
+
+            def spot(t):  # a variable by its place among free, rev t as (spot(t),)
+                return free.index(t.name) if type(t) is Var else (spot(t.args[0]),)
+
+            def part(h):  # h's shape, and the places of its free variables; -1 is g's bound one
+                return self.shape(h), tuple(free.index(v) if v in free else -1 for v in sorted(free_vars(h)))
+
+            if cls is Atom or cls is _NegatedAtom:
+                key = (cls, *map(spot, g.args))
+            elif cls is And or cls is Or:
+                key = (cls, *part(g.left), *part(g.right))
+            else:
+                key = (cls, *part(g.body))
+            self.shapes[g] = self.kinds.setdefault(key, len(self.kinds))
+        return self.shapes[g]
 
     def term(self, t: Term, env: dict) -> str:
         return env[t.name] if type(t) is Var else f"R[{self.term(t.args[0], env)}]"
 
-    def expr(self, g: Formula, env: dict, loops: list, depth: int) -> str:
-        """g's value as an expression, after its statements."""
-        cls, free = type(g), [env[v] for v in sorted(free_vars(g))]
-        known = [b[(g, *free)] for d, b in self.blocks.items() if d <= depth and (g, *free) in b]
-        if known:
-            return known[0]
+    def expr(self, g: Formula, env: dict, block: _Block) -> str:
+        """g's value as an expression in block, after its statements."""
+        cls = type(g)
         if cls is Atom or cls is _NegatedAtom:
             x, y = g.args
             return f"{'A' if cls is Atom else 'N'}[{self.term(x, env)}][{self.term(y, env)}]"
+        names = [env[v] for v in sorted(free_vars(g))]
+        known = block.look(self.shape(g), names)
+        if known:
+            return known
+        if (not block.once and not _has_rev(g)) or not set(block.loops) <= set(names):
+            return self.table(g, env, block)
         if cls is And or cls is Or:
-            left, right = self.expr(g.left, env, loops, depth), self.expr(g.right, env, loops, depth)
+            left, right = self.expr(g.left, env, block), self.expr(g.right, env, block)
             text = f"({left} {'&' if cls is And else '|'} {right})"
             if self.reached[g] == 1:
                 return text
-            self.emit(depth, f"{(q := self.name('t'))} = {text}")
-            self.blocks.setdefault(depth, {})[(g, *free)] = q
-            return q
-        q, key, memo, at = self.name("q"), "".join(v + ", " for v in free), None, depth
-        if not any(type(t) is App for t in formula_terms(g)):
-            memo, key = "S", f"({self.name('k', g)}, {key})"
-        elif self.reached[g] > 1 or not set(loops) <= set(free):
-            memo, key = self.memos.setdefault(g, self.name("m")), f"({key})"
-        if memo:
-            self.emit(at, f"{q} = {memo}.get({key})", f"if {q} is None:")
-            at += 1
-        if len(loops) >= _LOOPS:
-            self.emit(at, f"{q} = {self.name('k', _compiled(g))}(R, A, N, S, D, {', '.join(free)})")
+            block.emit(f"{(q := self.name('t'))} = {text}")
+        elif len(block.loops) >= _LOOPS:
+            q = self.name("q")
+            block.emit(f"{q} = {self.name('k', _compiled(g))}(R, A, N, S, D, {', '.join(names)})")
         else:
-            v, x, op = self.name("v"), self.name("x"), "&" if cls is Forall else "|"
-            self.emit(at, f"{q} = None", f"for {v} in D:")
-            body = self.expr(g.body, {**env, g.var: v}, loops + [v], at + 1)
-            self.emit(at + 1, f"{x} = {body}", f"{q} = {x} if {q} is None else {q} {op} {x}")
-        if memo:
-            self.emit(at, f"{memo}[{key}] = {q}")
-        self.blocks.setdefault(depth, {})[(g, *free)] = q
+            q, v, x, op = self.name("q"), self.name("v"), self.name("x"), "&" if cls is Forall else "|"
+            block.emit(f"{q} = None", f"for {v} in D:")
+            inner = block.inner(v)
+            body = self.expr(g.body, {**env, g.var: v}, inner)
+            inner.emit(f"{x} = {body}", f"{q} = {x} if {q} is None else {q} {op} {x}")
+        block.kept.setdefault(self.shape(g), []).append((tuple(names), q))
         return q
+
+    def table(self, g: Formula, env: dict, block: _Block) -> str:
+        """g's value read from a table over its free variables that loops
+        around block bind, made in block.top after the tables it reads:
+        once per size in S if g is rev-free, else once per call."""
+        top, free = block.top, sorted(free_vars(g))
+        dims = [v for v in free if env[v] in block.loops]
+        pattern = tuple(None if v in dims else env[v] for v in free)
+        t, lines = self.name("t"), []
+        blocks = [_Block(lines, top.depth, top, (), top, top.once)]
+        shared = not top.once and not _has_rev(g)
+        if shared:
+            key = f"({self.name('k', (g, tuple(dims)))}, {''.join(p + ', ' for p in pattern if p)})"
+            blocks[0].emit(f"{t} = S.get({key})", f"if {t} is None:")
+            blocks[0] = _start(lines, top.depth + 1, blocks[0], True)
+        rows, inner_env = [t] + [self.name("r") for _ in dims[1:]], dict(env)
+        for row, v in zip(rows, dims):
+            w = self.name("v")
+            blocks[-1].emit(f"{row} = []", f"for {w} in D:")
+            blocks.append(blocks[-1].inner(w))
+            inner_env[v] = w
+        value = self.expr(g, inner_env, blocks[-1])
+        blocks[-1].emit(f"{rows[-1]}.append({value})" if dims else f"{t} = {value}")
+        for i in range(len(dims) - 1, 0, -1):
+            blocks[i].emit(f"{rows[i - 1]}.append({rows[i]})")
+        if shared:
+            blocks[0].emit(f"S[{key}] = {t}")
+        top.lines.append(lines)
+        top.kept.setdefault(self.shape(g), []).append((pattern, t))
+        return t + "".join(f"[{env[v]}]" for v in dims)
 
 
 class _Evaluator:

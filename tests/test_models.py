@@ -17,6 +17,7 @@ from dirgeo.models import (
     _Compiler,
     _Evaluator,
     _joined,
+    _negated_tables,
     _plan,
     _structure_from_index,
     countermodel_at_size,
@@ -313,6 +314,50 @@ class TestCompiledPlans:
         for n in (1, 2):
             assert find_countermodel([], f, n) == _first_by_eval([], f, n)
 
+    @pytest.mark.parametrize(
+        "f",
+        [axiom("I7"), expand_defs(axiom("I7conv"))]
+        + [Not(axiom(w)) for w in ("W1", "W2", "W3", "W4")]
+        + [parse_formula("(Ax)(Ey)[UNDIR x y & [UNDIR y y | UNDIR x x] & UNDIR x [rev y] & (Az)UNDIR z y]"),
+           parse_formula("(Ax)(Ay)(Az)[UNDIR x [rev y] | UNDIR y [rev z]"
+                         " | (Ew)[UNDIR z w & UNDIR w [rev z]]]")],
+        ids=["I7", "expanded-I7conv", "~W1", "~W2", "~W3", "~W4", "rev-free-junction-in-a-rev-chain",
+             "under-two-unused-loops"],
+    )
+    def test_batch_agrees_where_parts_are_tabled(self, f):
+        # I7 tables one part for its two parts of one shape, each under a
+        # loop it does not read; ~W1 groups its rev-free conjuncts; in the
+        # last, (Ew) reads z alone, under the (Ax) and (Ay) loops
+        _assert_scan_agrees(f)
+
+    def test_loops_past_the_bound_split(self, monkeypatch):
+        # (Ax0)...(Ax14) over parts that each read every variable: no part
+        # is under a loop it does not read, so the loops nest 15 deep and
+        # the innermost quantifiers go to a function of their own
+        f = functools.reduce(Or, [Atom("UNDIR", (_x(i), _rev(_x(14)))) for i in range(14)])
+        f = functools.reduce(lambda f, i: Forall(f"x{i}", f), range(14, -1, -1), f)
+        sources = []
+        monkeypatch.setattr(models, "exec", lambda source, ns: (sources.append(source), exec(source, ns)),
+                            raising=False)
+        _Compiler(_plan(f, True))
+        assert len(sources) == 2
+        monkeypatch.undo()
+        _assert_scan_agrees(f, sizes=(1, 2))
+
+    def test_grouping_past_the_node_bound_is_left_out(self):
+        # (Ax)[[UNDIR x x | UNDIR x [rev x]] | (Ay)Q], Q a rev-free chain
+        # 197 levels tall: joining UNDIR x x with (Ay)Q first would take the
+        # plan to 201 levels, so its chains stay as they are
+        x, y = Var("x"), Var("y")
+        q = Atom("UNDIR", (y, y))
+        for i in range(195):
+            q = (And if i % 2 else Or)(Atom("UNDIR", (x, y)), q)
+        f = Forall("x", Or(Or(Atom("UNDIR", (x, x)), Atom("UNDIR", (x, _rev(x)))), Forall("y", q)))
+        assert f.height == 200 and _plan(f, True) is f
+        goal = parse_formula("(Ax)UNDIR x [rev x]")
+        for premises, goal in (([], f), ([f], goal)):
+            assert find_countermodel(premises, goal, 2) == _first_by_eval(premises, goal, 2)
+
     @pytest.mark.parametrize("k", [16, 40])
     @pytest.mark.parametrize("q", [Forall, Exists])
     @pytest.mark.parametrize("shape", ["doubled", "interleaved"])
@@ -482,6 +527,52 @@ class TestRevRepresentatives:
         assert verdicts == {True, False}
 
 
+class TestOperationCount:
+    """The scan's time is its count of full-width & and | operations."""
+
+    # per polarity, over one scan at n = 3 and at n = 4 (every rev
+    # representative, one memo), as counted on the compiler of commit
+    # 4983ea4, which valued each junction where it occurs
+    BEFORE = {"I5": (2, 3), "I6": (62, 143), "I7": (875, 5453), "I8": (119, 589), "ODO": (434, 2717),
+              "W1": (227, 1005), "W2": (497, 3021), "W3": (497, 3021), "W4": (497, 3021), "OO": (119, 589)}
+
+    @staticmethod
+    def _scan_ops(f, positive, n):
+        """The & and | operations that one scan of size n makes to value f,
+        and the bitsets it gets, one per rev representative."""
+        count = [0]
+
+        class Counted(int):
+            def __and__(self, other):
+                count[0] += 1
+                return Counted(int.__and__(self, other))
+
+            def __or__(self, other):
+                count[0] += 1
+                return Counted(int.__or__(self, other))
+
+        atoms = tuple(tuple(map(Counted, row)) for row in _atom_tables(n))
+        negated = tuple(tuple(map(Counted, row)) for row in _negated_tables(n))
+        run, shared = _compiled(_plan(f, positive)), {}
+        values = [run(rev, atoms, negated, shared, range(n)) for rev in rev_representatives(n)]
+        return count[0], values
+
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_no_plan_does_more(self, name):
+        for positive in (True, False):
+            for n, before in zip((3, 4), self.BEFORE[name]):
+                ops, values = self._scan_ops(axiom(name), positive, n)
+                assert ops <= before, (positive, n)
+                plain = [_Evaluator(n, rev, {})(axiom(name), positive) for rev in rev_representatives(n)]
+                assert values == plain, (positive, n)
+
+    def test_i7_does_fewer(self):
+        # at n = 4, 287 -> 175 operations per rev table: UNDIR x z & UNDIR x [rev z]
+        # and UNDIR y z & UNDIR y [rev z] are one table, valued 16 times, not 128
+        for n, before in zip((3, 4), self.BEFORE["I7"]):
+            assert self._scan_ops(axiom("I7"), True, n)[0] < before
+
+
 class TestRecords:
     def test_roundtrip(self):
         s = _struct(3, {(0, 1), (2, 0)}, rev=(1, 2, 0))
@@ -491,8 +582,14 @@ class TestRecords:
         "record, field",
         [({"size": 2, "rev": [0, 5], "undir": [[0, 1]]}, "rev"),
          ({"size": 2, "rev": [0, 1], "undir": [[0, 7]]}, "undir"),
-         ({"size": 0, "rev": [], "undir": []}, "size")],
-        ids=["rev", "undir", "size"],
+         ({"size": 0, "rev": [], "undir": []}, "size"),
+         ({"size": 2.0, "rev": [0, 1], "undir": [[0, 1]]}, "size"),
+         ({"size": "2", "rev": [0, 1], "undir": [[0, 1]]}, "size"),
+         ({"size": 2, "rev": [0, 1], "undir": [5]}, "undir"),
+         ({"size": 2, "rev": 5, "undir": []}, "rev"),
+         ({"size": 2, "rev": [0, 1], "undir": 5}, "undir")],
+        ids=["rev", "undir", "size", "float-size", "text-size", "undir-not-a-pair", "rev-not-a-list",
+             "undir-not-a-list"],
     )
     def test_out_of_range_record_is_a_value_error(self, record, field):
         with pytest.raises(ValueError, match=f"^{field} "):
