@@ -87,10 +87,6 @@ def defined_form(name: str) -> Formula:
         raise UnknownAxiom(name) from None
 
 
-def defined_form_names() -> tuple[str, ...]:
-    return tuple(_load_catalog()[1])
-
-
 def expand_defs(f: Formula) -> Formula:
     """Replace CON/DIR/OPP/INOPP atoms by their UNDIR bodies.
 

@@ -598,16 +598,6 @@ for _rule in Rule:
     _rule.check = getattr(Checker, "_rule_" + _rule.name.lower())
 
 
-def check_line(proof_so_far: Proof, line: ProofLine) -> Verdict:
-    """Certify one candidate line against an already-checked prefix."""
-    checker = Checker(proof_so_far.premises)
-    for prev in proof_so_far.lines:
-        v = checker.add_line(prev)
-        if not v.ok:
-            return Verdict(False, "structure", f"prefix line {prev.number} invalid: {v.message}")
-    return checker.add_line(line)
-
-
 def check_proof(proof: Proof) -> CheckReport:
     """Certify a whole proof; reports the earliest failing line."""
     premises = tuple(proof.premises)

@@ -31,7 +31,6 @@ is property-tested.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -92,23 +91,6 @@ class Structure:
             "rev": list(self.rev),
             "undir": [[i, j] for i in range(self.size) for j in range(self.size) if self.undir[i][j]],
         }
-
-    @classmethod
-    def from_record(cls, record: Mapping) -> "Structure":
-        n, rev, undir = record["size"], record["rev"], record["undir"]
-        if type(n) is not int or n < 1:
-            raise ValueError(f"size must be a positive integer, got {n!r}")
-        for name, value in (("rev", rev), ("undir", undir)):
-            if type(value) not in (list, tuple):
-                raise ValueError(f"{name} must be a list, got {value!r}")
-        pairs = set()
-        for p in undir:
-            pair = type(p) in (list, tuple) and len(p) == 2
-            if not pair or not all(type(i) is int and 0 <= i < n for i in p):
-                raise ValueError(f"undir entry {p!r} is not a pair of elements of [0, {n})")
-            pairs.add(tuple(p))
-        table = tuple(tuple((i, j) in pairs for j in range(n)) for i in range(n))
-        return cls(n, table, tuple(rev))
 
 
 def eval_term(s: Structure, t: Term, a: Mapping[str, int]) -> int:
@@ -185,10 +167,6 @@ def _why_uninterpreted(f: Formula) -> str | None:
             if isinstance(t, App) and (t.fn != "rev" or len(t.args) != 1):
                 return f"structure does not interpret function {t.fn!r}/{len(t.args)}"
     return None
-
-
-def structure_count(n: int) -> int:
-    return (2 ** (n * n)) * (n ** n)
 
 
 def enumerate_structures(n: int) -> Iterator[Structure]:
@@ -355,8 +333,8 @@ def _joined(junction, parts: list[Formula]) -> Formula:
 
 # CPython allows 20 nested loops, 100 indents and 200 nested brackets, so a
 # generated function nests at most _LOOPS loops (a deeper quantifier is a
-# function of its own).  An expression nests fewer brackets than its plan
-# node's height, which the node bound keeps at 200 or less.
+# function of its own).  Each & and | is a line of its own, so an atom,
+# A[x][R[...R[y]...]], nests the most brackets: fewer than its height, < 200.
 _LOOPS = 12
 
 
@@ -365,9 +343,10 @@ def _compiled(g: Formula) -> Callable[..., int]:
     """The plan node g as a Python function of (R, A, N, S, D, then the
     values of g's free variables in sorted order): rev table, atom tables,
     negated tables, the size's rev-free memo, range(n).
-    Each quantifier is a `for` loop over D, each loop body one &/|
-    expression; the loop's value starts as the first body value, not as
-    the all-true or the empty bitset, which saves one full-width operation.
+    Each quantifier is a `for` loop over D, and each & or | one line that
+    stores its value in a local; the loop's value starts as the first body
+    value, not as the all-true or the empty bitset, which saves one
+    full-width operation.
     Each part is valued once per assignment of what it reads: its free
     variables, and the rev table only if it has a rev term.  So a rev-free
     part whose parent has a rev term (_grouped makes the rev-free members
@@ -438,12 +417,6 @@ def _flat(lines: list) -> Iterator[str]:
 class _Compiler:
     def __init__(self, g: Formula):
         self.names, self.ns, self.shapes, self.kinds = itertools.count(), {}, {}, {}
-        self.reached, stack = Counter(), [g]
-        while stack:  # each junction and quantifier entered once: linear in g's DAG
-            h = stack.pop()
-            self.reached[h] += 1
-            if self.reached[h] == 1 and type(h) in _DUAL:
-                stack += [h.left, h.right] if type(h) in (And, Or) else [h.body]
         params = {v: self.name("v") for v in sorted(free_vars(g))}
         lines: list = [f"def f(R, A, N, S, D, {', '.join(params.values())}):"]
         block = _start(lines, 1, None, False)
@@ -496,10 +469,8 @@ class _Compiler:
             return self.table(g, env, block)
         if cls is And or cls is Or:
             left, right = self.expr(g.left, env, block), self.expr(g.right, env, block)
-            text = f"({left} {'&' if cls is And else '|'} {right})"
-            if self.reached[g] == 1:
-                return text
-            block.emit(f"{(q := self.name('t'))} = {text}")
+            q = self.name("t")
+            block.emit(f"{q} = {left} {'&' if cls is And else '|'} {right}")
         elif len(block.loops) >= _LOOPS:
             q = self.name("q")
             block.emit(f"{q} = {self.name('k', _compiled(g))}(R, A, N, S, D, {', '.join(names)})")
@@ -639,12 +610,3 @@ def equivalent_on_all(f: Formula, g: Formula, max_n: int) -> bool:
     size <= max_n (both closed; max_n at most MAX_SIZE)."""
     _require([f, g], "formulas must be closed")
     return all(value(f) == value(g) for _, _, value in _scan(range(1, max_n + 1)))
-
-
-def direction_circle(n: int = 4) -> Structure:
-    """The intended model: n directions, rev = half turn, undir = inequality."""
-    if n % 2:
-        raise ValueError("needs an even number of directions")
-    table = tuple(tuple(i != j for j in range(n)) for i in range(n))
-    rev = tuple((d + n // 2) % n for d in range(n))
-    return Structure(n, table, rev)

@@ -646,11 +646,6 @@ def _subst(f: Formula, bindings: Mapping[str, Term]) -> Formula:
 # Matching up to bound-variable names, and the canonical comparison key
 
 
-def alpha_eq(f: Formula, g: Formula) -> bool:
-    """True iff f and g differ only in bound-variable names."""
-    return match(f, g, frozenset()) is not None
-
-
 def match(pattern: Formula, target: Formula, eligible: frozenset[str]) -> dict[str, Term] | None:
     """The bindings of pattern's eligible free variables under which pattern
     is target up to bound-variable names, or None if there are none.
@@ -782,10 +777,6 @@ def contradiction_keys(f: Formula) -> tuple:
 
 def flatten_or(f: Formula) -> list[Formula]:
     return list(_flat(f, Or))
-
-
-def flatten_and(f: Formula) -> list[Formula]:
-    return list(_flat(f, And))
 
 
 def build_or(parts: list[Formula]) -> Formula:

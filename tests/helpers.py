@@ -1,10 +1,12 @@
-"""Shared test utilities: seeded random formula generation over the
-geometry signature, and alpha-variant construction."""
+"""Shared test utilities: seeded random formulas over the geometry
+signature, alpha variants, one-line checks and the intended model."""
 
 from __future__ import annotations
 
 import random
 
+from dirgeo.kernel import Checker, Proof, ProofLine, Verdict
+from dirgeo.models import Structure
 from dirgeo.syntax import (
     And,
     App,
@@ -19,6 +21,7 @@ from dirgeo.syntax import (
     Var,
     bound_vars,
     free_vars,
+    match,
 )
 
 VARS = ["x", "y", "z", "v1", "v2", "v3"]
@@ -48,6 +51,23 @@ def random_formula(rng: random.Random, pool: list[str] | None = None, depth: int
     var = rng.choice(pool)
     cls = Forall if pick == 6 else Exists
     return cls(var, random_formula(rng, pool, depth - 1))
+
+
+def check_line(proof_so_far: Proof, line: ProofLine) -> Verdict:
+    """Certify one candidate line after a prefix of valid lines."""
+    checker = Checker(proof_so_far.premises)
+    assert all(checker.add_line(prev).ok for prev in proof_so_far.lines)
+    return checker.add_line(line)
+
+
+def direction_circle(n: int = 4) -> Structure:
+    """The intended model: n directions, rev = half turn, undir = inequality."""
+    table = tuple(tuple(i != j for j in range(n)) for i in range(n))
+    return Structure(n, table, tuple((d + n // 2) % n for d in range(n)))
+
+
+def alpha_eq(f: Formula, g: Formula) -> bool:
+    return match(f, g, frozenset()) is not None  # equal up to bound-variable names
 
 
 def closed_up(f: Formula) -> Formula:

@@ -12,9 +12,10 @@ import pytest
 from dirgeo.corpus import corpus_ids, load
 from dirgeo.geometry import axiom, defined_form, expand_defs, w_decomposition
 from dirgeo.kernel import Proof, check_proof
-from dirgeo.models import direction_circle, equivalent_on_all, eval_formula, find_countermodel
+from dirgeo.models import equivalent_on_all, eval_formula, find_countermodel
 from dirgeo.search import SearchConfig, prove, prove_with_lemmas
 from dirgeo.syntax import build_and, canonical_key, rule_eq
+from helpers import direction_circle
 
 
 def _report(n, ok, detail=""):

@@ -17,8 +17,7 @@ from dirgeo.cli import (
     main,
 )
 from dirgeo.corpus import corpus_ids, script_text
-from dirgeo.geometry import axiom
-from dirgeo.models import Structure, eval_formula
+from dirgeo.models import Structure
 from dirgeo.search import SearchConfig
 
 
@@ -172,8 +171,7 @@ class TestProve:
         assert code == EXIT_SEARCH_FAILED
         record = json.loads(capsys.readouterr().err.splitlines()[0])
         assert record["status"] == "refuted"
-        cm = Structure.from_record(record["countermodel"])
-        assert eval_formula(cm, axiom("I6")) and not eval_formula(cm, axiom("W2"))
+        assert record["countermodel"] == {"size": 2, "rev": [0, 0], "undir": [[0, 1], [1, 0]]}
 
     def test_refuted_at_size_3_before_any_search(self, capsys):
         """W1 |- W3 has no countermodel of size <= 2 and fails the default

@@ -1,16 +1,23 @@
-"""No module of the package imports a name it never uses, and the package
-needs nothing outside the standard library."""
+"""No module of the package imports a name it never uses or defines a
+public one that only tests name, and the package needs nothing outside the
+standard library."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "dirgeo"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "dirgeo"
 MODULES = sorted(SRC.rglob("*.py"))
+# where a program or the README may name a public definition; perfbench/out
+# is run output, and tests do not count
+READERS = [*MODULES, *ROOT.glob("tools/*.py"), *ROOT.glob("perfbench/*.py"),
+           *ROOT.glob("perfbench/tests/*.py"), ROOT / "README.md"]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -38,6 +45,27 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
 def test_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _unnamed_definitions(path: Path) -> list[str]:
+    """The public top-level defs and classes of path that no reader names
+    outside the definition itself."""
+    texts = {p: p.read_text(encoding="utf-8") for p in READERS}
+    lines = texts[path].splitlines()
+    unnamed = []
+    for node in ast.parse(texts[path]).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            texts[path] = "\n".join(lines[: start - 1] + lines[node.end_lineno :])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(map(word.search, texts.values())):
+                unnamed.append(node.name)
+    return unnamed
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_public_definition_only_tests_name(path):
+    assert _unnamed_definitions(path) == []
 
 
 def _top_level_modules_after_importing_cli() -> set[str]:

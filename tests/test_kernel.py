@@ -19,7 +19,6 @@ from dirgeo.kernel import (
     Rule,
     ScriptError,
     Verdict,
-    check_line,
     check_proof,
     parse_proof_script,
     print_proof_script,
@@ -28,7 +27,7 @@ from dirgeo.kernel import (
 from dirgeo.models import find_countermodel
 from dirgeo.search import SearchConfig, prove, prove_with_lemmas
 from dirgeo.syntax import GEOMETRY, App, Signature, Var, canonical_key, parse_formula, print_formula, rule_eq
-from helpers import closed_up
+from helpers import check_line, closed_up
 
 F = parse_formula
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from dirgeo.corpus import corpus_ids, load
 from dirgeo.geometry import axiom, axiom_names, expand_defs
 from dirgeo.kernel import Justification, Proof, ProofLine, Rule, check_proof
-from dirgeo.models import direction_circle, equivalent_on_all, eval_formula
+from dirgeo.models import equivalent_on_all, eval_formula
 from dirgeo.syntax import (
     And,
     App,
@@ -32,16 +32,14 @@ from dirgeo.syntax import (
     _CACHE_SIZE,
     _NODES,
     _canon,
+    _flat,
     _subst,
     _subst_one,
-    alpha_eq,
     bound_vars,
     build_or,
     canonical_key,
     contradiction_keys,
     de_morgan,
-    flatten_and,
-    flatten_or,
     free_vars,
     match,
     negated_quantifier_view,
@@ -56,7 +54,7 @@ from dirgeo.syntax import (
     substitute_term,
     term_vars,
 )
-from helpers import VARS, alpha_variant, closed_up, random_formula, random_term
+from helpers import VARS, alpha_eq, alpha_variant, closed_up, direction_circle, random_formula, random_term
 
 
 def U(a, b):
@@ -730,7 +728,7 @@ class TestHashConsing:
 def _reorder(rng: random.Random, f):
     """f with the operands of every & and | chain shuffled and re-bracketed."""
     if isinstance(f, (And, Or)):
-        parts = flatten_and(f) if isinstance(f, And) else flatten_or(f)
+        parts = list(_flat(f, type(f)))
         parts = [_reorder(rng, p) for p in parts]
         rng.shuffle(parts)
         return _bracket(rng, type(f), parts)
